@@ -55,12 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="stream seed (default 0)")
         p.add_argument("--scan-steps", type=int, default=256, help="chord scan subintervals (default 256)")
         p.add_argument("--root-tol", type=float, default=1e-10, help="root parameter tolerance (default 1e-10)")
-        p.add_argument(
-            "--method",
-            choices=["bisection", "regula-falsi"],
-            default="bisection",
-            help="bracket refinement method (default bisection)",
-        )
         p.add_argument("--res", type=int, default=None, help="grid resolution for chart triangulation")
         if need_sampler:
             p.add_argument(
@@ -108,57 +102,49 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _sampler_config(args) -> ImplicitSamplerConfig:
-    return ImplicitSamplerConfig(
-        scan_steps=args.scan_steps,
-        root_tol=args.root_tol,
-        method=args.method.replace("-", "_"),
-    )
+    return ImplicitSamplerConfig(scan_steps=args.scan_steps, root_tol=args.root_tol)
 
 
-def _resolve_surface(spec: str, clip: float | None, res: int | None, prefer: str):
-    """Build the surface object for *spec* in the *prefer* form.
+#: the surface form each cloud sampler consumes
+_SAMPLER_FORMS = {"crofton": "implicit", "axis-aligned": "implicit", "triangulated": "mesh", "parametric": "chart"}
 
-    prefer: 'implicit', 'mesh', or 'chart'.  Catalog entries fall back to
-    whatever forms they support; expressions always give implicit surfaces;
-    paths always give meshes.
+
+def _resolve_surface(spec: str, clip: float | None, res: int | None, forms: tuple):
+    """Build the surface object for *spec* in the first of *forms* it supports.
+
+    forms: an ordered subset of ('implicit', 'mesh', 'chart').  Catalog
+    entries support the forms they define, and a chart also gives a mesh
+    through its grid triangulation; expressions are implicit; paths are
+    meshes.
     """
     entry = surfaces.CATALOG.get(spec)
     if entry is not None:
         clip = entry.default_clip if clip is None else clip
         res_kw = {} if res is None else {"u_res": res, "v_res": res}
-        if prefer == "implicit" and entry.implicit is not None:
-            return entry.implicit(clip=clip), clip
-        if prefer == "chart" and entry.chart is not None:
-            return entry.chart(**res_kw), clip
-        if prefer == "mesh":
-            if entry.mesh is not None:
-                return entry.mesh(), clip
-            if entry.chart is not None:
-                mesh, _ = surfaces.triangulate_parametric(entry.chart(**res_kw))
-                return mesh, clip
-        # fallbacks in a stable order
-        for builder, kwargs in (
-            (entry.implicit, {"clip": clip}),
-            (entry.mesh, {}),
-            (entry.chart, res_kw),
-        ):
-            if builder is not None:
-                return builder(**kwargs), clip
-        raise UsageError(f"catalog surface {spec!r} supports no usable form")
-    if spec.lower().endswith((".off", ".stl")):
+        chart = entry.chart and (lambda: entry.chart(**res_kw))
+        builders = {
+            "implicit": entry.implicit and (lambda: entry.implicit(clip=clip)),
+            "mesh": entry.mesh or (chart and (lambda: surfaces.triangulate_parametric(chart())[0])),
+            "chart": chart,
+        }
+    elif spec.lower().endswith((".off", ".stl")):
         if not os.path.exists(spec):
             raise UsageError(f"mesh file not found: {spec}")
-        if prefer == "implicit":
-            raise UsageError("mesh surfaces have no implicit form; use --sampler triangulated")
-        return meshio.load_mesh(spec), clip
-    try:
-        field = expr.compile_field(spec)
-    except expr.ExpressionError as err:
-        raise UsageError(f"surface spec {spec!r} is neither a catalog name, a mesh path, nor a valid expression: {err}")
-    if prefer != "implicit":
-        raise UsageError("expression surfaces are implicit; use the crofton or axis-aligned sampler")
-    clip = 2.0 if clip is None else clip
-    return surfaces.ImplicitSurface(field, clip, name=spec), clip
+        builders = {"mesh": lambda: meshio.load_mesh(spec)}
+    else:
+        try:
+            field = expr.compile_field(spec)
+        except expr.ExpressionError as err:
+            raise UsageError(
+                f"surface spec {spec!r} is neither a catalog name, a mesh path, nor a valid expression: {err}"
+            )
+        clip = 2.0 if clip is None else clip
+        builders = {"implicit": lambda: surfaces.ImplicitSurface(field, clip, name=spec)}
+    for form in forms:
+        if builders.get(form):
+            return builders[form](), clip
+    usable = ", ".join(f"--sampler {name}" for name, form in _SAMPLER_FORMS.items() if builders.get(form))
+    raise UsageError(f"surface {spec!r} has no {' or '.join(forms)} form; it works with {usable}")
 
 
 def _shard_sizes(total: int, shards: int) -> list[int]:
@@ -168,10 +154,7 @@ def _shard_sizes(total: int, shards: int) -> list[int]:
 
 def _generate_cloud(args, config) -> PointCloud:
     threads = max(1, int(os.environ.get("CROFTONCLOUD_THREADS", "1")))
-    prefer = {"crofton": "implicit", "axis-aligned": "implicit", "triangulated": "mesh", "parametric": "chart"}[
-        args.sampler
-    ]
-    surface, clip = _resolve_surface(args.surface, args.r, args.res, prefer)
+    surface, clip = _resolve_surface(args.surface, args.r, args.res, (_SAMPLER_FORMS[args.sampler],))
 
     def run_shard(seed: int, count: int) -> PointCloud:
         src = Pseudo(seed)
@@ -210,7 +193,6 @@ def cmd_generate(args) -> int:
         "n": args.n,
         "scan_steps": args.scan_steps,
         "root_tol": args.root_tol,
-        "method": args.method,
         "threads": os.environ.get("CROFTONCLOUD_THREADS", "1"),
     }
     if args.r is not None:
@@ -239,15 +221,19 @@ def _print_estimate(label: str, estimate: crofton.CroftonEstimate) -> None:
     print(f"hits histogram  {hist}")
 
 
+#: estimators accept every form; prefer the exact one
+_ESTIMATOR_FORMS = ("implicit", "mesh", "chart")
+
+
 def cmd_area(args) -> int:
-    surface, clip = _resolve_surface(args.surface, args.r, args.res, "implicit")
+    surface, clip = _resolve_surface(args.surface, args.r, args.res, _ESTIMATOR_FORMS)
     estimate = crofton.estimate_area(surface, Pseudo(args.seed), args.m, clip_radius=clip, config=_sampler_config(args))
     _print_estimate("area", estimate)
     return 0
 
 
 def cmd_integrate(args) -> int:
-    surface, clip = _resolve_surface(args.surface, args.r, args.res, "implicit")
+    surface, clip = _resolve_surface(args.surface, args.r, args.res, _ESTIMATOR_FORMS)
     try:
         integrand = expr.compile_field(args.f)
     except expr.ExpressionError as err:

@@ -24,7 +24,7 @@ import numpy as np
 from . import geometry, samplers
 from .rng import ScalarSource
 from .samplers import ImplicitSamplerConfig
-from .surfaces import ImplicitSurface, ParametricSurface, TriangulatedSurface, triangulate_parametric
+from .surfaces import ImplicitSurface, ParametricSurface, triangulate_parametric
 
 __all__ = ["CroftonEstimate", "estimate_area", "estimate_surface_integral", "estimate_double_integral"]
 
@@ -63,12 +63,13 @@ def _normalization(n: int, clip: float) -> float:
     return geometry.kinematic_mass(n, clip) / (2.0 * unit_ball_volume(n - 1))
 
 
-def _mesh_hits(triangles: np.ndarray, dirs: np.ndarray, feet: np.ndarray):
+def _mesh_hits(triangles: np.ndarray, dirs: np.ndarray, feet: np.ndarray, clip: float):
     """Line/triangle intersections with inclusive edges, deduplicated in t.
 
-    Returns ``(counts, line_ids, ts, points)`` with hits sorted by
-    (line, t); hits on shared edges of consecutive triangles closer than
-    EDGE_DEDUP_TOL in t are merged.
+    Returns ``(counts, line_ids, ts, boundary_hits)`` like
+    :func:`samplers._scan_lines`, with hits sorted by (line, t); hits on
+    shared edges of consecutive triangles closer than EDGE_DEDUP_TOL in t
+    are merged.  ``boundary_hits`` counts hits at radius *clip* or beyond.
     """
     m = len(dirs)
     v0 = triangles[:, 0]
@@ -76,6 +77,7 @@ def _mesh_hits(triangles: np.ndarray, dirs: np.ndarray, feet: np.ndarray):
     e2 = triangles[:, 2] - v0
     h = np.cross(dirs[:, None, :], e2[None, :, :])
     a = np.einsum("tk,ltk->lt", e1, h)
+    # degenerate triangles and parallel lines give inf/nan here; the mask drops them
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / a
         s = feet[:, None, :] - v0[None, :, :]
@@ -83,13 +85,13 @@ def _mesh_hits(triangles: np.ndarray, dirs: np.ndarray, feet: np.ndarray):
         q = np.cross(s, e1[None, :, :])
         v = inv * np.einsum("lk,ltk->lt", dirs, q)
         t = inv * np.einsum("tk,ltk->lt", e2, q)
-    hit = (
-        (np.abs(a) > 1e-14)
-        & (u >= -_MESH_EPS)
-        & (v >= -_MESH_EPS)
-        & (u + v <= 1.0 + _MESH_EPS)
-        & np.isfinite(t)
-    )
+        hit = (
+            (np.abs(a) > 1e-14)
+            & (u >= -_MESH_EPS)
+            & (v >= -_MESH_EPS)
+            & (u + v <= 1.0 + _MESH_EPS)
+            & np.isfinite(t)
+        )
     line_ids, tri_ids = np.nonzero(hit)
     ts = t[line_ids, tri_ids]
     order = np.lexsort((ts, line_ids))
@@ -99,68 +101,42 @@ def _mesh_hits(triangles: np.ndarray, dirs: np.ndarray, feet: np.ndarray):
         keep = np.concatenate([[True], ~dup])
         line_ids, ts = line_ids[keep], ts[keep]
     counts = np.bincount(line_ids, minlength=m)
-    points = feet[line_ids] + ts[:, None] * dirs[line_ids]
-    return counts, line_ids, ts, points
+    radii = np.linalg.norm(feet[line_ids] + ts[:, None] * dirs[line_ids], axis=1)
+    boundary = int((radii >= clip * (1.0 - 1e-9)).sum())
+    return counts, line_ids, ts, boundary
 
 
-def _as_mesh(surface):
-    if isinstance(surface, ParametricSurface):
-        mesh, _ = triangulate_parametric(surface)
-        return mesh
-    return surface
+def _resolve(surface, clip_radius, config):
+    """``(hits, clip, chunk)`` for *surface*: line-hits function, clip radius, lines per chunk.
 
-
-def _resolve_clip(surface, clip_radius):
+    Implicit surfaces are scanned; meshes, and charts through their grid
+    triangulation, are intersected triangle by triangle, in chunks that keep
+    the line-triangle pair arrays near 2M entries.
+    """
     if isinstance(surface, ImplicitSurface):
-        return surface.clip_radius if clip_radius is None else float(clip_radius)
-    mesh = _as_mesh(surface)
-    if clip_radius is None:
-        return mesh.bounding_radius() * (1.0 + 1e-6)
-    clip = float(clip_radius)
-    if mesh.bounding_radius() > clip:
-        warnings.warn("clip radius may truncate surface", stacklevel=3)
-    return clip
+        clip = surface.clip_radius if clip_radius is None else float(clip_radius)
+        return samplers._implicit_hits(surface, config or ImplicitSamplerConfig()), clip, samplers.DEFAULT_LINE_CHUNK
+    mesh = triangulate_parametric(surface)[0] if isinstance(surface, ParametricSurface) else surface
+    radius = mesh.bounding_radius()
+    clip = radius * (1.0 + 1e-6) if clip_radius is None else float(clip_radius)
+    if radius > clip:
+        warnings.warn("clip radius may truncate surface", stacklevel=4)
+
+    def hits(dirs, feet, want_points):
+        return _mesh_hits(mesh.triangles, dirs, feet, clip)
+
+    return hits, clip, max(1, int(2_000_000 // max(len(mesh), 1)))
 
 
-def _gather(surface, src, lines, clip, config, want_points, mesh=None):
-    """Hit data for *lines* kinematic lines, chunked; see _scan_lines/_mesh_hits."""
-    cfg = config or ImplicitSamplerConfig()
-    counts_parts, id_parts, t_parts, pt_parts = [], [], [], []
-    boundary = 0
-    done = 0
-    if mesh is not None:
-        chunk = max(1, int(2_000_000 // max(len(mesh), 1)))
-    else:
-        chunk = samplers.DEFAULT_LINE_CHUNK
-    while done < lines:
-        count = min(chunk, lines - done)
-        dirs, feet = geometry.sample_line_batch(src, 3, clip, count)
-        if mesh is not None:
-            counts, ids, ts, pts = _mesh_hits(mesh.triangles, dirs, feet)
-            if len(pts):
-                radii = np.linalg.norm(pts, axis=1)
-                boundary += int((radii >= clip * (1.0 - 1e-9)).sum())
-            if want_points:
-                id_parts.append(ids + done)
-                t_parts.append(ts)
-                pt_parts.append(pts)
-        else:
-            counts, ids, ts, nb = samplers._scan_lines(surface, dirs, feet, cfg, want_points)
-            boundary += nb
-            if want_points:
-                id_parts.append(ids + done)
-                t_parts.append(ts)
-                pt_parts.append(feet[ids] + ts[:, None] * dirs[ids])
-        counts_parts.append(counts)
-        done += count
-    if boundary:
-        warnings.warn("clip radius may truncate surface", stacklevel=3)
-    counts = np.concatenate(counts_parts)
-    if not want_points:
-        return counts, None, None
-    ids = np.concatenate(id_parts) if id_parts else np.empty(0, dtype=np.int64)
-    pts = np.concatenate(pt_parts) if pt_parts else np.empty((0, 3))
-    return counts, ids, pts
+def _gather(surface, src, lines, clip_radius, config, want_points):
+    """``(clip, counts, line_ids, points)`` for *lines* kinematic lines; see samplers._line_hits."""
+    hits, clip, chunk = _resolve(surface, clip_radius, config)
+
+    def draw(s, count):
+        return geometry.sample_line_batch(s, 3, clip, count)
+
+    counts, ids, _, pts = samplers._line_hits(src, draw, hits, lambda done, _: min(chunk, lines - done), want_points)
+    return clip, counts, ids, pts
 
 
 def _finish(stat: np.ndarray, norm: float, counts: np.ndarray) -> CroftonEstimate:
@@ -192,9 +168,7 @@ def estimate_area(
     """
     if lines < 1:
         raise ValueError("need at least one line")
-    clip = _resolve_clip(surface, clip_radius)
-    mesh = None if isinstance(surface, ImplicitSurface) else _as_mesh(surface)
-    counts, _, _ = _gather(surface, src, lines, clip, config, want_points=False, mesh=mesh)
+    clip, counts, _, _ = _gather(surface, src, lines, clip_radius, config, want_points=False)
     return _finish(counts.astype(np.float64), _normalization(3, clip), counts)
 
 
@@ -213,9 +187,7 @@ def estimate_surface_integral(
     """
     if lines < 1:
         raise ValueError("need at least one line")
-    clip = _resolve_clip(surface, clip_radius)
-    mesh = None if isinstance(surface, ImplicitSurface) else _as_mesh(surface)
-    counts, ids, pts = _gather(surface, src, lines, clip, config, want_points=True, mesh=mesh)
+    clip, counts, ids, pts = _gather(surface, src, lines, clip_radius, config, want_points=True)
     values = np.asarray(fn(pts), dtype=np.float64) if len(pts) else np.empty(0)
     sums = np.bincount(ids, weights=values, minlength=lines)
     return _finish(sums, _normalization(3, clip), counts)
@@ -239,9 +211,7 @@ def estimate_double_integral(
     """
     if line_pairs < 1:
         raise ValueError("need at least one line pair")
-    clip = _resolve_clip(surface, clip_radius)
-    mesh = None if isinstance(surface, ImplicitSurface) else _as_mesh(surface)
-    counts, ids, pts = _gather(surface, src, 2 * line_pairs, clip, config, want_points=True, mesh=mesh)
+    clip, counts, ids, pts = _gather(surface, src, 2 * line_pairs, clip_radius, config, want_points=True)
 
     pair_stat = np.zeros(line_pairs)
     if len(pts):

@@ -92,16 +92,26 @@ def rotation_from_to(u_initial, u_final) -> np.ndarray:
     s = u_initial + u_final; the composition of the reflections in s and in
     u_final.  Raises :class:`AntipodalError` when u_final is (numerically)
     -u_initial, for which no unique such rotation exists.
+
+    The inputs are renormalized and the matrix is formed in np.longdouble
+    (extended precision where the platform has it): near antipodal pairs
+    the s s^T term divides by a tiny <s,s>, which would otherwise amplify
+    the inputs' rounding from unit length.
     """
     ui = np.asarray(u_initial, dtype=np.float64)
     uf = np.asarray(u_final, dtype=np.float64)
     _require_unit(ui)
     _require_unit(uf)
+    ui = ui.astype(np.longdouble)
+    uf = uf.astype(np.longdouble)
+    ui /= np.sqrt(ui @ ui)
+    uf /= np.sqrt(uf @ uf)
     s = ui + uf
-    s_dot_s = float(s @ s)
+    s_dot_s = s @ s
     if s_dot_s <= ANTIPODAL_TOL:
         raise AntipodalError("antipodal pair, rotation not unique")
-    return np.eye(len(ui)) + 2.0 * np.outer(uf, ui) - (2.0 / s_dot_s) * np.outer(s, s)
+    rot = np.eye(len(ui), dtype=np.longdouble) + 2 * np.outer(uf, ui) - (2 / s_dot_s) * np.outer(s, s)
+    return rot.astype(np.float64)
 
 
 def unit_sphere_area(n: int) -> float:
@@ -126,55 +136,35 @@ def kinematic_mass(n: int, r: float) -> float:
     return unit_sphere_area(n) * rng.unit_ball_volume(n - 1) * r ** (n - 1)
 
 
-def _fill_feet_3d(src: ScalarSource, dirs: np.ndarray, r: float) -> np.ndarray:
-    """Feet uniform in the radius-r disk orthogonal to each direction.
+def _fill_feet(src: ScalarSource, dirs: np.ndarray, r: float) -> np.ndarray:
+    """Feet uniform in the radius-r ball orthogonal to each direction.
 
-    Samples the standard disk in the xy-plane and maps it with the rotation
-    taking e3 to the direction.  Because disk points have zero third
-    component, the rotation collapses to
-    d - (2 <s, d> / <s, s>) s with s = direction + e3.
+    Samples the standard (n-1)-ball in the hyperplane x_n = 0 and maps it
+    with the rotation taking e_n to the direction.  Because ball points have
+    zero last component, the rotation collapses to
+    d - (2 <s, d> / <s, s>) s with s = direction + e_n.
     """
-    count = len(dirs)
-    feet = np.empty((count, 3))
+    count, n = dirs.shape
+    feet = np.empty((count, n))
     pending = np.arange(count)
     while pending.size:
         v = dirs[pending]
-        disk = rng.sample_ball(src, 2, size=len(pending)) * r
+        disk = rng.sample_ball(src, n - 1, size=len(pending)) * r
         s = v.copy()
-        s[:, 2] += 1.0
+        s[:, -1] += 1.0
         s_dot_s = (s * s).sum(axis=1)
         ok = s_dot_s > ANTIPODAL_TOL
-        d3 = np.zeros((len(pending), 3))
-        d3[:, :2] = disk
-        coeff = 2.0 * (s[:, 0] * disk[:, 0] + s[:, 1] * disk[:, 1]) / np.where(ok, s_dot_s, 1.0)
-        feet[pending[ok]] = (d3 - coeff[:, None] * s)[ok]
+        d = np.zeros((len(pending), n))
+        d[:, :-1] = disk
+        coeff = 2.0 * (s[:, :-1] * disk).sum(axis=1) / np.where(ok, s_dot_s, 1.0)
+        feet[pending[ok]] = (d - coeff[:, None] * s)[ok]
         if ok.all():
             break
-        # direction antipodal to e3: resample those directions and retry
+        # direction antipodal to e_n: resample those directions and retry
         bad = pending[~ok]
-        dirs[bad] = rng.sample_sphere(src, 3, size=len(bad))
+        dirs[bad] = rng.sample_sphere(src, n, size=len(bad))
         pending = bad
     return feet
-
-
-def _orthobasis(v: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthocomplement of unit v, shape (n-1, n).
-
-    Gram-Schmidt seeded with the coordinate axes least aligned with v, in
-    increasing |v_i| order, so the basis is a deterministic function of v.
-    """
-    n = len(v)
-    order = np.argsort(np.abs(v), kind="stable")[: n - 1]
-    basis = []
-    for axis in order:
-        e = np.zeros(n)
-        e[axis] = 1.0
-        w = e - (e @ v) * v
-        for b in basis:
-            w -= (w @ b) * b
-        w /= np.linalg.norm(w)
-        basis.append(w)
-    return np.array(basis)
 
 
 def sample_line_batch(src: ScalarSource, n: int, r: float, count: int):
@@ -182,14 +172,7 @@ def sample_line_batch(src: ScalarSource, n: int, r: float, count: int):
     if r <= 0.0:
         raise ValueError(f"clip radius must be positive, got {r}")
     dirs = rng.sample_sphere(src, n, size=count)
-    if n == 3:
-        feet = _fill_feet_3d(src, dirs, r)
-    else:
-        disk = rng.sample_ball(src, n - 1, size=count) * r
-        feet = np.empty((count, n))
-        for i in range(count):
-            feet[i] = disk[i] @ _orthobasis(dirs[i])
-    return dirs, feet
+    return dirs, _fill_feet(src, dirs, r)
 
 
 def sample_line(src: ScalarSource, n: int, r: float) -> OrientedLine:

@@ -3,16 +3,13 @@
 For an implicit surface the normal is the normalized gradient.  For a cloud
 with no known surface, the normal at a point is recovered by averaging
 sign-aligned cross products ``(q - p) x (r - p)`` over pseudo-randomly
-chosen pairs of near neighbors; neighbor lookup goes through a uniform
-spatial hash grid sized for O(1) queries on area-uniform clouds.
+chosen pairs of near neighbors; neighbor lookup goes through a k-d tree.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Optional
-
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .rng import Pseudo
 from .surfaces import GRADIENT_FLOOR, ImplicitSurface
@@ -21,56 +18,19 @@ __all__ = ["NeighborIndex", "k_nearest_bruteforce", "normal_implicit", "normal_c
 
 
 class NeighborIndex:
-    """Uniform spatial hash over a fixed point set.
+    """k-d tree (scipy's cKDTree) over a fixed point set.
 
-    Cell size defaults to (bounding-box volume / N)^(1/3), one expected
-    point per cell on uniform clouds; flat clouds fall back to a diagonal
-    heuristic.  Queries expand Chebyshev shells of cells until the k-th
-    best distance is provably final, and break distance ties by index, so
-    results match a brute-force scan exactly.
+    Queries break distance ties by index, with distances computed as in
+    :func:`k_nearest_bruteforce`, so results match a brute-force scan
+    exactly.
     """
 
-    def __init__(self, points: np.ndarray, cell_size: float | None = None):
+    def __init__(self, points: np.ndarray):
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"expected (n, 3) points, got {pts.shape}")
         self.points = pts
-        self._mins = pts.min(axis=0) if len(pts) else np.zeros(3)
-        extents = pts.max(axis=0) - self._mins if len(pts) else np.zeros(3)
-        if cell_size is None:
-            volume = float(np.prod(extents))
-            if volume > 0.0:
-                cell_size = (volume / len(pts)) ** (1.0 / 3.0)
-            else:
-                diag = float(np.linalg.norm(extents))
-                cell_size = diag / max(len(pts) ** (1.0 / 3.0), 1.0) if diag > 0.0 else 1.0
-        self.cell_size = float(cell_size)
-        cells = np.floor((pts - self._mins) / self.cell_size).astype(np.int64)
-        self._max_cell = cells.max(axis=0) if len(pts) else np.zeros(3, dtype=np.int64)
-        self._cells: dict[tuple, np.ndarray] = {}
-        order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0]))
-        sorted_cells = cells[order]
-        boundaries = np.nonzero((sorted_cells[1:] != sorted_cells[:-1]).any(axis=1))[0] + 1
-        start = 0
-        for end in list(boundaries) + [len(order)]:
-            idx = order[start:end]
-            self._cells[tuple(cells[idx[0]])] = idx
-            start = end
-
-    def _shell(self, center: np.ndarray, radius: int):
-        """Indices of points in cells at exactly Chebyshev distance *radius*."""
-        found = []
-        lo = center - radius
-        hi = center + radius
-        for cx in range(lo[0], hi[0] + 1):
-            for cy in range(lo[1], hi[1] + 1):
-                on_face = cx in (lo[0], hi[0]) or cy in (lo[1], hi[1])
-                zs = range(lo[2], hi[2] + 1) if on_face else (lo[2], hi[2])
-                for cz in zs:
-                    bucket = self._cells.get((cx, cy, cz))
-                    if bucket is not None:
-                        found.append(bucket)
-        return found
+        self._tree = cKDTree(pts)
 
     def k_nearest(self, query: np.ndarray, k: int, exclude: int | None = None) -> np.ndarray:
         """Indices of the k nearest stored points to *query*, nearest first.
@@ -79,32 +39,17 @@ class NeighborIndex:
         Returns fewer than k indices only when the cloud is too small.
         """
         query = np.asarray(query, dtype=np.float64)
-        center = np.floor((query - self._mins) / self.cell_size).astype(np.int64)
-        max_radius = int(np.abs(np.concatenate([center + 1, self._max_cell - center + 1])).max()) + 1
-        gathered: list[np.ndarray] = []
-        best: Optional[np.ndarray] = None
-        for radius in range(max_radius + 1):
-            gathered.extend(self._shell(center, radius))
-            if gathered:
-                cand = np.concatenate(gathered)
-                if exclude is not None:
-                    cand = cand[cand != exclude]
-                if len(cand) >= k:
-                    d2 = ((self.points[cand] - query) ** 2).sum(axis=1)
-                    order = np.lexsort((cand, d2))
-                    best = cand[order[:k]]
-                    kth = math.sqrt(float(d2[order[min(k, len(cand)) - 1]]))
-                    # points in uncollected cells lie at >= radius * cell away;
-                    # strict comparison keeps exact ties bit-identical to brute force
-                    if kth < radius * self.cell_size:
-                        return best
-        if best is not None:
-            return best
-        cand = np.concatenate(gathered) if gathered else np.empty(0, dtype=np.int64)
+        reach = min(k + (exclude is not None), len(self.points))
+        if reach < 1:
+            return np.empty(0, dtype=np.int64)
+        dist, _ = self._tree.query(query, k=[reach])
+        # every point tied with the reach-th within rounding, so the final
+        # order is decided by the brute-force distances and indices alone
+        cand = np.array(self._tree.query_ball_point(query, dist[0] * (1.0 + 1e-9)), dtype=np.int64)
         if exclude is not None:
             cand = cand[cand != exclude]
         d2 = ((self.points[cand] - query) ** 2).sum(axis=1)
-        return cand[np.lexsort((cand, d2))]
+        return cand[np.lexsort((cand, d2))[:k]]
 
 
 def k_nearest_bruteforce(points: np.ndarray, query_index: int, k: int) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Implicit surfaces: draw kinematic-measure lines, restrict each to the chord
 inside the clip ball, scan the chord for sign changes of the field, refine
-each bracket by bisection or regula falsi, and append the hits in increasing
-parameter order.  Because the expected number of hits a line makes with any
+each bracket by bisection, and append the hits in increasing parameter
+order.  Because the expected number of hits a line makes with any
 region is proportional to that region's area, the appended sequence is
 equidistributed on the surface.
 
@@ -24,6 +24,7 @@ is kept as a fixture for density diagnostics.
 
 from __future__ import annotations
 
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
@@ -54,6 +55,8 @@ __all__ = [
 ]
 
 DEFAULT_LINE_CHUNK = 8192
+#: bisection rounds per bracket, a cap reached only if root_tol is below the chord's rounding
+MAX_REFINE = 200
 
 
 class SurfaceNotFound(RuntimeError):
@@ -71,16 +74,12 @@ class ImplicitSamplerConfig:
 
     scan_steps: int = 256
     root_tol: float = 1e-10
-    max_refine: int = 200
-    method: str = "bisection"
 
     def __post_init__(self):
         if self.scan_steps < 2:
             raise ValueError("scan_steps must be at least 2")
         if self.root_tol <= 0.0:
             raise ValueError("root_tol must be positive")
-        if self.method not in ("bisection", "regula_falsi"):
-            raise ValueError(f"unknown refinement method {self.method!r}")
 
 
 @dataclass
@@ -127,7 +126,7 @@ def _field_on_grid(surface: ImplicitSurface, dirs, feet, t_grid):
 
 def _refine_bisection(surface, dirs, feet, t_lo, t_hi, g_lo, cfg):
     width = t_hi - t_lo
-    for _ in range(cfg.max_refine):
+    for _ in range(MAX_REFINE):
         if not (width > 2.0 * cfg.root_tol).any():
             break
         t_mid = 0.5 * (t_lo + t_hi)
@@ -137,38 +136,6 @@ def _refine_bisection(surface, dirs, feet, t_lo, t_hi, g_lo, cfg):
         g_lo = np.where(low_side, g_mid, g_lo)
         t_hi = np.where(low_side, t_hi, t_mid)
         width = t_hi - t_lo
-    return 0.5 * (t_lo + t_hi)
-
-
-def _refine_regula_falsi(surface, dirs, feet, t_lo, t_hi, g_lo, g_hi, cfg):
-    # Illinois variant: halve the retained endpoint value when the same side
-    # repeats, so the bracket width actually converges
-    side = np.zeros(len(t_lo), dtype=np.int8)
-    t_new = 0.5 * (t_lo + t_hi)
-    for _ in range(cfg.max_refine):
-        active = (t_hi - t_lo) > 2.0 * cfg.root_tol
-        if not active.any():
-            break
-        denom = g_hi - g_lo
-        denom = np.where(denom == 0.0, 1.0, denom)
-        t_new = np.where(active, (t_lo * g_hi - t_hi * g_lo) / denom, t_new)
-        t_new = np.clip(t_new, t_lo, t_hi)
-        g_new = np.asarray(surface.field(feet + t_new[:, None] * dirs))
-        exact = active & (g_new == 0.0)
-        if exact.any():
-            t_lo = np.where(exact, t_new, t_lo)
-            t_hi = np.where(exact, t_new, t_hi)
-            active &= ~exact
-        low_side = g_lo * g_new > 0.0
-        stuck_hi = active & low_side & (side == 1)  # lo replaced twice: shrink g_hi
-        stuck_lo = active & ~low_side & (side == -1)  # hi replaced twice: shrink g_lo
-        t_lo = np.where(active & low_side, t_new, t_lo)
-        g_lo = np.where(active & low_side, g_new, g_lo)
-        t_hi = np.where(active & ~low_side, t_new, t_hi)
-        g_hi = np.where(active & ~low_side, g_new, g_hi)
-        g_hi = np.where(stuck_hi, 0.5 * g_hi, g_hi)
-        g_lo = np.where(stuck_lo, 0.5 * g_lo, g_lo)
-        side = np.where(active, np.where(low_side, 1, -1).astype(np.int8), side)
     return 0.5 * (t_lo + t_hi)
 
 
@@ -214,12 +181,7 @@ def _scan_lines(surface: ImplicitSurface, dirs, feet, cfg: ImplicitSamplerConfig
 
     if len(row):
         t_lo, t_hi = t_grid[row, col], t_grid[row, col + 1]
-        if cfg.method == "bisection":
-            ts = _refine_bisection(surface, dirs_l[row], feet_l[row], t_lo, t_hi, g[row, col], cfg)
-        else:
-            ts = _refine_regula_falsi(
-                surface, dirs_l[row], feet_l[row], t_lo, t_hi, g[row, col], g[row, col + 1], cfg
-            )
+        ts = _refine_bisection(surface, dirs_l[row], feet_l[row], t_lo, t_hi, g[row, col], cfg)
     else:
         ts = np.empty(0)
     line_ids = live_ids[row]
@@ -254,53 +216,82 @@ def _unit_normals(surface: ImplicitSurface, points: np.ndarray) -> np.ndarray:
         return grads / np.where(norms > 0.0, norms, np.nan)
 
 
+def _implicit_hits(surface: ImplicitSurface, cfg: ImplicitSamplerConfig):
+    """The line-hits function of an implicit surface: its chord scan."""
+
+    def hits(dirs, feet, want_points):
+        return _scan_lines(surface, dirs, feet, cfg, want_points)
+
+    return hits
+
+
+def _line_hits(src: ScalarSource, draw, hits, next_count, want_points: bool = True):
+    """Draw lines in chunks, intersect them with a surface, and collect the hits.
+
+    ``draw(src, count)`` gives ``(dirs, feet)``; ``hits(dirs, feet,
+    want_points)`` gives ``(counts, line_ids, ts, boundary_hits)`` as
+    :func:`_scan_lines` does.  The stop rule ``next_count(lines_done,
+    hits_done)`` returns the size of the next chunk, 0 to stop.  Returns
+    ``(counts, line_ids, ts, points)`` over all lines drawn, with line ids
+    counted from the first chunk; the last three are None unless
+    *want_points*.  Warns when any hit lies at the clip boundary.
+    """
+    counts_parts, id_parts, t_parts, pt_parts = [], [], [], []
+    lines_done = hits_done = boundary = 0
+    while count := next_count(lines_done, hits_done):
+        dirs, feet = draw(src, count)
+        counts, line_ids, ts, nb = hits(dirs, feet, want_points)
+        boundary += nb
+        if want_points:
+            id_parts.append(line_ids + lines_done)
+            t_parts.append(ts)
+            pt_parts.append(feet[line_ids] + ts[:, None] * dirs[line_ids])
+        counts_parts.append(counts)
+        lines_done += count
+        hits_done += int(counts.sum())
+    if boundary:
+        warnings.warn("clip radius may truncate surface", stacklevel=4)
+    counts = np.concatenate(counts_parts)
+    if not want_points:
+        return counts, None, None, None
+    return counts, np.concatenate(id_parts), np.concatenate(t_parts), np.concatenate(pt_parts)
+
+
 def _cloud_from_lines(
     surface: ImplicitSurface,
     src: ScalarSource,
     n_points: int,
     cfg: ImplicitSamplerConfig,
-    draw_lines,
+    draw,
     chunk_lines: int,
     max_empty_lines: int,
 ) -> PointCloud:
     if n_points < 1:
         raise ValueError("target point count must be at least 1")
-    positions, ts_all, ids_all, counts_all = [], [], [], []
-    total = 0
-    lines_done = 0
-    while total < n_points:
-        if total == 0 and lines_done >= max_empty_lines:
+
+    def next_count(lines_done, hits_done):
+        if hits_done >= n_points:
+            return 0
+        if hits_done == 0 and lines_done >= max_empty_lines:
             raise SurfaceNotFound(
                 f"no intersections after {lines_done} lines; surface not found in ball "
                 f"of radius {surface.clip_radius}"
             )
-        dirs, feet = draw_lines(src, chunk_lines)
-        counts, line_ids, ts, _ = _scan_lines(surface, dirs, feet, cfg, want_points=True)
-        cum = np.cumsum(counts)
-        if total + cum[-1] >= n_points:
-            # keep whole lines up to and including the one crossing the target
-            cut = int(np.searchsorted(cum, n_points - total))
-            keep = line_ids <= cut
-            counts = counts[: cut + 1]
-            line_ids, ts = line_ids[keep], ts[keep]
-            dirs, feet = dirs[: cut + 1], feet[: cut + 1]
-        pts = feet[line_ids] + ts[:, None] * dirs[line_ids]
-        positions.append(pts)
-        ts_all.append(ts)
-        ids_all.append(line_ids + lines_done)
-        counts_all.append(counts)
-        total += int(counts.sum())
-        lines_done += len(counts)
-    positions = np.concatenate(positions)
-    cloud = PointCloud(
+        return chunk_lines
+
+    counts, line_ids, ts, positions = _line_hits(src, draw, _implicit_hits(surface, cfg), next_count)
+    # keep whole lines up to and including the one reaching the target
+    lines_used = int(np.searchsorted(np.cumsum(counts), n_points)) + 1
+    keep = line_ids < lines_used
+    positions = positions[keep]
+    return PointCloud(
         positions=positions,
         normals=_unit_normals(surface, positions),
-        line_index=np.concatenate(ids_all),
-        line_t=np.concatenate(ts_all),
-        lines_used=lines_done,
-        per_line_counts=np.concatenate(counts_all),
+        line_index=line_ids[keep],
+        line_t=ts[keep],
+        lines_used=lines_used,
+        per_line_counts=counts[:lines_used],
     )
-    return cloud
 
 
 def cloud_implicit(
@@ -316,7 +307,8 @@ def cloud_implicit(
     Lines are drawn from the kinematic measure in chunks of *chunk_lines*
     (part of the deterministic configuration); generation stops at the end
     of the line that reaches the target, so the cloud may exceed it by the
-    final line's hit count.
+    final line's hit count.  Warns when hits fall at the clip sphere, where
+    the clip ball may cut the surface.
     """
 
     def draw(s, count):

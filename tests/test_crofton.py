@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from croftoncloud.surfaces import (
     TriangulatedSurface,
     plane_implicit,
     plane_patch_chart,
+    sphere_chart,
     sphere_implicit,
     tetrahedron_mesh,
     torus_implicit,
@@ -156,7 +158,7 @@ class TestMeshIntersections:
 
         dirs = np.array([[0.0, 0.0, 1.0]])
         feet = np.array([[0.1, 0.1, 0.0]])
-        counts, _, ts, _ = _mesh_hits(mesh.triangles, dirs, feet)
+        counts, _, ts, _ = _mesh_hits(mesh.triangles, dirs, feet, 1.0)
         assert counts.tolist() == [1]
         assert abs(ts[0]) < 1e-12
 
@@ -166,7 +168,7 @@ class TestMeshIntersections:
 
         dirs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         feet = np.array([[0.3, -0.2, 0.0], [-0.3, 0.2, 0.0]])
-        counts, _, _, _ = _mesh_hits(mesh.triangles, dirs, feet)
+        counts, _, _, _ = _mesh_hits(mesh.triangles, dirs, feet, 1.0)
         assert counts.tolist() == [1, 1]
 
     def test_oblique_against_plane_formula(self):
@@ -176,9 +178,17 @@ class TestMeshIntersections:
         d = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
         q = np.array([0.2, -0.1, 0.0])
         line = make_line(d, q)
-        counts, _, ts, pts = _mesh_hits(mesh.triangles, line.direction[None], line.foot[None])
+        counts, _, ts, _ = _mesh_hits(mesh.triangles, line.direction[None], line.foot[None], 1.0)
         assert counts.tolist() == [1]
-        assert np.allclose(pts[0], q, atol=1e-12)
+        assert np.allclose(line.point_at(ts[0]), q, atol=1e-12)
+
+    def test_degenerate_triangles_leak_no_warnings(self):
+        # the sphere chart's pole rows triangulate to zero-area triangles
+        mesh, _ = triangulate_parametric(sphere_chart())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_area(mesh, Pseudo(4), 500)
+        assert est.lines_used == 500
 
 
 class TestDirectionalJacobianConstant:

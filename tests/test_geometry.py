@@ -2,10 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from croftoncloud import geometry
 from croftoncloud.geometry import (
     AntipodalError,
     OrientedLine,
@@ -79,6 +78,8 @@ class TestRotation:
             rotation_from_to([0, 0, 1.0], [0, 0, -1.0])
 
     @given(unit_vectors(), unit_vectors())
+    # near-antipodal pair, unit only to rounding, once drawn by the search
+    @example(np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 2e-6]) / np.linalg.norm([-1.0, 0.0, 2e-6]))
     @settings(max_examples=300, deadline=None)
     def test_contract_on_random_pairs(self, ui, uf):
         if float((ui + uf) @ (ui + uf)) <= 1e-12:
@@ -184,11 +185,15 @@ class TestLineSampling:
         assert np.linalg.norm(feet, axis=1).max() < 1.0
         assert np.abs(np.linalg.norm(dirs, axis=1) - 1.0).max() < 1e-12
 
-    def test_orthobasis_deterministic_and_orthonormal(self):
-        v = np.array([0.3, -0.5, 0.81])
-        v /= np.linalg.norm(v)
-        basis = geometry._orthobasis(v)
-        gram = basis @ basis.T
-        assert np.abs(gram - np.eye(2)).max() < 1e-12
-        assert np.abs(basis @ v).max() < 1e-12
-        assert np.array_equal(basis, geometry._orthobasis(v))
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_feet_in_general_dimension(self, n):
+        # feet orthogonal to directions, inside the r-ball, and uniform in
+        # the (n-1)-ball: P(|p| < r/2) = 2^-(n-1)
+        count, r = 20_000, 1.5
+        dirs, feet = sample_line_batch(Pseudo(10 + n), n, r, count)
+        assert np.abs((dirs * feet).sum(axis=1)).max() < 1e-12 * r
+        radii = np.linalg.norm(feet, axis=1)
+        assert radii.max() < r
+        p = 2.0 ** -(n - 1)
+        inner = int((radii < r / 2).sum())
+        assert abs(inner - count * p) < 3.0 * binomial_sigma(count, p)

@@ -62,7 +62,6 @@ class TestNeighborIndex:
         points = np.random.default_rng(3).random((500, 3))
         points[:, 2] = 0.25
         index = NeighborIndex(points)
-        assert index.cell_size > 0.0
         got = index.k_nearest(points[7], 4, exclude=7)
         assert got.tolist() == k_nearest_bruteforce(points, 7, 4).tolist()
 

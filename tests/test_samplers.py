@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from croftoncloud.samplers import (
     intersect_line_implicit,
 )
 from croftoncloud.surfaces import (
+    CATALOG,
     ImplicitSurface,
     TriangulatedSurface,
     plane_implicit,
@@ -64,21 +66,6 @@ class TestIntersectLineImplicit:
         line = make_line([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
         ts, _ = intersect_line_implicit(sphere_implicit(clip=2.0), line)
         assert len(ts) == 0
-
-    def test_regula_falsi_matches_bisection(self):
-        cfg_b = ImplicitSamplerConfig(method="bisection")
-        cfg_r = ImplicitSamplerConfig(method="regula_falsi")
-        surface = sphere_implicit()
-        src = Pseudo(17)
-        from croftoncloud.geometry import sample_line
-
-        for _ in range(200):
-            line = sample_line(src, 3, 2.0)
-            tb, _ = intersect_line_implicit(surface, line, cfg_b)
-            tr, _ = intersect_line_implicit(surface, line, cfg_r)
-            assert len(tb) == len(tr)
-            if len(tb):
-                assert np.abs(tb - tr).max() < 1e-9
 
     def test_root_tolerance_honored(self):
         cfg = ImplicitSamplerConfig(root_tol=1e-12)
@@ -179,6 +166,20 @@ class TestCloudImplicit:
         empty = ImplicitSurface(lambda x: np.ones(x.shape[:-1]), 1.0)
         with pytest.raises(SurfaceNotFound):
             cloud_implicit(empty, Pseudo(48), 10, chunk_lines=512, max_empty_lines=1000)
+
+    def test_plane_warns_of_truncation(self):
+        # the plane extends past every clip ball, so hits reach its boundary
+        with pytest.warns(UserWarning, match="truncate"):
+            cloud_implicit(plane_implicit(), Pseudo(49), 2000)
+
+    @pytest.mark.parametrize("name", ["sphere", "torus"])
+    def test_catalog_defaults_fit_their_clip_ball(self, name):
+        # about 65,000 lines at 0.5 (sphere) and 0.7 (torus) hits per line
+        target = {"sphere": 32_000, "torus": 45_000}[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cloud = cloud_implicit(CATALOG[name].implicit(), Pseudo(43), target)
+        assert cloud.lines_used > 60_000
 
     def test_pair_coordinate_factorization(self, sphere_cloud_100k):
         # consecutive-point coordinate products factorize on the sphere
