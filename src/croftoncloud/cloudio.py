@@ -1,7 +1,9 @@
 """Point cloud file formats: XYZ text and PLY (ascii / binary little endian).
 
-Positions and normals are written as float64.  ASCII values are printed
-with 17 significant digits, which round-trips doubles exactly, so a
+Positions and normals are written as float64.  XYZ and ASCII PLY share one
+numpy text codec: :func:`_write_rows` prints a row block with 17
+significant digits, which round-trips doubles exactly, in one format
+operation, and :func:`_read_rows` parses it with ``np.loadtxt``.  So a
 write/read/write cycle is byte-identical in every format.  Run metadata
 (seed, surface, sampler, ...) travels in '#' comment lines (XYZ) or
 'comment' header lines (PLY).
@@ -9,67 +11,87 @@ write/read/write cycle is byte-identical in every format.  Run metadata
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 import numpy as np
 
 __all__ = ["write_xyz", "read_xyz", "write_ply", "read_ply", "write_cloud", "read_cloud"]
 
+#: an XYZ comment line, from the newline before it, capturing the text after its first '#'
+_XYZ_COMMENT = re.compile(r"\n[^\S\n]*#(.*)")
+#: rows per format operation; bounds the writer's temporary strings to a few MB
+_WRITE_BLOCK = 16384
 
-def _format_row(values) -> str:
-    return " ".join(f"{v:.17g}" for v in values)
+
+def _meta(comments) -> dict:
+    """The 'key=value' comment texts as a dict; comments without '=' carry none."""
+    pairs = (comment.partition("=") for comment in comments)
+    return {key.strip(): value.strip() for key, eq, value in pairs if eq}
 
 
-def _meta_items(meta: Optional[dict]):
-    return (meta or {}).items()
+def _stack(positions, normals) -> np.ndarray:
+    positions = np.asarray(positions, dtype=np.float64)
+    return positions if normals is None else np.hstack([positions, np.asarray(normals, dtype=np.float64)])
+
+
+def _write_rows(fh, data: np.ndarray) -> None:
+    """One line of space-separated ``%.17g`` values per row of *data*, one format operation per block."""
+    row = " ".join(["%.17g"] * data.shape[1]) + "\n"
+    for start in range(0, len(data), _WRITE_BLOCK):
+        block = data[start : start + _WRITE_BLOCK]
+        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _read_rows(body: str, widths: tuple, where) -> np.ndarray:
+    """Whitespace-separated rows of *body* as an (m, w) float64 array, w in *widths*.
+
+    Blank lines are skipped; a body without rows gives ``(0, widths[0])``.
+    A rejected body raises naming ``where(line number, character offset)``
+    of its first row that numpy rejects alone or whose width does not fit.
+    """
+    if not body or body.isspace():
+        return np.empty((0, widths[0]))
+    lines = body.splitlines()
+    try:
+        data = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+        if data.shape[1] in widths:
+            return data
+    except ValueError:
+        pass
+    offset, width = 0, None
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split()
+        if parts:
+            width = width or len(parts)
+            try:
+                if len(parts) != width or width not in widths:
+                    raise ValueError
+                np.loadtxt([line], dtype=np.float64, comments=None)
+            except ValueError:
+                raise ValueError(f"{where(lineno, offset)}: malformed row {line.strip()!r}") from None
+        offset += len(line) + 1
+    raise ValueError(f"{where(lineno, offset)}: malformed rows")
 
 
 def write_xyz(path: str, positions: np.ndarray, normals: Optional[np.ndarray] = None, meta: Optional[dict] = None) -> None:
     """One 'x y z [nx ny nz]' line per point, after '# key=value' headers."""
-    positions = np.asarray(positions, dtype=np.float64)
+    data = _stack(positions, normals)
     with open(path, "w", encoding="utf-8") as fh:
-        for key, value in _meta_items(meta):
+        for key, value in (meta or {}).items():
             fh.write(f"# {key}={value}\n")
-        if normals is None:
-            for row in positions:
-                fh.write(_format_row(row) + "\n")
-        else:
-            normals = np.asarray(normals, dtype=np.float64)
-            for row, nrm in zip(positions, normals):
-                fh.write(_format_row(row) + " " + _format_row(nrm) + "\n")
+        _write_rows(fh, data)
 
 
 def read_xyz(path: str):
     """Returns (positions, normals or None, meta dict)."""
-    meta: dict[str, str] = {}
-    rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                body = text.lstrip("#").strip()
-                if "=" in body:
-                    key, value = body.split("=", 1)
-                    meta[key.strip()] = value.strip()
-                continue
-            parts = text.split()
-            if len(parts) not in (3, 6):
-                raise ValueError(f"{path}:{lineno}: expected 3 or 6 numbers, found {len(parts)}")
-            try:
-                rows.append([float(v) for v in parts])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed number in {text!r}") from None
-    if not rows:
-        return np.empty((0, 3)), None, meta
-    data = np.array(rows)
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: inconsistent column counts {sorted(widths)}")
-    if data.shape[1] == 3:
-        return data, None, meta
-    return data[:, :3], data[:, 3:], meta
+        text = fh.read()
+    # comment texts at odd places; the even ones joined by newlines give the body with comment lines blanked
+    pieces = _XYZ_COMMENT.split("\n" + text)
+    meta = _meta(comment.lstrip("#") for comment in pieces[1::2])
+    data = _read_rows("\n".join(pieces[::2])[1:], (3, 6), lambda lineno, _: f"{path}:{lineno}")
+    return data[:, :3], data[:, 3:] if data.shape[1] == 6 else None, meta
 
 
 _PLY_PROPS_PLAIN = ["x", "y", "z"]
@@ -84,14 +106,13 @@ def write_ply(
     binary: bool = False,
 ) -> None:
     """Standard PLY with float64 vertex properties (and normals when given)."""
-    positions = np.asarray(positions, dtype=np.float64)
+    data = _stack(positions, normals)
     props = _PLY_PROPS_PLAIN if normals is None else _PLY_PROPS_NORMAL
     header = ["ply", f"format {'binary_little_endian' if binary else 'ascii'} 1.0"]
-    header += [f"comment {key}={value}" for key, value in _meta_items(meta)]
-    header.append(f"element vertex {len(positions)}")
+    header += [f"comment {key}={value}" for key, value in (meta or {}).items()]
+    header.append(f"element vertex {len(data)}")
     header += [f"property double {name}" for name in props]
     header.append("end_header")
-    data = positions if normals is None else np.hstack([positions, np.asarray(normals, dtype=np.float64)])
     if binary:
         with open(path, "wb") as fh:
             fh.write(("\n".join(header) + "\n").encode("ascii"))
@@ -99,8 +120,7 @@ def write_ply(
     else:
         with open(path, "w", encoding="ascii") as fh:
             fh.write("\n".join(header) + "\n")
-            for row in data:
-                fh.write(_format_row(row) + "\n")
+            _write_rows(fh, data)
 
 
 def read_ply(path: str):
@@ -117,18 +137,12 @@ def read_ply(path: str):
     fmt = None
     count = None
     props: list[str] = []
-    meta: dict[str, str] = {}
     for line in header_lines[1:]:
         parts = line.split()
         if not parts:
             continue
         if parts[0] == "format":
             fmt = parts[1]
-        elif parts[0] == "comment":
-            body = line.split(None, 1)[1] if len(parts) > 1 else ""
-            if "=" in body:
-                key, value = body.split("=", 1)
-                meta[key.strip()] = value.strip()
         elif parts[0] == "element":
             if parts[1] != "vertex":
                 raise ValueError(f"{path}: unsupported element {parts[1]!r}")
@@ -155,31 +169,15 @@ def read_ply(path: str):
         data = np.frombuffer(raw, dtype="<f8", count=count * width, offset=body_offset)
         data = data.reshape(count, width).astype(np.float64)
     else:
-        rows = []
-        offset = body_offset
-        text = raw[body_offset:].decode("ascii", errors="replace")
-        for line in text.splitlines():
-            stripped = line.strip()
-            if stripped:
-                parts = stripped.split()
-                if len(parts) != width:
-                    raise ValueError(
-                        f"{path}: truncated or malformed row at byte offset {offset}: {stripped!r}"
-                    )
-                try:
-                    rows.append([float(v) for v in parts])
-                except ValueError:
-                    raise ValueError(f"{path}: malformed number at byte offset {offset}") from None
-            offset += len(line) + 1
-        if len(rows) != count:
+        body = raw[body_offset:].decode("ascii", errors="replace")
+        data = _read_rows(body, (width,), lambda _, offset: f"{path}: byte offset {body_offset + offset}")
+        if len(data) != count:
             raise ValueError(
                 f"{path}: truncated at byte offset {len(raw)}; "
-                f"header promised {count} vertices, found {len(rows)}"
+                f"header promised {count} vertices, found {len(data)}"
             )
-        data = np.array(rows) if rows else np.empty((0, width))
-    positions = data[:, :3]
-    normals = data[:, 3:] if width == 6 else None
-    return positions, normals, meta
+    comments = (line.split(None, 1)[-1] for line in header_lines if line.split()[:1] == ["comment"])
+    return data[:, :3], data[:, 3:] if width == 6 else None, _meta(comments)
 
 
 def write_cloud(path: str, positions, normals=None, meta=None, fmt: str = "auto", binary: bool = False) -> None:

@@ -17,7 +17,7 @@ converts between the two.  For n = 3 the combined normalization is
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -114,8 +114,10 @@ def _resolve(surface, clip_radius, config):
     the line-triangle pair arrays near 2M entries.
     """
     if isinstance(surface, ImplicitSurface):
-        clip = surface.clip_radius if clip_radius is None else float(clip_radius)
-        return samplers._implicit_hits(surface, config or ImplicitSamplerConfig()), clip, samplers.DEFAULT_LINE_CHUNK
+        # the scan runs over chords of the surface's own clip ball, so an explicit clip replaces it
+        surface = surface if clip_radius is None else replace(surface, clip_radius=float(clip_radius))
+        hits = samplers._implicit_hits(surface, config or ImplicitSamplerConfig())
+        return hits, surface.clip_radius, samplers.DEFAULT_LINE_CHUNK
     mesh = triangulate_parametric(surface)[0] if isinstance(surface, ParametricSurface) else surface
     radius = mesh.bounding_radius()
     clip = radius * (1.0 + 1e-6) if clip_radius is None else float(clip_radius)

@@ -77,14 +77,12 @@ def _pair_choices(k: int, pairs: int, seed: int) -> list[tuple[int, int]]:
     if pairs >= all_pairs:
         return [(i, j) for i in range(k) for j in range(i + 1, k)]
     src = Pseudo(seed)
-    chosen: set[tuple[int, int]] = set()
+    chosen: dict[tuple[int, int], None] = {}  # distinct pairs in stream order
     while len(chosen) < pairs:
-        i = min(int(src.next_unit() * k), k - 1)
-        j = min(int(src.next_unit() * k), k - 1)
-        if i == j:
-            continue
-        chosen.add((min(i, j), max(i, j)))
-    return sorted(chosen)
+        draws = np.minimum((src.take(2 * pairs) * k).astype(np.int64), k - 1).reshape(-1, 2)
+        draws = np.sort(draws[draws[:, 0] != draws[:, 1]], axis=1)
+        chosen.update(dict.fromkeys(map(tuple, draws.tolist())))
+    return sorted(list(chosen)[:pairs])
 
 
 def normal_cloud(
@@ -110,22 +108,17 @@ def normal_cloud(
     nbr = neighbor_index or NeighborIndex(pts)
     p = pts[index]
     neighbors = pts[nbr.k_nearest(p, k, exclude=index)]
-    scale = float(np.linalg.norm(neighbors - p, axis=1).max()) ** 2
-    total = np.zeros(3)
-    reference = None
-    for i, j in _pair_choices(len(neighbors), pairs, seed=index):
-        cross = np.cross(neighbors[i] - p, neighbors[j] - p)
-        if np.linalg.norm(cross) <= 1e-12 * scale:
-            continue
-        if reference is None:
-            reference = cross
-        elif cross @ reference < 0.0:
-            cross = -cross
-        total += cross
-    norm = float(np.linalg.norm(total))
-    if reference is None or norm == 0.0:
+    offsets = neighbors - p
+    scale = float(np.linalg.norm(offsets, axis=1).max()) ** 2
+    i, j = np.array(_pair_choices(len(neighbors), pairs, seed=index), dtype=np.int64).reshape(-1, 2).T
+    cross = np.cross(offsets[i], offsets[j])
+    cross = cross[np.linalg.norm(cross, axis=1) > 1e-12 * scale]
+    if not len(cross):
         raise ValueError("degenerate neighborhood: all cross products vanish")
-    return total / norm
+    # every term then has a positive component along cross[0], so the sum cannot vanish
+    cross[cross @ cross[0] < 0.0] *= -1.0
+    total = np.add.reduce(cross, axis=0)
+    return total / np.linalg.norm(total)
 
 
 def tangent_frame(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

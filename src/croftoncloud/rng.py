@@ -84,16 +84,6 @@ class Pseudo(ScalarSource):
     def __repr__(self):
         return f"Pseudo(seed={self.seed})"
 
-    def next_unit(self) -> float:
-        # scalar path, bit-identical to take(1)[0] without array overhead
-        self._drawn += 1
-        mask = 0xFFFFFFFFFFFFFFFF
-        z = (self.seed + self._drawn * 0x9E3779B97F4A7C15) & mask
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        z ^= z >> 31
-        return (z >> 11) * 2.0**-53
-
     def take(self, count: int) -> np.ndarray:
         idx = np.arange(self._drawn + 1, self._drawn + count + 1, dtype=np.uint64)
         self._drawn += int(count)

@@ -25,7 +25,6 @@ is kept as a fixture for density diagnostics.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,7 +53,10 @@ __all__ = [
     "SurfaceNotFound",
 ]
 
+#: lines per chunk of the implicit clouds and estimators; part of the seeded configuration
 DEFAULT_LINE_CHUNK = 8192
+#: lines a cloud draws without a single hit before raising SurfaceNotFound
+MAX_EMPTY_LINES = 200_000
 #: bisection rounds per bracket, a cap reached only if root_tol is below the chord's rounding
 MAX_REFINE = 200
 
@@ -258,13 +260,7 @@ def _line_hits(src: ScalarSource, draw, hits, next_count, want_points: bool = Tr
 
 
 def _cloud_from_lines(
-    surface: ImplicitSurface,
-    src: ScalarSource,
-    n_points: int,
-    cfg: ImplicitSamplerConfig,
-    draw,
-    chunk_lines: int,
-    max_empty_lines: int,
+    surface: ImplicitSurface, src: ScalarSource, n_points: int, cfg: ImplicitSamplerConfig, draw
 ) -> PointCloud:
     if n_points < 1:
         raise ValueError("target point count must be at least 1")
@@ -272,12 +268,12 @@ def _cloud_from_lines(
     def next_count(lines_done, hits_done):
         if hits_done >= n_points:
             return 0
-        if hits_done == 0 and lines_done >= max_empty_lines:
+        if hits_done == 0 and lines_done >= MAX_EMPTY_LINES:
             raise SurfaceNotFound(
                 f"no intersections after {lines_done} lines; surface not found in ball "
                 f"of radius {surface.clip_radius}"
             )
-        return chunk_lines
+        return DEFAULT_LINE_CHUNK
 
     counts, line_ids, ts, positions = _line_hits(src, draw, _implicit_hits(surface, cfg), next_count)
     # keep whole lines up to and including the one reaching the target
@@ -299,13 +295,11 @@ def cloud_implicit(
     src: ScalarSource,
     n_points: int,
     config: ImplicitSamplerConfig | None = None,
-    chunk_lines: int = DEFAULT_LINE_CHUNK,
-    max_empty_lines: int = 200_000,
 ) -> PointCloud:
     """Equidistributed cloud of at least *n_points* points on the level set.
 
-    Lines are drawn from the kinematic measure in chunks of *chunk_lines*
-    (part of the deterministic configuration); generation stops at the end
+    Lines are drawn from the kinematic measure in chunks of
+    :data:`DEFAULT_LINE_CHUNK`; generation stops at the end
     of the line that reaches the target, so the cloud may exceed it by the
     final line's hit count.  Warns when hits fall at the clip sphere, where
     the clip ball may cut the surface.
@@ -314,7 +308,7 @@ def cloud_implicit(
     def draw(s, count):
         return geometry.sample_line_batch(s, 3, surface.clip_radius, count)
 
-    return _cloud_from_lines(surface, src, n_points, config or ImplicitSamplerConfig(), draw, chunk_lines, max_empty_lines)
+    return _cloud_from_lines(surface, src, n_points, config or ImplicitSamplerConfig(), draw)
 
 
 def cloud_axis_aligned(
@@ -322,8 +316,6 @@ def cloud_axis_aligned(
     src: ScalarSource,
     n_points: int,
     config: ImplicitSamplerConfig | None = None,
-    chunk_lines: int = DEFAULT_LINE_CHUNK,
-    max_empty_lines: int = 200_000,
 ) -> PointCloud:
     """Legacy sampler: directions drawn from the six signed coordinate axes.
 
@@ -343,7 +335,7 @@ def cloud_axis_aligned(
         feet[np.arange(count), (axes + 2) % 3] = disk[:, 1]
         return dirs, feet
 
-    return _cloud_from_lines(surface, src, n_points, config or ImplicitSamplerConfig(), draw, chunk_lines, max_empty_lines)
+    return _cloud_from_lines(surface, src, n_points, config or ImplicitSamplerConfig(), draw)
 
 
 def find_interval(cumulative, x: float) -> int:
@@ -354,9 +346,7 @@ def find_interval(cumulative, x: float) -> int:
     """
     if x < 0.0 or x >= cumulative[-1]:
         raise ValueError(f"x = {x} outside [0, {cumulative[-1]})")
-    if isinstance(cumulative, np.ndarray):
-        return int(np.searchsorted(cumulative, x, side="right"))
-    return bisect_right(cumulative, x)
+    return int(np.searchsorted(np.asarray(cumulative), x, side="right"))
 
 
 _CLAMP = 1.0 - 2.0**-52

@@ -88,6 +88,17 @@ class TestEstimateArea:
         with pytest.warns(UserWarning, match="truncate"):
             estimate_area(shifted_sphere([0.5, 0.0, 0.0], clip=1.2), Pseudo(11), 2000)
 
+    def test_explicit_clip_cuts_implicit_surface(self):
+        # the plane clipped to the unit ball is the unit disk, whatever the surface's own clip
+        with pytest.warns(UserWarning, match="truncate"):
+            est = estimate_area(plane_implicit(clip=2.0), Pseudo(3), 50_000, clip_radius=1.0)
+        assert abs(est.value - math.pi) < 3.0 * est.standard_error
+
+    def test_explicit_clip_inside_sphere_sees_nothing(self):
+        est = estimate_area(sphere_implicit(clip=2.0), Pseudo(1), 20_000, clip_radius=0.5)
+        assert est.hit_histogram == {0: 20_000}
+        assert est.value == 0.0
+
     def test_calibration_over_seeds(self):
         surface = sphere_implicit(clip=2.0)
         covered = 0

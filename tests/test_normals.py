@@ -117,6 +117,31 @@ class TestNormalCloud:
         with pytest.raises(ValueError):
             normal_cloud(np.zeros((3, 3)), 0, k=12)
 
+    @pytest.mark.parametrize("k, pairs", [(12, 8), (6, 14), (4, 5), (20, 3)])
+    def test_matches_pairwise_loop(self, k, pairs):
+        # reference: scalar draws one pair at a time, one cross product at a time
+        points = sample_sphere(Pseudo(9), 3, size=2000)
+        index = NeighborIndex(points)
+        for query in range(0, 2000, 50):
+            src, chosen = Pseudo(query), set()
+            if pairs >= k * (k - 1) // 2:
+                chosen = {(i, j) for i in range(k) for j in range(i + 1, k)}
+            while len(chosen) < pairs:
+                i, j = (min(int(src.next_unit() * k), k - 1) for _ in range(2))
+                if i != j:
+                    chosen.add((min(i, j), max(i, j)))
+            p = points[query]
+            neighbors = points[index.k_nearest(p, k, exclude=query)]
+            scale = float(np.linalg.norm(neighbors - p, axis=1).max()) ** 2
+            total, reference = np.zeros(3), None
+            for i, j in sorted(chosen):
+                cross = np.cross(neighbors[i] - p, neighbors[j] - p)
+                if np.linalg.norm(cross) > 1e-12 * scale:
+                    reference = cross if reference is None else reference
+                    total += cross if cross @ reference >= 0.0 else -cross
+            got = normal_cloud(points, query, k=k, pairs=pairs, neighbor_index=index)
+            assert got.tobytes() == (total / np.linalg.norm(total)).tobytes()
+
 
 class TestTangentFrame:
     def test_axis_normal(self):

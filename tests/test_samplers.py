@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from croftoncloud import samplers
 from croftoncloud.geometry import make_line
 from croftoncloud.rng import Pseudo
 from croftoncloud.samplers import (
@@ -162,10 +163,12 @@ class TestCloudImplicit:
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.line_index, b.line_index)
 
-    def test_empty_surface_errors_after_budget(self):
+    def test_empty_surface_errors_after_budget(self, monkeypatch):
+        monkeypatch.setattr(samplers, "DEFAULT_LINE_CHUNK", 512)
+        monkeypatch.setattr(samplers, "MAX_EMPTY_LINES", 1000)
         empty = ImplicitSurface(lambda x: np.ones(x.shape[:-1]), 1.0)
-        with pytest.raises(SurfaceNotFound):
-            cloud_implicit(empty, Pseudo(48), 10, chunk_lines=512, max_empty_lines=1000)
+        with pytest.raises(SurfaceNotFound, match="after 1024 lines"):
+            cloud_implicit(empty, Pseudo(48), 10)
 
     def test_plane_warns_of_truncation(self):
         # the plane extends past every clip ball, so hits reach its boundary
