@@ -8,7 +8,7 @@ intersection statistics; verify equidistribution; estimate normals.
 __version__ = "0.1.0"
 
 from .crofton import CroftonEstimate, estimate_area, estimate_double_integral, estimate_surface_integral
-from .geometry import OrientedLine, kinematic_mass, make_line, rotation_from_to, sample_line
+from .geometry import kinematic_mass
 from .normals import NeighborIndex, normal_cloud, normal_implicit, tangent_frame
 from .rng import (
     BoxDomain,
@@ -18,7 +18,6 @@ from .rng import (
     VanDerCorputRearranged,
     sample_ball,
     sample_box,
-    sample_normal_pair,
     sample_rejection,
     sample_sphere,
     sample_union,
@@ -31,8 +30,6 @@ from .samplers import (
     cloud_implicit,
     cloud_parametric,
     cloud_triangulated,
-    find_interval,
-    intersect_line_implicit,
 )
 from .stats import (
     RegionTest,
@@ -47,7 +44,6 @@ from .surfaces import (
     ImplicitSurface,
     ParametricSurface,
     TriangulatedSurface,
-    barycentric_point,
     triangle_area,
     triangulate_parametric,
     validate,
@@ -61,7 +57,6 @@ __all__ = [
     "ImplicitSamplerConfig",
     "ImplicitSurface",
     "NeighborIndex",
-    "OrientedLine",
     "ParametricSurface",
     "PointCloud",
     "Pseudo",
@@ -70,7 +65,6 @@ __all__ = [
     "TriangulatedSurface",
     "VanDerCorput",
     "VanDerCorputRearranged",
-    "barycentric_point",
     "cloud_axis_aligned",
     "cloud_implicit",
     "cloud_parametric",
@@ -80,19 +74,13 @@ __all__ = [
     "estimate_area",
     "estimate_double_integral",
     "estimate_surface_integral",
-    "find_interval",
-    "intersect_line_implicit",
     "kinematic_mass",
     "ktuple_test",
-    "make_line",
     "normal_cloud",
     "normal_implicit",
     "region_test",
-    "rotation_from_to",
     "sample_ball",
     "sample_box",
-    "sample_line",
-    "sample_normal_pair",
     "sample_rejection",
     "sample_sphere",
     "sample_union",

@@ -9,9 +9,12 @@ tetrahedron, pyramid), by a field expression in x, y, z (the zero level set
 is used), or by a mesh path (.off / .stl).  Exit codes: 0 ok, 1 usage or
 input error, 2 numeric failure, 3 audit failure.
 
-Set CROFTONCLOUD_THREADS=k to shard generation over k worker streams with
-derived seeds (seed, seed+1, ...); shard outputs are concatenated in shard
-order, so files depend only on the seed and configuration, never on timing.
+Set CROFTONCLOUD_THREADS=k to shard generation over k worker streams:
+shard i draws its share of the n points from seed + i, and the shards are
+concatenated in shard order.  So a file depends on the seed, the
+configuration and the thread count (recorded as ``threads`` in its
+metadata), never on timing; shard 1 of --seed 0 replays the stream of
+--seed 1.
 """
 
 from __future__ import annotations

@@ -86,11 +86,19 @@ def write_xyz(path: str, positions: np.ndarray, normals: Optional[np.ndarray] = 
 def read_xyz(path: str):
     """Returns (positions, normals or None, meta dict)."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    # comment texts at odd places; the even ones joined by newlines give the body with comment lines blanked
-    pieces = _XYZ_COMMENT.split("\n" + text)
-    meta = _meta(comment.lstrip("#") for comment in pieces[1::2])
-    data = _read_rows("\n".join(pieces[::2])[1:], (3, 6), lambda lineno, _: f"{path}:{lineno}")
+        text = "\n" + fh.read()
+    comments = []
+
+    def blank(match) -> str:
+        comments.append(match[1])
+        return "\n"
+
+    # one pass collects the comment texts and blanks their lines, so line numbers hold;
+    # each rebinding releases the copy before it, so at most two are held
+    text = _XYZ_COMMENT.sub(blank, text)
+    text = text[1:]
+    data = _read_rows(text, (3, 6), lambda lineno, _: f"{path}:{lineno}")
+    meta = _meta(comment.lstrip("#") for comment in comments)
     return data[:, :3], data[:, 3:] if data.shape[1] == 6 else None, meta
 
 

@@ -90,28 +90,47 @@ def read_off(path: str) -> TriangulatedSurface:
     return TriangulatedSurface(coords.reshape(-1, 3)[tris], name=path)
 
 
+#: an ASCII STL vertex record, capturing the rest of its line: a line whose first token is 'vertex'
+_STL_VERTEX = re.compile(r"^[^\S\n]*vertex(?!\S)([^\n]*)", re.M)
+
+
 def read_stl(path: str) -> TriangulatedSurface:
-    """Minimal ASCII STL: collects 'vertex x y z' triples per facet."""
-    vertices = []
+    """Minimal ASCII STL: the 'vertex x y z' records, three per facet, in file order.
+
+    One regex pass collects the vertex records and one ``np.loadtxt`` converts
+    them.  Errors name ``path:line``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.lstrip().startswith("solid"):
-            raise ValueError(f"{path}:1: not an ASCII STL (missing 'solid' header)")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts or parts[0] != "vertex":
-                continue
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: malformed vertex line {line.strip()!r}")
+        text = fh.read()
+
+    def where(pos: int) -> str:
+        line = text.count("\n", 0, pos) + 1
+        return f"{path}:{line}"
+
+    if not text.partition("\n")[0].lstrip().startswith("solid"):
+        raise ValueError(f"{where(0)}: not an ASCII STL (missing 'solid' header)")
+    rows = _STL_VERTEX.findall(text)
+    if not rows:
+        raise ValueError(f"{where(len(text.rstrip()))}: no facets found")
+    try:
+        # loadtxt skips blank records, and warns when all are: a blank first one goes to the error path
+        vertices = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2) if rows[0].strip() else None
+    except ValueError:
+        vertices = None
+    if vertices is None or vertices.shape != (len(rows), 3):
+        # error path: name the first vertex record that is not three numbers
+        for match in _STL_VERTEX.finditer(text):
             try:
-                vertices.append([float(v) for v in parts[1:]])
+                if len(match[1].split()) != 3:
+                    raise ValueError
+                np.loadtxt([match[1]], dtype=np.float64, comments=None)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed vertex line {line.strip()!r}") from None
-    if len(vertices) % 3:
-        raise ValueError(f"{path}: vertex count {len(vertices)} is not a multiple of 3")
-    if not vertices:
-        raise ValueError(f"{path}: no facets found")
-    return TriangulatedSurface(np.array(vertices).reshape(-1, 3, 3), name=path)
+                raise ValueError(f"{where(match.start())}: malformed vertex line {match[0].strip()!r}") from None
+        raise ValueError(f"{path}: malformed vertex lines")
+    if len(rows) % 3:
+        *_, last = _STL_VERTEX.finditer(text)
+        raise ValueError(f"{where(last.start())}: vertex count {len(rows)} is not a multiple of 3")
+    return TriangulatedSurface(vertices.reshape(-1, 3, 3), name=path)
 
 
 def load_mesh(path: str) -> TriangulatedSurface:

@@ -35,7 +35,6 @@ __all__ = [
     "sample_union",
     "sample_ball",
     "sample_sphere",
-    "sample_normal_pair",
     "standard_normals",
     "unit_ball_volume",
     "RejectionCapExceeded",
@@ -291,22 +290,6 @@ def sample_sphere(src: ScalarSource, n: int, size: int | None = None) -> np.ndar
             pts[bad] = standard_normals(src, int(bad.sum()) * n).reshape(-1, n)
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     return pts[0] if size is None else pts
-
-
-def sample_normal_pair(src: ScalarSource) -> tuple[float, float]:
-    """Two independent standard normal deviates via the polar method.
-
-    Draw (u, v) uniform in the square, accept inside the punctured unit
-    disk, then scale by sqrt(-2 ln s / s) with s = u^2 + v^2.
-    """
-    for _ in range(DEFAULT_REJECTION_CAP):
-        u = 2.0 * src.next_unit() - 1.0
-        v = 2.0 * src.next_unit() - 1.0
-        s = u * u + v * v
-        if 0.0 < s < 1.0:
-            factor = math.sqrt(-2.0 * math.log(s) / s)
-            return u * factor, v * factor
-    raise RejectionCapExceeded("polar method failed to accept")
 
 
 def standard_normals(src: ScalarSource, count: int) -> np.ndarray:

@@ -31,7 +31,6 @@ from typing import Optional
 import numpy as np
 
 from . import geometry, rng
-from .geometry import OrientedLine
 from .rng import ScalarSource
 from .surfaces import (
     ImplicitSurface,
@@ -44,12 +43,10 @@ from .surfaces import (
 __all__ = [
     "ImplicitSamplerConfig",
     "PointCloud",
-    "intersect_line_implicit",
     "cloud_implicit",
     "cloud_axis_aligned",
     "cloud_triangulated",
     "cloud_parametric",
-    "find_interval",
     "SurfaceNotFound",
 ]
 
@@ -195,20 +192,6 @@ def _scan_lines(surface: ImplicitSurface, dirs, feet, cfg: ImplicitSamplerConfig
     return counts, line_ids[order], ts[order], boundary
 
 
-def intersect_line_implicit(surface: ImplicitSurface, line: OrientedLine, config: ImplicitSamplerConfig | None = None):
-    """Transverse intersections of one line with the clipped level set.
-
-    Returns ``(ts, points)`` sorted by increasing parameter; both empty when
-    the line misses the clip ball or the surface.
-    """
-    cfg = config or ImplicitSamplerConfig()
-    dirs = line.direction[None, :]
-    feet = line.foot[None, :]
-    _, _, ts, _ = _scan_lines(surface, dirs, feet, cfg, want_points=True)
-    points = feet[0] + ts[:, None] * dirs[0]
-    return ts, points
-
-
 def _unit_normals(surface: ImplicitSurface, points: np.ndarray) -> np.ndarray:
     if not len(points):
         return np.empty((0, 3))
@@ -338,21 +321,11 @@ def cloud_axis_aligned(
     return _cloud_from_lines(surface, src, n_points, config or ImplicitSamplerConfig(), draw)
 
 
-def find_interval(cumulative, x: float) -> int:
-    """Smallest index j with ``x < cumulative[j]`` by bisection.
-
-    *cumulative* must be increasing with positive first entry (prefix sums
-    of positive weights); ``x`` must satisfy ``0 <= x < cumulative[-1]``.
-    """
-    if x < 0.0 or x >= cumulative[-1]:
-        raise ValueError(f"x = {x} outside [0, {cumulative[-1]})")
-    return int(np.searchsorted(np.asarray(cumulative), x, side="right"))
-
-
 _CLAMP = 1.0 - 2.0**-52
 
 
 def _select_triangles(src: ScalarSource, cumulative: np.ndarray, count: int) -> np.ndarray:
+    """Smallest j with ``x < cumulative[j]`` for each of *count* x uniform in [0, cumulative[-1])."""
     xs = src.take(count) * cumulative[-1] * _CLAMP
     return np.searchsorted(cumulative, xs, side="right")
 

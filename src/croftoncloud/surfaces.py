@@ -28,7 +28,6 @@ __all__ = [
     "TriangulatedSurface",
     "triangle_area",
     "triangle_normal",
-    "barycentric_point",
     "triangulate_parametric",
     "validate",
     "ValidationReport",
@@ -164,17 +163,6 @@ def triangle_normal(tri) -> np.ndarray:
         return cross / np.where(norm > 0.0, norm, np.nan)
 
 
-_SIMPLEX_TOL = 1e-12
-
-
-def barycentric_point(tri, u: float, v: float) -> np.ndarray:
-    """Point of the triangle with barycentric weights (u, v, 1 - u - v)."""
-    if u < -_SIMPLEX_TOL or v < -_SIMPLEX_TOL or u + v > 1.0 + _SIMPLEX_TOL:
-        raise ValueError(f"({u}, {v}) lies outside the standard 2-simplex")
-    t = np.asarray(tri, dtype=np.float64)
-    return u * t[0] + v * t[1] + (1.0 - u - v) * t[2]
-
-
 def _parameter_grid(surface: ParametricSurface):
     (u0, v0), (u1, v1) = surface.domain.lows, surface.domain.highs
     us = np.linspace(u0, u1, surface.u_res)
@@ -239,7 +227,6 @@ def _validate_implicit(surface: ImplicitSurface) -> ValidationReport:
     # probe the level set along a fixed bundle of scan lines; defer to the
     # sampler module so the scan logic lives in one place
     from . import samplers
-    from .geometry import OrientedLine
 
     report = ValidationReport(surface.name or "implicit")
     cfg = samplers.ImplicitSamplerConfig()
@@ -260,22 +247,18 @@ def _validate_implicit(surface: ImplicitSurface) -> ValidationReport:
                 f"vanishing gradient (|grad| = {g:.2e}) at grid point {point.round(6).tolist()}"
             )
 
-    probes = []
+    # probe lines parallel to each axis, feet on a 5 x 5 grid of the other two
     offsets = np.linspace(-0.7 * r, 0.7 * r, 5)
-    axes = np.eye(3)
-    for axis in range(3):
-        for a in offsets:
-            for b in offsets:
-                foot = a * axes[(axis + 1) % 3] + b * axes[(axis + 2) % 3]
-                if np.linalg.norm(foot) >= r:
-                    continue
-                line = OrientedLine(axes[axis], foot)
-                _, pts = samplers.intersect_line_implicit(surface, line, cfg)
-                probes.extend(pts)
-    if not probes:
+    axis, a, b = (g.ravel() for g in np.meshgrid(np.arange(3), offsets, offsets, indexing="ij"))
+    dirs = np.eye(3)[axis]
+    feet = a[:, None] * np.eye(3)[(axis + 1) % 3] + b[:, None] * np.eye(3)[(axis + 2) % 3]
+    inside = np.linalg.norm(feet, axis=1) < r
+    dirs, feet = dirs[inside], feet[inside]
+    _, ids, ts, _ = samplers._scan_lines(surface, dirs, feet, cfg, want_points=True)
+    if not len(ts):
         report.warnings.append("no probe line met the level set inside the clip ball")
         return report
-    probes = np.asarray(probes)
+    probes = feet[ids] + ts[:, None] * dirs[ids]
     grads = np.linalg.norm(surface.gradient_at(probes), axis=1)
     for point, g in zip(probes[grads < GRADIENT_FLOOR], grads[grads < GRADIENT_FLOOR]):
         report.warnings.append(f"vanishing gradient (|grad| = {g:.2e}) near {point.round(6).tolist()}")

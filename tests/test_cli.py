@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from croftoncloud import cli
+from croftoncloud import cli, cloudio
 from croftoncloud.surfaces import tetrahedron_mesh
 
 
@@ -53,6 +53,26 @@ class TestGenerateAndAudit:
         args = ["generate", "--surface", tetra_off, "--sampler", "parametric", "--n", "100", "-o", output]
         assert cli.main(args) == cli.USAGE_ERROR
         assert "--sampler triangulated" in capsys.readouterr().err
+
+    def test_surface_not_found_is_a_numeric_failure(self, tmp_path, capsys):
+        # x^2 + y^2 + z^2 + 1 has no zero set: every line misses
+        output = tmp_path / "none.xyz"
+        args = ["generate", "--surface", "x^2+y^2+z^2+1", "--n", "10", "--scan-steps", "2", "-o", str(output)]
+        assert cli.main(args) == cli.NUMERIC_ERROR
+        assert "surface not found" in capsys.readouterr().err
+        assert not output.exists()
+
+    def test_two_thread_generate_is_reproducible(self, tmp_path, monkeypatch):
+        # shards draw from seed + i, so the file depends on the thread count but not on timing
+        monkeypatch.setenv("CROFTONCLOUD_THREADS", "2")
+        paths = [tmp_path / f"s{i}.xyz" for i in range(2)]
+        for path in paths:
+            assert cli.main(["generate", "--surface", "sphere", "--n", "3001", "-o", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        positions, normals, meta = cloudio.read_cloud(str(paths[0]))
+        assert len(positions) >= 3001 and normals.shape == positions.shape
+        assert np.allclose(np.linalg.norm(positions, axis=1), 1.0, atol=1e-9)
+        assert meta["threads"] == "2"
 
     def test_method_option_is_gone(self, tmp_path):
         output = str(tmp_path / "s.xyz")

@@ -6,7 +6,6 @@ import pytest
 from scipy.integrate import quad
 
 from croftoncloud.crofton import estimate_area, estimate_double_integral, estimate_surface_integral
-from croftoncloud.geometry import make_line
 from croftoncloud.rng import Pseudo, unit_ball_volume
 from croftoncloud.surfaces import (
     ImplicitSurface,
@@ -188,10 +187,10 @@ class TestMeshIntersections:
 
         d = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
         q = np.array([0.2, -0.1, 0.0])
-        line = make_line(d, q)
-        counts, _, ts, _ = _mesh_hits(mesh.triangles, line.direction[None], line.foot[None], 1.0)
+        foot = q - (q @ d) * d
+        counts, _, ts, _ = _mesh_hits(mesh.triangles, d[None], foot[None], 1.0)
         assert counts.tolist() == [1]
-        assert np.allclose(line.point_at(ts[0]), q, atol=1e-12)
+        assert np.allclose(foot + ts[0] * d, q, atol=1e-12)
 
     def test_degenerate_triangles_leak_no_warnings(self):
         # the sphere chart's pole rows triangulate to zero-area triangles

@@ -142,6 +142,23 @@ endsolid two
 """
 
 
+def _stl_per_line(path):
+    """Reference ASCII STL parse: one line at a time, one ``float`` per coordinate."""
+    vertices = []
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            parts = line.split()
+            if parts[:1] == ["vertex"]:
+                try:
+                    if len(parts) != 4:
+                        raise ValueError
+                    vertices.append([float(v) for v in parts[1:]])
+                except ValueError:
+                    raise ValueError(f"{lineno}: malformed vertex line") from None
+    return np.array(vertices).reshape(-1, 3, 3)
+
+
 class TestReadSTL:
     def test_two_facets(self, tmp_path):
         path = tmp_path / "two.stl"
@@ -160,19 +177,56 @@ class TestReadSTL:
     @pytest.mark.parametrize(
         "text, match",
         [
-            (STL_TWO_FACETS.replace("solid two", "slab two", 1), "missing 'solid' header"),
+            (STL_TWO_FACETS.replace("solid two", "slab two", 1), ":1: not an ASCII STL"),
             (STL_TWO_FACETS.replace("vertex 1 0 0", "vertex 1 0"), ":5: malformed vertex line"),
             (STL_TWO_FACETS.replace("vertex 1 0 0", "vertex 1 zero 0"), ":5: malformed vertex line"),
-            (STL_TWO_FACETS.replace("      vertex -1 -2 -3\n", ""), "not a multiple of 3"),
-            ("solid empty\nendsolid empty\n", "no facets"),
+            (STL_TWO_FACETS.replace("vertex 1 0 0", "vertex"), ":5: malformed vertex line"),
+            (STL_TWO_FACETS.replace("vertex 0 0 0", "vertex"), ":4: malformed vertex line"),
+            (STL_TWO_FACETS.replace("vertex 1 0 0", "vertex 1 0 0 0"), ":5: malformed vertex line"),
+            (STL_TWO_FACETS.replace("      vertex -1 -2 -3\n", ""), ":12: vertex count 5 is not a multiple of 3"),
+            ("solid empty\nendsolid empty\n", ":2: no facets"),
+            ("solid empty\nvertex\n", ":2: malformed vertex line"),
         ],
-        ids=["no-solid", "short-vertex", "non-numeric-vertex", "partial-facet", "no-facets"],
+        ids=[
+            "no-solid", "short-vertex", "non-numeric-vertex", "bare-vertex", "bare-first-vertex", "long-vertex",
+            "partial-facet", "no-facets", "only-bare-vertex",
+        ],
     )
     def test_malformed_input_names_the_file(self, tmp_path, text, match):
         path = tmp_path / "bad.stl"
         path.write_text(text)
-        with pytest.raises(ValueError, match=f"bad\\.stl{match}" if match.startswith(":") else f"bad\\.stl.*{match}"):
+        with pytest.raises(ValueError, match=f"bad\\.stl{match}"):
             read_stl(str(path))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_line_parse(self, tmp_path, seed):
+        # random facets among decoy records, spacing and number spellings; then one corrupted vertex
+        gen = np.random.default_rng(seed)
+        coords = gen.integers(0, 2**64, size=(int(gen.integers(1, 300)), 3, 3), dtype=np.uint64).view(np.float64)
+        coords = np.where(np.isfinite(coords), coords, gen.standard_normal(coords.shape)).tolist()
+        spell = [repr, lambda x: f"{x:.6e}", lambda x: f"{x:g}", lambda x: str(int(x)) if abs(x) < 1e9 else repr(x)]
+        pad = [" ", "  ", "\t", " \t "]
+        decoys = ["facet normal 0 0 1", "outer loop", "endloop", "endfacet", "", "vertexnormal 1 2 3", "Vertex 1 2 3"]
+        lines = ["solid random"]
+        for facet in coords:
+            for vertex in facet:
+                lines += [gen.choice(decoys) for _ in range(gen.integers(0, 3))]
+                sep = [str(gen.choice(pad)) for _ in range(5)]
+                lines.append(sep[0] + "vertex" + "".join(sep[i + 1] + spell[gen.integers(4)](x) for i, x in enumerate(vertex)) + sep[4])
+        lines.append("endsolid random")
+        path = tmp_path / "random.stl"
+        path.write_text("\n".join(lines) + "\n")
+        assert read_stl(str(path)).triangles.tobytes() == _stl_per_line(str(path)).tobytes()
+
+        bad = int(gen.choice([i for i, line in enumerate(lines) if line.split()[:1] == ["vertex"]]))
+        words = lines[bad].split()
+        lines[bad] = [lines[bad] + " 1", lines[bad] + " x", "\t".join(words[:3]), "  vertex", " ".join(words[:2] + ["1.0.0"] + words[3:])][seed % 5]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as fault:
+            _stl_per_line(str(path))
+        with pytest.raises(ValueError, match=f"random\\.stl:{bad + 1}: malformed vertex line"):
+            read_stl(str(path))
+        assert str(fault.value).startswith(f"{bad + 1}:")
 
 
 class TestLoadMesh:

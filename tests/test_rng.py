@@ -13,7 +13,6 @@ from croftoncloud.rng import (
     VanDerCorputRearranged,
     sample_ball,
     sample_box,
-    sample_normal_pair,
     sample_rejection,
     sample_sphere,
     sample_union,
@@ -255,8 +254,8 @@ class TestBallAndSphere:
 
 class TestNormals:
     def test_pair_is_two_values(self):
-        z1, z2 = sample_normal_pair(Pseudo(41))
-        assert isinstance(z1, float) and isinstance(z2, float)
+        z = standard_normals(Pseudo(41), 2)
+        assert z.shape == (2,) and z.dtype == np.float64
 
     def test_moments(self):
         z = standard_normals(Pseudo(42), 1_000_000)
@@ -270,7 +269,7 @@ class TestNormals:
         assert abs(int((np.abs(z) < 1.96).sum()) - n * p) < 3.0 * binomial_sigma(n, p)
 
     def test_pair_stream_deterministic(self):
-        assert sample_normal_pair(Pseudo(44)) == sample_normal_pair(Pseudo(44))
+        assert standard_normals(Pseudo(44), 2).tolist() == standard_normals(Pseudo(44), 2).tolist()
 
 
 class TestBallVolume:

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from croftoncloud import samplers
-from croftoncloud.geometry import make_line
 from croftoncloud.rng import Pseudo
 from croftoncloud.samplers import (
     ImplicitSamplerConfig,
@@ -16,8 +15,6 @@ from croftoncloud.samplers import (
     cloud_implicit,
     cloud_parametric,
     cloud_triangulated,
-    find_interval,
-    intersect_line_implicit,
 )
 from croftoncloud.surfaces import (
     CATALOG,
@@ -31,47 +28,53 @@ from croftoncloud.surfaces import (
     triangulate_parametric,
 )
 
-from conftest import binomial_sigma
+from conftest import ScriptedSource, binomial_sigma
+
+
+def _one_line(surface, direction, through, config=None):
+    """Hits of the single line with unit *direction* through *through*: ``(ts, points)``."""
+    d = np.array([direction], dtype=np.float64)
+    q = np.array([through], dtype=np.float64)
+    feet = q - (q * d).sum(axis=1, keepdims=True) * d
+    counts, ids, ts, _ = samplers._scan_lines(surface, d, feet, config or ImplicitSamplerConfig(), want_points=True)
+    assert counts.tolist() == [len(ts)] and not ids.any()
+    return ts, feet[0] + ts[:, None] * d[0]
 
 
 class TestIntersectLineImplicit:
+    """One line against an implicit surface: _scan_lines on 1-row arrays."""
+
     def test_sphere_chord(self):
-        line = make_line([0.0, 0.0, 1.0], [0.5, 0.0, 0.0])
-        ts, pts = intersect_line_implicit(sphere_implicit(), line)
+        ts, pts = _one_line(sphere_implicit(), [0.0, 0.0, 1.0], [0.5, 0.0, 0.0])
         root = math.sqrt(0.75)
         assert len(ts) == 2
         assert abs(ts[0] + root) < 1e-9 and abs(ts[1] - root) < 1e-9
         assert np.allclose(pts[:, 0], 0.5)
 
     def test_miss_outside_foot_disk(self):
-        line = make_line([0.0, 0.0, 1.0], [2.0, 0.0, 0.0])
-        ts, pts = intersect_line_implicit(sphere_implicit(), line)
+        ts, pts = _one_line(sphere_implicit(), [0.0, 0.0, 1.0], [2.0, 0.0, 0.0])
         assert len(ts) == 0 and pts.shape == (0, 3)
 
     def test_plane_single_hit_at_exact_grid_zero(self):
         # symmetric chord grid lands a node exactly on t = 0
-        line = make_line([0.0, 0.0, 1.0], [0.3, 0.4, 0.0])
-        ts, pts = intersect_line_implicit(plane_implicit(), line)
+        ts, pts = _one_line(plane_implicit(), [0.0, 0.0, 1.0], [0.3, 0.4, 0.0])
         assert len(ts) == 1
         assert ts[0] == 0.0
         assert np.allclose(pts[0], [0.3, 0.4, 0.0])
 
     def test_line_inside_surface_dropped(self):
         # a line lying in the plane meets it non-transversally: no hits
-        line = make_line([1.0, 0.0, 0.0], [0.0, 0.5, 0.0])
-        ts, _ = intersect_line_implicit(plane_implicit(), line)
+        ts, _ = _one_line(plane_implicit(), [1.0, 0.0, 0.0], [0.0, 0.5, 0.0])
         assert len(ts) == 0
 
     def test_tangential_touch_dropped(self):
         # line tangent to the unit sphere: field touches zero without crossing
-        line = make_line([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
-        ts, _ = intersect_line_implicit(sphere_implicit(clip=2.0), line)
+        ts, _ = _one_line(sphere_implicit(clip=2.0), [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
         assert len(ts) == 0
 
     def test_root_tolerance_honored(self):
         cfg = ImplicitSamplerConfig(root_tol=1e-12)
-        line = make_line([0.0, 0.0, 1.0], [0.5, 0.0, 0.0])
-        ts, _ = intersect_line_implicit(sphere_implicit(), line, cfg)
+        ts, _ = _one_line(sphere_implicit(), [0.0, 0.0, 1.0], [0.5, 0.0, 0.0], cfg)
         assert abs(ts[1] - math.sqrt(0.75)) < 1e-11
 
     def test_nonfinite_field_raises(self):
@@ -79,30 +82,37 @@ class TestIntersectLineImplicit:
             with np.errstate(divide="ignore", invalid="ignore"):
                 return 1.0 / x[..., 2]
 
-        line = make_line([0.0, 0.0, 1.0], [0.1, 0.0, 0.0])
         with pytest.raises(FloatingPointError, match="t ="):
-            intersect_line_implicit(ImplicitSurface(bad, 1.0), line)
+            _one_line(ImplicitSurface(bad, 1.0), [0.0, 0.0, 1.0], [0.1, 0.0, 0.0])
+
+
+def _select(cumulative, scalars):
+    return samplers._select_triangles(ScriptedSource(scalars), np.asarray(cumulative), len(scalars)).tolist()
+
+
+def _scalar_at(x, total):
+    """The smallest scalar that _select_triangles scales to exactly *x*."""
+    u = x / total
+    while u * total * samplers._CLAMP < x:
+        u = np.nextafter(u, 1.0)
+    assert u * total * samplers._CLAMP == x
+    return u
 
 
 class TestFindInterval:
+    """Triangle selection: the smallest j with ``x < cumulative[j]``."""
+
     CUM = [1.0, 3.0, 6.0]
 
     def test_examples(self):
-        assert find_interval(self.CUM, 2.5) == 1
-        assert find_interval(self.CUM, 0.0) == 0
-        assert find_interval(self.CUM, 5.999) == 2
+        assert _select(self.CUM, [2.5 / 6.0, 0.0, 5.999 / 6.0]) == [1, 0, 2]
 
     def test_boundary_is_included_in_next(self):
-        assert find_interval(self.CUM, 1.0) == 1
+        assert _select(self.CUM, [_scalar_at(1.0, 6.0), _scalar_at(3.0, 6.0)]) == [1, 2]
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            find_interval(self.CUM, -0.1)
-        with pytest.raises(ValueError):
-            find_interval(self.CUM, 6.0)
-
-    def test_numpy_input(self):
-        assert find_interval(np.array(self.CUM), 2.5) == 1
+        # the largest scalar below 1 still selects inside the table
+        assert _select(self.CUM, [np.nextafter(1.0, 0.0)]) == [2]
 
     @given(
         st.lists(st.floats(0.01, 10.0), min_size=1, max_size=60),
@@ -111,9 +121,9 @@ class TestFindInterval:
     @settings(max_examples=300, deadline=None)
     def test_matches_linear_scan(self, weights, frac):
         cum = np.cumsum(weights)
-        x = frac * cum[-1]
+        x = frac * cum[-1] * samplers._CLAMP
         expected = next(j for j, c in enumerate(cum) if x < c)
-        assert find_interval(cum, x) == expected
+        assert _select(cum, [frac]) == [expected]
 
 
 @pytest.fixture(scope="module")

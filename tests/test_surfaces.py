@@ -5,11 +5,11 @@ import pytest
 
 from croftoncloud import surfaces
 from croftoncloud.rng import BoxDomain
+from croftoncloud.samplers import cloud_triangulated
 from croftoncloud.surfaces import (
     ImplicitSurface,
     ParametricSurface,
     TriangulatedSurface,
-    barycentric_point,
     corner_pyramid_implicit,
     corner_pyramid_mesh,
     plane_patch_chart,
@@ -22,6 +22,8 @@ from croftoncloud.surfaces import (
     triangulate_parametric,
     validate,
 )
+
+from conftest import ScriptedSource
 
 
 class TestTriangleArea:
@@ -67,20 +69,23 @@ class TestTriangleArea:
 
 
 class TestBarycentric:
+    """The barycentric combination of cloud_triangulated, fed scripted (u, v) pairs."""
+
     TRI = np.array([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
 
+    def points(self, scalars, count=1):
+        # scalars: one triangle pick per point, then the (u, v) pairs
+        return cloud_triangulated(TriangulatedSurface([self.TRI]), ScriptedSource(scalars), count).positions
+
     def test_vertices(self):
-        assert barycentric_point(self.TRI, 1.0, 0.0).tolist() == [1.0, 0.0, 0.0]
-        assert barycentric_point(self.TRI, 0.0, 0.0).tolist() == [0.0, 0.0, 1.0]
+        assert self.points([0.0, 0.0, 1.0, 0.0, 0.0, 0.0], count=2).tolist() == [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
 
     def test_centroid(self):
-        assert np.allclose(barycentric_point(self.TRI, 1 / 3, 1 / 3), [1 / 3, 1 / 3, 1 / 3])
+        assert np.allclose(self.points([0.0, 1 / 3, 1 / 3]), [[1 / 3, 1 / 3, 1 / 3]])
 
     def test_outside_simplex_rejected(self):
-        with pytest.raises(ValueError):
-            barycentric_point(self.TRI, 0.7, 0.7)
-        with pytest.raises(ValueError):
-            barycentric_point(self.TRI, -0.1, 0.5)
+        # (0.7, 0.7) lies outside the simplex and is redrawn
+        assert np.allclose(self.points([0.0, 0.7, 0.7, 0.2, 0.3]), [[0.2, 0.3, 0.5]])
 
 
 class TestTriangulateParametric:
