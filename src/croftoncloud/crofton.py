@@ -24,7 +24,7 @@ import numpy as np
 from . import geometry, samplers
 from .rng import ScalarSource
 from .samplers import ImplicitSamplerConfig
-from .surfaces import ImplicitSurface, ParametricSurface, triangulate_parametric
+from .surfaces import ImplicitSurface, ParametricSurface, TriangulatedSurface, triangulate_parametric
 
 __all__ = ["CroftonEstimate", "estimate_area", "estimate_surface_integral", "estimate_double_integral"]
 
@@ -63,28 +63,29 @@ def _normalization(n: int, clip: float) -> float:
     return geometry.kinematic_mass(n, clip) / (2.0 * unit_ball_volume(n - 1))
 
 
-def _mesh_hits(triangles: np.ndarray, dirs: np.ndarray, feet: np.ndarray, clip: float):
-    """Line/triangle intersections with inclusive edges, deduplicated in t.
+def _pair_hits(triangles: np.ndarray, dirs, feet, clip: float, line_ids: np.ndarray, tri_ids: np.ndarray):
+    """Moller-Trumbore on the (line, triangle) pairs ``(line_ids[i], tri_ids[i])``.
 
     Returns ``(counts, line_ids, ts, boundary_hits)`` like
-    :func:`samplers._scan_lines`, with hits sorted by (line, t); hits on
-    shared edges of consecutive triangles closer than EDGE_DEDUP_TOL in t
-    are merged.  ``boundary_hits`` counts hits at radius *clip* or beyond.
+    :func:`samplers._scan_lines`, with hits sorted by (line, t).  Edges are
+    inclusive, hits beyond radius *clip* are dropped, and hits of one line
+    closer than EDGE_DEDUP_TOL in t (shared edges) count once.
+    ``boundary_hits`` counts hits at radius ``clip * (1 - 1e-9)`` or beyond.
     """
-    m = len(dirs)
-    v0 = triangles[:, 0]
-    e1 = triangles[:, 1] - v0
-    e2 = triangles[:, 2] - v0
-    h = np.cross(dirs[:, None, :], e2[None, :, :])
-    a = np.einsum("tk,ltk->lt", e1, h)
+    tri, d = triangles[tri_ids], dirs[line_ids]
+    v0 = tri[:, 0]
+    e1 = tri[:, 1] - v0
+    e2 = tri[:, 2] - v0
+    h = np.cross(d, e2)
+    a = np.einsum("pk,pk->p", e1, h)
     # degenerate triangles and parallel lines give inf/nan here; the mask drops them
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / a
-        s = feet[:, None, :] - v0[None, :, :]
-        u = inv * np.einsum("ltk,ltk->lt", s, h)
-        q = np.cross(s, e1[None, :, :])
-        v = inv * np.einsum("lk,ltk->lt", dirs, q)
-        t = inv * np.einsum("tk,ltk->lt", e2, q)
+        s = feet[line_ids] - v0
+        u = inv * np.einsum("pk,pk->p", s, h)
+        q = np.cross(s, e1)
+        v = inv * np.einsum("pk,pk->p", d, q)
+        t = inv * np.einsum("pk,pk->p", e2, q)
         hit = (
             (np.abs(a) > 1e-14)
             & (u >= -_MESH_EPS)
@@ -92,26 +93,72 @@ def _mesh_hits(triangles: np.ndarray, dirs: np.ndarray, feet: np.ndarray, clip: 
             & (u + v <= 1.0 + _MESH_EPS)
             & np.isfinite(t)
         )
-    line_ids, tri_ids = np.nonzero(hit)
-    ts = t[line_ids, tri_ids]
+    line_ids, ts = line_ids[hit], t[hit]
+    radii = np.linalg.norm(feet[line_ids] + ts[:, None] * dirs[line_ids], axis=1)
     order = np.lexsort((ts, line_ids))
-    line_ids, ts = line_ids[order], ts[order]
+    order = order[radii[order] <= clip]
+    line_ids, ts, radii = line_ids[order], ts[order], radii[order]
     if len(ts) > 1:
         dup = (line_ids[1:] == line_ids[:-1]) & (np.abs(ts[1:] - ts[:-1]) < EDGE_DEDUP_TOL)
         keep = np.concatenate([[True], ~dup])
-        line_ids, ts = line_ids[keep], ts[keep]
-    counts = np.bincount(line_ids, minlength=m)
-    radii = np.linalg.norm(feet[line_ids] + ts[:, None] * dirs[line_ids], axis=1)
-    boundary = int((radii >= clip * (1.0 - 1e-9)).sum())
-    return counts, line_ids, ts, boundary
+        line_ids, ts, radii = line_ids[keep], ts[keep], radii[keep]
+    counts = np.bincount(line_ids, minlength=len(dirs))
+    return counts, line_ids, ts, int((radii >= clip * (1.0 - 1e-9)).sum())
+
+
+def _bvh_pairs(bvh, dirs: np.ndarray, feet: np.ndarray, half: np.ndarray):
+    """``(line_ids, tri_ids)`` pairing each line with the triangles of every leaf box its chord meets.
+
+    Line i's chord is t in [-half[i], half[i]].  The walk goes level by level
+    over (line, node) frontier arrays.  Each axis's entry plane is chosen by
+    the sign bit of the direction, so an empty box (lo = +inf, hi = -inf)
+    is entered at t = +inf and never passes.  A direction component of 0
+    with the foot on that face gives 0 * inf = nan, which fmax/fmin ignore:
+    the box stays a candidate.
+    """
+    lo, hi, leaves = bvh
+    size = len(lo) // 2
+    neg = np.signbit(dirs)
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / dirs
+    lines, nodes = np.arange(len(dirs)), np.ones(len(dirs), dtype=np.intp)
+    while len(nodes):
+        sign, foot, scale, chord = neg[lines], feet[lines], inv[lines], half[lines]
+        with np.errstate(invalid="ignore"):
+            enter = (np.where(sign, hi[nodes], lo[nodes]) - foot) * scale
+            leave = (np.where(sign, lo[nodes], hi[nodes]) - foot) * scale
+        enter = np.fmax(np.fmax(np.fmax(enter[:, 0], enter[:, 1]), enter[:, 2]), -chord)
+        leave = np.fmin(np.fmin(np.fmin(leave[:, 0], leave[:, 1]), leave[:, 2]), chord)
+        keep = enter <= leave
+        lines, nodes = lines[keep], nodes[keep]
+        if not len(nodes) or nodes[0] >= size:
+            break
+        lines, nodes = np.repeat(lines, 2), (2 * nodes[:, None] + np.arange(2)).ravel()
+    tri_ids = leaves[nodes - size].ravel()
+    line_ids = np.repeat(lines, leaves.shape[1])
+    return line_ids[tri_ids >= 0], tri_ids[tri_ids >= 0]
+
+
+def _mesh_hits(mesh: TriangulatedSurface, dirs: np.ndarray, feet: np.ndarray, clip: float):
+    """Hits of lines in foot form on *mesh* inside the ball of radius *clip*, as :func:`_pair_hits` gives them.
+
+    The mesh's BVH (:func:`surfaces._build_bvh`, built on first use) rules
+    out every (line, triangle) pair whose leaf box the line's chord misses;
+    the exact test runs on the remaining candidate pairs only, and drops the
+    hits beyond the clip sphere.
+    """
+    half = samplers._chord_half_lengths(feet, clip)
+    return _pair_hits(mesh.triangles, dirs, feet, clip, *_bvh_pairs(mesh.bvh, dirs, feet, half))
 
 
 def _resolve(surface, clip_radius, config):
     """``(hits, clip, chunk)`` for *surface*: line-hits function, clip radius, lines per chunk.
 
     Implicit surfaces are scanned; meshes, and charts through their grid
-    triangulation, are intersected triangle by triangle, in chunks that keep
-    the line-triangle pair arrays near 2M entries.
+    triangulation, go through :func:`_mesh_hits`.  Its chunks of
+    2M / triangles lines bound the candidate pair arrays near 2M entries in
+    the worst case, where every triangle is a candidate of every line; the
+    chunk size is part of the seeded configuration.
     """
     if isinstance(surface, ImplicitSurface):
         # the scan runs over chords of the surface's own clip ball, so an explicit clip replaces it
@@ -125,7 +172,7 @@ def _resolve(surface, clip_radius, config):
         warnings.warn("clip radius may truncate surface", stacklevel=4)
 
     def hits(dirs, feet, want_points):
-        return _mesh_hits(mesh.triangles, dirs, feet, clip)
+        return _mesh_hits(mesh, dirs, feet, clip)
 
     return hits, clip, max(1, int(2_000_000 // max(len(mesh), 1)))
 
@@ -166,7 +213,8 @@ def estimate_area(
     The surface must lie inside the clip ball (the implicit kind carries its
     own; meshes and charts default to their bounding radius).  Implicit
     surfaces count scan-bracket sign changes; meshes use exact line-triangle
-    tests; charts go through their grid triangulation.
+    tests on the candidate pairs their BVH leaves; charts go through their
+    grid triangulation.
     """
     if lines < 1:
         raise ValueError("need at least one line")

@@ -6,7 +6,8 @@
 * :class:`ParametricSurface` -- a chart over a rectangle, plus the grid
   resolution used to triangulate it.
 * :class:`TriangulatedSurface` -- a plain list of triangles with the lazily
-  built cumulative-area table that drives area-weighted sampling.
+  built cumulative-area table that drives area-weighted sampling, and the
+  lazily built bounding-volume hierarchy that line intersection walks.
 
 ``validate`` runs the usual health checks (nonvanishing gradient, chart
 rank, edge sharing); the report is advisory because none of those conditions
@@ -51,6 +52,12 @@ __all__ = [
 FD_STEP = 1e-5
 
 GRADIENT_FLOOR = 1e-8
+
+#: triangles per leaf of a mesh's bounding-volume hierarchy
+BVH_LEAF = 8
+# leaf boxes grow by this times (1 + max |coordinate|): far more than a hit the
+# line kernel's inclusive edges accept can lie outside its triangle
+_BVH_PAD = 1e-8
 
 
 @dataclass
@@ -108,7 +115,7 @@ class ParametricSurface:
 
 
 class TriangulatedSurface:
-    """Ordered triangle list with cached cumulative areas.
+    """Ordered triangle list with cached cumulative areas and bounding-volume hierarchy.
 
     Degenerate (zero-area) triangles are kept; they occupy zero-width
     intervals of the cumulative table and are never selected.
@@ -121,6 +128,7 @@ class TriangulatedSurface:
         self.triangles = tris
         self.name = name
         self._cumulative: Optional[np.ndarray] = None
+        self._bvh: Optional[tuple] = None
 
     def __len__(self) -> int:
         return len(self.triangles)
@@ -142,8 +150,55 @@ class TriangulatedSurface:
     def total_area(self) -> float:
         return float(self.cumulative_areas[-1])
 
+    @property
+    def bvh(self) -> tuple:
+        """``(lo, hi, leaves)`` of :func:`_build_bvh`, built on first use."""
+        if self._bvh is None:
+            self._bvh = _build_bvh(self.triangles)
+        return self._bvh
+
     def bounding_radius(self) -> float:
         return float(np.linalg.norm(self.triangles.reshape(-1, 3), axis=1).max())
+
+
+def _build_bvh(tris: np.ndarray) -> tuple:
+    """Bounding-volume hierarchy ``(lo, hi, leaves)`` over the triangles ``(n, 3, 3)``, n >= 1.
+
+    Triangles are sorted by the Morton code of their centroids (10 bits per
+    axis) and cut into leaves of BVH_LEAF: row j of ``leaves`` holds leaf j's
+    triangle ids, -1 filling the last leaf.  The box corners ``lo``/``hi``
+    form an implicit complete binary tree in heap order over ``size`` leaves,
+    the power of two at or above the leaf count: node 1 is the root, node i
+    has children 2i and 2i + 1, leaf j is node size + j, and row 0 is unused.
+    A parent box is the min/max of its children's.  Leaf boxes are padded by
+    the absolute margin ``_BVH_PAD * (1 + max |coordinate|)``; the padding
+    leaves past the last real one are empty boxes, lo = +inf and hi = -inf.
+    """
+    n = len(tris)
+    cent = tris.mean(axis=1)
+    span = np.ptp(cent, axis=0)
+    # a non-finite vertex gives arbitrary cells and nan boxes, which no slab test rules out
+    with np.errstate(invalid="ignore"):
+        cells = ((cent - cent.min(axis=0)) / np.where(span > 0.0, span, 1.0) * 1023).astype(np.int64)
+    code = np.zeros(n, dtype=np.int64)
+    for bit in range(10):
+        code |= (((cells >> bit) & 1) << (3 * bit + np.arange(3))).sum(axis=1)
+    order = np.argsort(code, kind="stable")
+    n_leaves = -(-n // BVH_LEAF)
+    leaves = np.full(n_leaves * BVH_LEAF, -1, dtype=np.intp)
+    leaves[:n] = order
+    size = 1 << (n_leaves - 1).bit_length()
+    lo, hi = np.full((2 * size, 3), np.inf), np.full((2 * size, 3), -np.inf)
+    pad = _BVH_PAD * (1.0 + np.abs(tris).max())
+    starts = np.arange(0, n, BVH_LEAF)
+    lo[size : size + n_leaves] = np.minimum.reduceat(tris.min(axis=1)[order], starts) - pad
+    hi[size : size + n_leaves] = np.maximum.reduceat(tris.max(axis=1)[order], starts) + pad
+    level = size // 2
+    while level:
+        lo[level : 2 * level] = np.minimum(lo[2 * level : 4 * level : 2], lo[2 * level + 1 : 4 * level : 2])
+        hi[level : 2 * level] = np.maximum(hi[2 * level : 4 * level : 2], hi[2 * level + 1 : 4 * level : 2])
+        level //= 2
+    return lo, hi, leaves.reshape(n_leaves, BVH_LEAF)
 
 
 def triangle_area(tri) -> np.ndarray | float:

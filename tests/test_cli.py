@@ -91,6 +91,22 @@ class TestEstimates:
         value, se = _estimate(capsys.readouterr().out)
         assert abs(value - 8.0 * math.sqrt(3.0)) < 3.0 * se
 
+    def test_clip_inside_off_tetrahedron_sees_nothing(self, tetra_off, capsys):
+        # the ball of radius 0.5 lies inside the tetrahedron, whose inradius is 1/sqrt(3)
+        with pytest.warns(UserWarning, match="truncate"):
+            assert cli.main(["area", "--surface", tetra_off, "--r", "0.5", "--m", "2000", "--seed", "6"]) == 0
+        out = capsys.readouterr().out
+        assert _estimate(out) == (0.0, 0.0)
+        assert "hits histogram  0:2000" in out
+
+    def test_clip_at_midsphere_of_off_tetrahedron(self, tetra_off, capsys):
+        # the unit sphere touches the six edges: it cuts each face in its
+        # inscribed disk, of radius sqrt(2/3), so the clipped area is 8 pi / 3
+        with pytest.warns(UserWarning, match="truncate"):
+            assert cli.main(["area", "--surface", tetra_off, "--r", "1", "--m", "20000", "--seed", "7"]) == 0
+        value, se = _estimate(capsys.readouterr().out)
+        assert abs(value - 8.0 * math.pi / 3.0) < 3.0 * se
+
     def test_area_of_expression_sphere(self, capsys):
         assert cli.main(["area", "--surface", "x^2+y^2+z^2-1", "--m", "20000", "--seed", "5"]) == 0
         value, se = _estimate(capsys.readouterr().out)

@@ -5,8 +5,18 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from croftoncloud.crofton import estimate_area, estimate_double_integral, estimate_surface_integral
+from croftoncloud import surfaces
+from croftoncloud.crofton import (
+    _bvh_pairs,
+    _mesh_hits,
+    _pair_hits,
+    estimate_area,
+    estimate_double_integral,
+    estimate_surface_integral,
+)
+from croftoncloud.geometry import sample_line_batch
 from croftoncloud.rng import Pseudo, unit_ball_volume
+from croftoncloud.samplers import _chord_half_lengths, cloud_parametric, cloud_triangulated
 from croftoncloud.surfaces import (
     ImplicitSurface,
     TriangulatedSurface,
@@ -15,6 +25,7 @@ from croftoncloud.surfaces import (
     sphere_chart,
     sphere_implicit,
     tetrahedron_mesh,
+    torus_chart,
     torus_implicit,
     triangulate_parametric,
 )
@@ -98,6 +109,25 @@ class TestEstimateArea:
         assert est.hit_histogram == {0: 20_000}
         assert est.value == 0.0
 
+    def test_explicit_clip_cuts_mesh(self):
+        # the torus chart (R = 2, r = 0.5) inside the ball of radius 2 is the
+        # inner band cos v <= -1/8 of the tube; one call warns once
+        truth = math.pi * (4.0 * math.acos(0.125) - math.sqrt(63.0) / 8.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            est = estimate_area(torus_chart(), Pseudo(1), 5000, clip_radius=2.0)
+        assert [str(w.message) for w in caught] == ["clip radius may truncate surface"]
+        assert abs(est.value - truth) < 3.0 * est.standard_error
+
+    def test_explicit_clip_inside_sphere_chart_sees_nothing(self):
+        mesh, _ = triangulate_parametric(sphere_chart())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            est = estimate_area(mesh, Pseudo(1), 5000, clip_radius=0.5)
+        assert [str(w.message) for w in caught] == ["clip radius may truncate surface"]
+        assert est.hit_histogram == {0: 5000}
+        assert est.value == 0.0
+
     def test_calibration_over_seeds(self):
         surface = sphere_implicit(clip=2.0)
         covered = 0
@@ -164,31 +194,25 @@ class TestMeshIntersections:
         mesh, _ = triangulate_parametric(plane_patch_chart(side=1.0))
         # the two triangles share the diagonal from (-.5,-.5) to (.5,.5);
         # a vertical line through a diagonal point crosses both, one hit
-        from croftoncloud.crofton import _mesh_hits
-
         dirs = np.array([[0.0, 0.0, 1.0]])
         feet = np.array([[0.1, 0.1, 0.0]])
-        counts, _, ts, _ = _mesh_hits(mesh.triangles, dirs, feet, 1.0)
+        counts, _, ts, _ = _mesh_hits(mesh, dirs, feet, 1.0)
         assert counts.tolist() == [1]
         assert abs(ts[0]) < 1e-12
 
     def test_interior_hit_counted_once_per_triangle(self):
         mesh, _ = triangulate_parametric(plane_patch_chart(side=1.0))
-        from croftoncloud.crofton import _mesh_hits
-
         dirs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         feet = np.array([[0.3, -0.2, 0.0], [-0.3, 0.2, 0.0]])
-        counts, _, _, _ = _mesh_hits(mesh.triangles, dirs, feet, 1.0)
+        counts, _, _, _ = _mesh_hits(mesh, dirs, feet, 1.0)
         assert counts.tolist() == [1, 1]
 
     def test_oblique_against_plane_formula(self):
         mesh, _ = triangulate_parametric(plane_patch_chart(side=1.0))
-        from croftoncloud.crofton import _mesh_hits
-
         d = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
         q = np.array([0.2, -0.1, 0.0])
         foot = q - (q @ d) * d
-        counts, _, ts, _ = _mesh_hits(mesh.triangles, d[None], foot[None], 1.0)
+        counts, _, ts, _ = _mesh_hits(mesh, d[None], foot[None], 1.0)
         assert counts.tolist() == [1]
         assert np.allclose(foot + ts[0] * d, q, atol=1e-12)
 
@@ -199,6 +223,169 @@ class TestMeshIntersections:
             warnings.simplefilter("error")
             est = estimate_area(mesh, Pseudo(4), 500)
         assert est.lines_used == 500
+
+
+def _soup(n):
+    """n random triangles in the cube [-1, 1]^3, one of them degenerate when n > 1."""
+    tris = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 3, 3))
+    if n > 1:
+        tris[-1, 2] = tris[-1, 1]
+    return TriangulatedSurface(tris, name=f"soup-{n}")
+
+
+def _probe_lines(mesh, seed, count):
+    """Random lines and lines that stress the BVH walk, all in foot form.
+
+    Besides *count* random lines: lines in random directions through mesh
+    vertices and edge midpoints (the EDGE_DEDUP_TOL path); axis-parallel
+    lines through vertices; and axis-parallel lines whose foot lies on a
+    face of a leaf box that the line runs along (0 * inf in the slab test).
+    Negative axis directions carry -0.0 components.
+    """
+    clip = mesh.bounding_radius() * (1.0 + 1e-6)
+    rand_dirs, rand_feet = sample_line_batch(Pseudo(seed), 3, clip, count)
+    rng = np.random.default_rng(seed)
+    tris = mesh.triangles
+    pick, corner = rng.integers(len(tris), size=count), rng.integers(3, size=count)
+    vertices = tris[pick, corner]
+    midpoints = 0.5 * (tris[pick, corner] + tris[pick, (corner + 1) % 3])
+    axis = rng.integers(3, size=count)
+    axis_dirs = np.eye(3)[axis] * rng.choice([-1.0, 1.0], size=(count, 1))
+    lo, hi, leaves = mesh.bvh
+    leaf = len(lo) // 2 + rng.integers(len(leaves), size=count)
+    # the foot: 0 along the line, on the lo or hi face across it, mid-box on the third axis
+    rows = np.arange(count)
+    across, third = (axis + 1) % 3, (axis + 2) % 3
+    face_feet = np.zeros((count, 3))
+    face_feet[rows, across] = np.where(rng.integers(2, size=count) == 1, hi[leaf, across], lo[leaf, across])
+    face_feet[rows, third] = 0.5 * (lo[leaf, third] + hi[leaf, third])
+    unit = sample_line_batch(Pseudo(seed + 1), 3, 1.0, 2 * count)[0]
+    points = np.concatenate([vertices, midpoints, vertices])
+    dirs = np.concatenate([unit, axis_dirs])
+    feet = points - (points * dirs).sum(axis=1, keepdims=True) * dirs
+    return np.concatenate([rand_dirs, dirs, axis_dirs]), np.concatenate([rand_feet, feet, face_feet])
+
+
+def _assert_matches_full_product(mesh, dirs, feet, clip):
+    """The BVH path equals the pair kernel fed every (line, triangle) pair, bit for bit."""
+    hits = 0
+    block = max(1, 200_000 // len(mesh))
+    for start in range(0, len(dirs), block):
+        d, f = dirs[start : start + block], feet[start : start + block]
+        line_ids, tri_ids = np.divmod(np.arange(len(d) * len(mesh)), len(mesh))
+        counts, ids, ts, boundary = _mesh_hits(mesh, d, f, clip)
+        want_counts, want_ids, want_ts, want_boundary = _pair_hits(mesh.triangles, d, f, clip, line_ids, tri_ids)
+        np.testing.assert_array_equal(counts, want_counts)
+        np.testing.assert_array_equal(ids, want_ids)
+        assert ts.tobytes() == want_ts.tobytes()
+        assert boundary == want_boundary
+        hits += len(ts)
+    return hits
+
+
+class TestBVHOracle:
+    @pytest.mark.parametrize("shrink", [1.0 + 1e-6, 0.6])
+    @pytest.mark.parametrize(
+        "make, lines",
+        [
+            (lambda: triangulate_parametric(torus_chart(u_res=51, v_res=101))[0], 100),
+            (lambda: triangulate_parametric(plane_patch_chart(side=1.0, u_res=21, v_res=21))[0], 200),
+            (lambda: _soup(1), 300),
+            (lambda: _soup(3), 300),
+            (lambda: _soup(7), 300),
+            (lambda: _soup(1001), 200),
+        ],
+        ids=["torus", "plane", "soup-1", "soup-3", "soup-7", "soup-1001"],
+    )
+    def test_matches_full_product(self, make, lines, shrink):
+        mesh = make()
+        dirs, feet = _probe_lines(mesh, len(mesh), lines)
+        assert _assert_matches_full_product(mesh, dirs, feet, shrink * mesh.bounding_radius()) > 0
+
+    def test_sphere_chart_matches_full_product(self):
+        # zero-area pole triangles; any numpy warning fails
+        mesh, _ = triangulate_parametric(sphere_chart())
+        dirs, feet = _probe_lines(mesh, 5, 30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _assert_matches_full_product(mesh, dirs, feet, mesh.bounding_radius() * (1.0 + 1e-6)) > 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vertex(self, bad):
+        # malformed input: the triangle with the bad vertex never hits, and nothing warns
+        tris = tetrahedron_mesh().triangles.copy()
+        tris[0, 0, 0] = bad
+        dirs, feet = sample_line_batch(Pseudo(9), 3, 2.0, 300)
+        assert _assert_matches_full_product(TriangulatedSurface(tris), dirs, feet, 2.0) > 0
+
+    def test_padding_leaves_never_pass(self):
+        # 126 leaves in a 128-leaf tree: a padding leaf passing the slab test
+        # would index past the leaf table, so the walk would raise
+        mesh = _soup(1001)
+        lo, _, leaves = mesh.bvh
+        assert len(leaves) < len(lo) // 2
+        dirs, feet = _probe_lines(mesh, 17, 400)
+        line_ids, tri_ids = _bvh_pairs(mesh.bvh, dirs, feet, _chord_half_lengths(feet, 2.0))
+        assert len(line_ids) == len(tri_ids) > 0
+        assert (tri_ids >= 0).all()
+
+    def test_line_on_a_box_face_stays_a_candidate(self):
+        # a line along axis k with its foot on the lo or hi face across axis j
+        # gives 0 * inf = nan on axis j; that axis must not rule the box out
+        mesh, _ = triangulate_parametric(torus_chart(u_res=21, v_res=41))
+        lo, hi, leaves = mesh.bvh
+        size = len(lo) // 2
+        for leaf in range(0, len(leaves), 7):
+            box = size + leaf
+            for k in range(3):
+                j, i = (k + 1) % 3, (k + 2) % 3
+                for face in (lo[box, j], hi[box, j]):
+                    for sign in (1.0, -1.0):
+                        foot = np.zeros(3)
+                        foot[j], foot[i] = face, 0.5 * (lo[box, i] + hi[box, i])
+                        dirs = sign * np.eye(3)[k][None]
+                        _, tri_ids = _bvh_pairs(mesh.bvh, dirs, foot[None], np.array([np.inf]))
+                        assert set(leaves[leaf][leaves[leaf] >= 0]) <= set(tri_ids)
+
+    def test_walk_tests_few_pairs(self):
+        # on the 10,000-triangle torus mesh a line meets about 80 candidate triangles
+        mesh, _ = triangulate_parametric(torus_chart(u_res=51, v_res=101))
+        clip = mesh.bounding_radius() * (1.0 + 1e-6)
+        dirs, feet = sample_line_batch(Pseudo(2), 3, clip, 200)
+        line_ids, _ = _bvh_pairs(mesh.bvh, dirs, feet, _chord_half_lengths(feet, clip))
+        assert len(line_ids) < 0.02 * 200 * len(mesh)
+
+
+class TestBVHBuild:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = surfaces._build_bvh
+
+        def counting(tris):
+            calls.append(len(tris))
+            return build(tris)
+
+        monkeypatch.setattr(surfaces, "_build_bvh", counting)
+        return calls
+
+    def test_samplers_never_build(self, builds):
+        chart = torus_chart(u_res=21, v_res=41)
+        mesh, _ = triangulate_parametric(chart)
+        assert mesh.total_area > 0.0
+        cloud_triangulated(mesh, Pseudo(1), 2000)
+        cloud_parametric(chart, Pseudo(2), 2000)
+        assert builds == []
+
+    def test_one_build_per_mesh(self, builds):
+        # 2,000,000 // 10,000 = 200 lines per chunk, so every call spans several chunks
+        mesh, _ = triangulate_parametric(torus_chart(u_res=51, v_res=101))
+        estimate_area(mesh, Pseudo(1), 500)
+        estimate_area(mesh, Pseudo(2), 500)
+        estimate_surface_integral(mesh, lambda p: p[:, 2] ** 2, Pseudo(3), 500)
+        estimate_double_integral(mesh, lambda p, q: np.ones(len(p)), Pseudo(4), 250)
+        assert builds == [10_000]
+        assert mesh.bvh is mesh.bvh
 
 
 class TestDirectionalJacobianConstant:

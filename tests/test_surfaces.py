@@ -129,6 +129,36 @@ class TestTriangulateParametric:
             triangulate_parametric(surface)
 
 
+class TestBVH:
+    @pytest.mark.parametrize("n", [1, 3, 7, 8, 9, 17, 1001])
+    def test_layout(self, n):
+        tris = np.random.default_rng(n).uniform(-2.0, 2.0, (n, 3, 3))
+        lo, hi, leaves = surfaces._build_bvh(tris)
+        size, n_leaves = len(lo) // 2, -(-n // surfaces.BVH_LEAF)
+        assert leaves.shape == (n_leaves, surfaces.BVH_LEAF)
+        assert size >= n_leaves > size // 2 or size == n_leaves == 1
+        # every triangle sits in exactly one leaf, strictly inside its padded box
+        ids = leaves.ravel()
+        assert sorted(ids[ids >= 0]) == list(range(n)) and (ids[n:] == -1).all()
+        box = size + np.arange(n) // surfaces.BVH_LEAF
+        assert (tris[ids[:n]].min(axis=1) > lo[box]).all() and (tris[ids[:n]].max(axis=1) < hi[box]).all()
+        # parents are the min/max of their children, padding leaves are empty
+        inner = np.arange(1, size)
+        assert np.array_equal(lo[inner], np.minimum(lo[2 * inner], lo[2 * inner + 1]))
+        assert np.array_equal(hi[inner], np.maximum(hi[2 * inner], hi[2 * inner + 1]))
+        assert np.isposinf(lo[size + n_leaves :]).all() and np.isneginf(hi[size + n_leaves :]).all()
+
+    def test_morton_order_keeps_leaves_local(self):
+        # shuffled sphere triangles: in input order a leaf of 8 would span the
+        # whole sphere; sorted by Morton code it spans a few grid cells
+        mesh, _ = triangulate_parametric(sphere_chart(u_res=33, v_res=65))
+        tris = mesh.triangles[np.random.default_rng(0).permutation(len(mesh))]
+        lo, hi, leaves = surfaces._build_bvh(tris)
+        size = len(lo) // 2
+        extent = (hi[size : size + len(leaves)] - lo[size : size + len(leaves)]).max(axis=1)
+        assert np.median(extent) < 0.5
+
+
 class TestValidate:
     def test_tetrahedron_is_closed(self):
         report = validate(tetrahedron_mesh())
