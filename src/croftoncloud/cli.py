@@ -9,12 +9,8 @@ tetrahedron, pyramid), by a field expression in x, y, z (the zero level set
 is used), or by a mesh path (.off / .stl).  Exit codes: 0 ok, 1 usage or
 input error, 2 numeric failure, 3 audit failure.
 
-Set CROFTONCLOUD_THREADS=k to shard generation over k worker streams:
-shard i draws its share of the n points from seed + i, and the shards are
-concatenated in shard order.  So a file depends on the seed, the
-configuration and the thread count (recorded as ``threads`` in its
-metadata), never on timing; shard 1 of --seed 0 replays the stream of
---seed 1.
+``generate`` draws from the one stream of --seed, so a file depends on the
+seed and the configuration only.
 """
 
 from __future__ import annotations
@@ -24,19 +20,18 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__, cloudio, crofton, expr, meshio, samplers, stats, surfaces
-from .rng import Pseudo, RejectionCapExceeded
+from .rng import Pseudo
 from .samplers import ImplicitSamplerConfig, PointCloud, SurfaceNotFound
 
 USAGE_ERROR = 1
 NUMERIC_ERROR = 2
 AUDIT_FAILURE = 3
 
-_NUMERIC_ERRORS = (SurfaceNotFound, RejectionCapExceeded, FloatingPointError, np.linalg.LinAlgError)
+_NUMERIC_ERRORS = (SurfaceNotFound, FloatingPointError, np.linalg.LinAlgError)
 
 
 class UsageError(Exception):
@@ -150,37 +145,16 @@ def _resolve_surface(spec: str, clip: float | None, res: int | None, forms: tupl
     raise UsageError(f"surface {spec!r} has no {' or '.join(forms)} form; it works with {usable}")
 
 
-def _shard_sizes(total: int, shards: int) -> list[int]:
-    base, extra = divmod(total, shards)
-    return [base + (1 if i < extra else 0) for i in range(shards)]
-
-
 def _generate_cloud(args, config) -> PointCloud:
-    threads = max(1, int(os.environ.get("CROFTONCLOUD_THREADS", "1")))
-    surface, clip = _resolve_surface(args.surface, args.r, args.res, (_SAMPLER_FORMS[args.sampler],))
-
-    def run_shard(seed: int, count: int) -> PointCloud:
-        src = Pseudo(seed)
-        if args.sampler == "crofton":
-            return samplers.cloud_implicit(surface, src, count, config)
-        if args.sampler == "axis-aligned":
-            return samplers.cloud_axis_aligned(surface, src, count, config)
-        if args.sampler == "triangulated":
-            return samplers.cloud_triangulated(surface, src, count)
-        return samplers.cloud_parametric(surface, src, count)
-
-    if threads == 1:
-        return run_shard(args.seed, args.n)
-    sizes = _shard_sizes(args.n, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        shards = list(pool.map(run_shard, [args.seed + i for i in range(threads)], sizes))
-    positions = np.concatenate([c.positions for c in shards])
-    normals = None
-    if all(c.normals is not None for c in shards):
-        normals = np.concatenate([c.normals for c in shards])
-    merged = PointCloud(positions=positions, normals=normals)
-    merged.lines_used = sum(c.lines_used for c in shards)
-    return merged
+    surface, _ = _resolve_surface(args.surface, args.r, args.res, (_SAMPLER_FORMS[args.sampler],))
+    src = Pseudo(args.seed)
+    if args.sampler == "crofton":
+        return samplers.cloud_implicit(surface, src, args.n, config)
+    if args.sampler == "axis-aligned":
+        return samplers.cloud_axis_aligned(surface, src, args.n, config)
+    if args.sampler == "triangulated":
+        return samplers.cloud_triangulated(surface, src, args.n)
+    return samplers.cloud_parametric(surface, src, args.n)
 
 
 def cmd_generate(args) -> int:
@@ -196,7 +170,6 @@ def cmd_generate(args) -> int:
         "n": args.n,
         "scan_steps": args.scan_steps,
         "root_tol": args.root_tol,
-        "threads": os.environ.get("CROFTONCLOUD_THREADS", "1"),
     }
     if args.r is not None:
         meta["r"] = args.r

@@ -155,10 +155,10 @@ def _resolve(surface, clip_radius, config):
     """``(hits, clip, chunk)`` for *surface*: line-hits function, clip radius, lines per chunk.
 
     Implicit surfaces are scanned; meshes, and charts through their grid
-    triangulation, go through :func:`_mesh_hits`.  Its chunks of
-    2M / triangles lines bound the candidate pair arrays near 2M entries in
-    the worst case, where every triangle is a candidate of every line; the
-    chunk size is part of the seeded configuration.
+    triangulation (built once per chart), go through :func:`_mesh_hits`.
+    Its chunks of 2M / triangles lines bound the candidate pair arrays near
+    2M entries in the worst case, where every triangle is a candidate of
+    every line.  Chunk sizes bound memory only; seeded output ignores them.
     """
     if isinstance(surface, ImplicitSurface):
         # the scan runs over chords of the surface's own clip ball, so an explicit clip replaces it

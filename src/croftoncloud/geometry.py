@@ -25,11 +25,6 @@ __all__ = [
     "unit_sphere_area",
 ]
 
-# squared-sum threshold below which direction + e_n counts as zero: the
-# reflection that takes e_n to the direction is then undefined
-ANTIPODAL_TOL = 1e-16
-
-
 def unit_sphere_area(n: int) -> float:
     """Surface area of the unit (n-1)-sphere in R^n: 2 pi^(n/2) / Gamma(n/2)."""
     if n < 1:
@@ -52,47 +47,30 @@ def kinematic_mass(n: int, r: float) -> float:
     return unit_sphere_area(n) * rng.unit_ball_volume(n - 1) * r ** (n - 1)
 
 
-def _fill_feet(src: ScalarSource, dirs: np.ndarray, r: float) -> np.ndarray:
-    """Feet uniform in the radius-r ball orthogonal to each direction.
-
-    Samples the standard (n-1)-ball in the hyperplane x_n = 0 and maps it
-    with the rotation R taking e_n to the direction v while fixing the
-    orthocomplement of both.  R is the composition of the reflections in
-    s = e_n + v and in v:
-
-        R = I + 2 v e_n^T - (2 / <s, s>) s s^T.
-
-    Because ball points d have zero last component, e_n^T d = 0 and R d
-    collapses to d - (2 <s, d> / <s, s>) s.  R is undefined for v = -e_n
-    (<s, s> = 0); such directions are redrawn.
-    """
-    count, n = dirs.shape
-    feet = np.empty((count, n))
-    pending = np.arange(count)
-    while pending.size:
-        v = dirs[pending]
-        disk = rng.sample_ball(src, n - 1, size=len(pending)) * r
-        s = v.copy()
-        s[:, -1] += 1.0
-        s_dot_s = (s * s).sum(axis=1)
-        ok = s_dot_s > ANTIPODAL_TOL
-        d = np.zeros((len(pending), n))
-        d[:, :-1] = disk
-        coeff = 2.0 * (s[:, :-1] * disk).sum(axis=1) / np.where(ok, s_dot_s, 1.0)
-        feet[pending[ok]] = (d - coeff[:, None] * s)[ok]
-        if ok.all():
-            break
-        # direction antipodal to e_n: resample those directions and retry
-        bad = pending[~ok]
-        dirs[bad] = rng.sample_sphere(src, n, size=len(bad))
-        pending = bad
-    return feet
+def _reflect_feet(dirs: np.ndarray, disk: np.ndarray) -> np.ndarray:
+    """Feet ``(count, n)`` orthogonal to *dirs*, from (n-1)-ball points *disk*; see :func:`sample_line_batch`."""
+    s = dirs.copy()
+    s[:, -1] += np.where(dirs[:, -1] < 0.0, -1.0, 1.0)
+    d = np.zeros_like(dirs)
+    d[:, :-1] = disk
+    coeff = 2.0 * (s[:, :-1] * disk).sum(axis=1) / (s * s).sum(axis=1)
+    return d - coeff[:, None] * s
 
 
 def sample_line_batch(src: ScalarSource, n: int, r: float, count: int):
-    """Draw *count* kinematic-measure lines; returns (directions, feet)."""
+    """Draw *count* kinematic-measure lines; returns (directions, feet).
+
+    Line j reads scalars (2n + 1) j .. (2n + 1) j + 2n alone, whatever
+    *count* is: n + n % 2 give its direction v as in rng.sample_sphere, the
+    rest a point d of the radius-r (n-1)-ball as in rng.sample_ball, placed
+    in x_n = 0.  The foot d - (2 <s, d> / <s, s>) s is d reflected in
+    s = v + sign(v_n) e_n (sign(0) = +1).  That reflection swaps v and
+    -sign(v_n) e_n, so it maps the hyperplane orthogonal to e_n onto the one
+    orthogonal to v and keeps |foot| = |d|; <s, s> >= 2 keeps full
+    precision for every direction.
+    """
     if r <= 0.0:
         raise ValueError(f"clip radius must be positive, got {r}")
-    dirs = rng.sample_sphere(src, n, size=count)
-    return dirs, _fill_feet(src, dirs, r)
-
+    xi = src.take(count * (2 * n + 1)).reshape(count, 2 * n + 1)
+    dirs = rng._sphere_points(xi[:, : n + n % 2], n)
+    return dirs, _reflect_feet(dirs, rng._ball_points(xi[:, n + n % 2 :], n - 1) * r)

@@ -12,8 +12,9 @@ stream of values in ``[0, 1)``.  Three kinds are provided:
 
 On top of the raw streams sit the standard combinators: affine box sampling,
 rejection, weighted unions, and the unit ball / sphere / normal samplers.
-Batch draws (``size=k``) consume the stream in documented round order;
-given the same source state they are fully deterministic.
+Each point of a batch draw (``size=k``) reads its own fixed block of
+scalars, so point i depends on the source state and i alone, never on the
+batch size.  :func:`sample_rejection` is the one variable-count combinator.
 """
 
 from __future__ import annotations
@@ -47,11 +48,6 @@ _MIX_2 = np.uint64(0x94D049BB133111EB)
 
 #: Default cap on attempts per rejection-sampled point.
 DEFAULT_REJECTION_CAP = 10_000
-
-#: Dimension at and above which ball/sphere sampling switches from cube
-#: rejection to the Gaussian route (cube acceptance decays like kappa_n/2^n).
-GAUSSIAN_CUTOFF = 5
-
 
 class RejectionCapExceeded(RuntimeError):
     """Raised when rejection sampling exhausts its attempt budget."""
@@ -244,71 +240,62 @@ def sample_union(src: ScalarSource, parts):
     return parts[index][1](src)
 
 
-def _ball_accept(points):
-    sq = (points * points).sum(axis=-1)
-    return (sq < 1.0) & (sq > 0.0)
+def _open_unit(u: np.ndarray) -> np.ndarray:
+    """Scalars clamped into (0, 1) for logarithms and radii, with room for a unit vector's rounding below 1."""
+    return np.clip(u, 2.0**-54, 1.0 - 2.0**-45)
+
+
+def _gaussian_pairs(xi: np.ndarray) -> np.ndarray:
+    """Box-Muller: columns 2k, 2k + 1 of *xi* (count, even width) give two independent standard normals."""
+    radius = np.sqrt(-2.0 * np.log(_open_unit(xi[:, 0::2])))
+    angle = 2.0 * np.pi * xi[:, 1::2]
+    return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1).reshape(xi.shape)
+
+
+def _sphere_points(xi: np.ndarray, n: int) -> np.ndarray:
+    """Rows of *xi* (count, n + n % 2) as uniform unit vectors of R^n: n normals, normalized (never 0)."""
+    z = _gaussian_pairs(xi)[:, :n]
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def _ball_points(xi: np.ndarray, n: int) -> np.ndarray:
+    """Rows of *xi* (count, n + n % 2 + 1) as points of the open punctured unit n-ball, radius u**(1/n) last."""
+    return _sphere_points(xi[:, :-1], n) * _open_unit(xi[:, -1:] ** (1.0 / n))
 
 
 def sample_ball(src: ScalarSource, n: int, size: int | None = None) -> np.ndarray:
     """Uniform point(s) of the open punctured unit n-ball.
 
-    Cube rejection below :data:`GAUSSIAN_CUTOFF`; above, a sphere point
-    scaled by u**(1/n) (the radial inverse CDF).
+    Point i reads scalars i*w .. i*w + w - 1, w = n + n % 2 + 1: a unit
+    vector as :func:`sample_sphere` draws it, then its radius.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     count = 1 if size is None else int(size)
-    if n < GAUSSIAN_CUTOFF:
-        pts, _ = sample_rejection(src, BoxDomain.cube(n), _ball_accept, size=count)
-    else:
-        sphere = sample_sphere(src, n, size=count)
-        u = src.take(count)
-        pts = sphere * (u ** (1.0 / n))[:, None]
+    width = n + n % 2 + 1
+    pts = _ball_points(src.take(count * width).reshape(count, width), n)
     return pts[0] if size is None else pts
 
 
 def sample_sphere(src: ScalarSource, n: int, size: int | None = None) -> np.ndarray:
     """Uniform unit vector(s) on the (n-1)-sphere.
 
-    Low dimension: normalized ball rejection.  n >= GAUSSIAN_CUTOFF:
-    normalized vector of independent standard normal deviates (rotation
-    invariant, so uniform on the sphere at any dimension).
+    Point i reads scalars i*w .. i*w + w - 1, w = n + n % 2, and normalizes
+    the first n of the standard normals they give (rotation invariant, so
+    uniform on the sphere at any dimension).
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
     count = 1 if size is None else int(size)
-    if n < GAUSSIAN_CUTOFF:
-        pts, _ = sample_rejection(src, BoxDomain.cube(n), _ball_accept, size=count)
-    else:
-        pts = standard_normals(src, count * n).reshape(count, n)
-        # renormalize near-zero rows by redrawing; probability ~ 0
-        while True:
-            norms = np.linalg.norm(pts, axis=1)
-            bad = norms < 1e-12
-            if not bad.any():
-                break
-            pts[bad] = standard_normals(src, int(bad.sum()) * n).reshape(-1, n)
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    width = n + n % 2
+    pts = _sphere_points(src.take(count * width).reshape(count, width), n)
     return pts[0] if size is None else pts
 
 
 def standard_normals(src: ScalarSource, count: int) -> np.ndarray:
-    """Batched polar-method normals; pairs are kept in acceptance order."""
-    chunks: list[np.ndarray] = []
-    have = 0
-    while have < count:
-        pairs_needed = (count - have + 1) // 2
-        # acceptance ratio is pi/4; 1.2x headroom keeps round count small
-        m = int(pairs_needed / 0.78) + 8
-        uv = 2.0 * src.take(2 * m).reshape(m, 2) - 1.0
-        s = (uv * uv).sum(axis=1)
-        ok = (s > 0.0) & (s < 1.0)
-        uv, s = uv[ok], s[ok]
-        factor = np.sqrt(-2.0 * np.log(s) / s)
-        z = (uv * factor[:, None]).reshape(-1)
-        chunks.append(z)
-        have += len(z)
-    return np.concatenate(chunks)[:count]
+    """Box-Muller normals: normals 2k and 2k + 1 read scalars 2k and 2k + 1."""
+    pairs = -(-int(count) // 2)
+    return _gaussian_pairs(src.take(2 * pairs).reshape(pairs, 2)).reshape(-1)[:count]
 
 
 def unit_ball_volume(n: int) -> float:

@@ -8,7 +8,7 @@ region is proportional to that region's area, the appended sequence is
 equidistributed on the surface.
 
 Triangulated surfaces: pick a triangle through the cumulative-area table,
-then place a point by rejection-sampled barycentric coordinates.
+then place a point by barycentric coordinates folded into the simplex.
 
 Parametric surfaces: same selection over the grid triangulation, but the
 simplex point is pushed through the chart applied to the parameter-space
@@ -50,7 +50,7 @@ __all__ = [
     "SurfaceNotFound",
 ]
 
-#: lines per chunk of the implicit clouds and estimators; part of the seeded configuration
+#: lines per chunk of the implicit clouds and estimators; it bounds memory, and seeded output does not depend on it
 DEFAULT_LINE_CHUNK = 8192
 #: lines a cloud draws without a single hit before raising SurfaceNotFound
 MAX_EMPTY_LINES = 200_000
@@ -124,17 +124,17 @@ def _field_on_grid(surface: ImplicitSurface, dirs, feet, t_grid):
 
 
 def _refine_bisection(surface, dirs, feet, t_lo, t_hi, g_lo, cfg):
-    width = t_hi - t_lo
+    # a bracket stops once it is 2 root_tol wide, so its rounds never depend on the other brackets of its batch
     for _ in range(MAX_REFINE):
-        if not (width > 2.0 * cfg.root_tol).any():
+        live = t_hi - t_lo > 2.0 * cfg.root_tol
+        if not live.any():
             break
         t_mid = 0.5 * (t_lo + t_hi)
         g_mid = np.asarray(surface.field(feet + t_mid[:, None] * dirs))
         low_side = g_lo * g_mid > 0.0
-        t_lo = np.where(low_side, t_mid, t_lo)
-        g_lo = np.where(low_side, g_mid, g_lo)
-        t_hi = np.where(low_side, t_hi, t_mid)
-        width = t_hi - t_lo
+        t_lo = np.where(live & low_side, t_mid, t_lo)
+        g_lo = np.where(live & low_side, g_mid, g_lo)
+        t_hi = np.where(live & ~low_side, t_mid, t_hi)
     return 0.5 * (t_lo + t_hi)
 
 
@@ -282,10 +282,10 @@ def cloud_implicit(
     """Equidistributed cloud of at least *n_points* points on the level set.
 
     Lines are drawn from the kinematic measure in chunks of
-    :data:`DEFAULT_LINE_CHUNK`; generation stops at the end
-    of the line that reaches the target, so the cloud may exceed it by the
-    final line's hit count.  Warns when hits fall at the clip sphere, where
-    the clip ball may cut the surface.
+    :data:`DEFAULT_LINE_CHUNK`, line j the same whatever the chunk size;
+    generation stops at the end of the line that reaches the target, so the
+    cloud may exceed it by the final line's hit count.  Warns when hits fall
+    at the clip sphere, where the clip ball may cut the surface.
     """
 
     def draw(s, count):
@@ -307,12 +307,14 @@ def cloud_axis_aligned(
     """
 
     def draw(s, count):
-        picks = np.minimum((s.take(count) * 6.0).astype(np.int64), 5)
+        # line j reads scalars 4j .. 4j + 3: its signed axis, then its disk point
+        xi = s.take(4 * count).reshape(count, 4)
+        picks = np.minimum((xi[:, 0] * 6.0).astype(np.int64), 5)
         axes = picks >> 1
         signs = np.where(picks & 1, -1.0, 1.0)
         dirs = np.zeros((count, 3))
         dirs[np.arange(count), axes] = signs
-        disk = rng.sample_ball(s, 2, size=count) * surface.clip_radius
+        disk = rng._ball_points(xi[:, 1:], 2) * surface.clip_radius
         feet = np.zeros((count, 3))
         feet[np.arange(count), (axes + 1) % 3] = disk[:, 0]
         feet[np.arange(count), (axes + 2) % 3] = disk[:, 1]
@@ -331,26 +333,19 @@ def _select_triangles(src: ScalarSource, cumulative: np.ndarray, count: int) -> 
 
 
 def _simplex_points(src: ScalarSource, count: int):
-    """(u, v) uniform on the standard 2-simplex by pairwise rejection."""
-    u = np.empty(count)
-    v = np.empty(count)
-    pending = np.arange(count)
-    while pending.size:
-        pairs = src.take(2 * len(pending)).reshape(-1, 2)
-        ok = pairs.sum(axis=1) <= 1.0
-        u[pending[ok]] = pairs[ok, 0]
-        v[pending[ok]] = pairs[ok, 1]
-        pending = pending[~ok]
-    return u, v
+    """(u, v) uniform on the 2-simplex from scalars 2i, 2i + 1; pairs above u + v = 1 fold to (1 - u, 1 - v)."""
+    u, v = src.take(2 * count).reshape(count, 2).T
+    above = u + v > 1.0
+    return np.where(above, 1.0 - u, u), np.where(above, 1.0 - v, v)
 
 
 def cloud_triangulated(surface: TriangulatedSurface, src: ScalarSource, n_points: int) -> PointCloud:
     """Cloud of exactly *n_points* area-weighted points on the triangle list.
 
     Point i scales scalar i to the cumulative-area table to pick its
-    triangle; barycentric coordinates are then drawn by simplex rejection
-    (redraw rounds for rejected pairs).  Normals are the flat per-triangle
-    normals oriented by vertex order.
+    triangle; scalars n_points + 2i and n_points + 2i + 1 then give its
+    barycentric coordinates.  Normals are the flat per-triangle normals
+    oriented by vertex order.
     """
     if n_points < 1:
         raise ValueError("target point count must be at least 1")

@@ -92,13 +92,14 @@ class ImplicitSurface:
         return grad
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParametricSurface:
     """Chart ``(u, v) -> R^3`` over a rectangle, with its grid resolution.
 
     The chart must accept equal-shape arrays ``u, v`` and return an
     ``(..., 3)`` array.  ``u_res`` and ``v_res`` count grid points per axis
-    (so there are ``u_res - 1`` by ``v_res - 1`` cells).
+    (so there are ``u_res - 1`` by ``v_res - 1`` cells).  Frozen, so the
+    triangulation cached on it stays valid.
     """
 
     chart: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -106,6 +107,7 @@ class ParametricSurface:
     u_res: int
     v_res: int
     name: str = ""
+    _triangulation: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.domain.dim != 2:
@@ -231,8 +233,15 @@ def triangulate_parametric(surface: ParametricSurface):
     Returns ``(mesh, parameter_triangles)`` where ``parameter_triangles`` has
     shape ``(n, 3, 2)`` and row i holds the (u, v) vertices whose chart
     images are the vertices of mesh triangle i.  Every mesh vertex is the
-    chart image of a grid point, so it lies exactly on the surface.
+    chart image of a grid point, so it lies exactly on the surface.  Built
+    on first use and cached on the surface, like the mesh's BVH; read-only.
     """
+    if surface._triangulation is None:
+        object.__setattr__(surface, "_triangulation", _triangulate_grid(surface))
+    return surface._triangulation
+
+
+def _triangulate_grid(surface: ParametricSurface):
     us, vs = _parameter_grid(surface)
     uu, vv = np.meshgrid(us, vs, indexing="ij")
     grid = np.asarray(surface.chart(uu, vv), dtype=np.float64)
@@ -262,8 +271,8 @@ def triangulate_parametric(surface: ParametricSurface):
     lower_p = np.stack([p00, p10, p11], axis=1)
     tris = np.concatenate([upper[:, None], lower[:, None]], axis=1).reshape(-1, 3, 3)
     params = np.concatenate([upper_p[:, None], lower_p[:, None]], axis=1).reshape(-1, 3, 2)
-    mesh = TriangulatedSurface(tris, name=surface.name or "parametric")
-    return mesh, params
+    tris.flags.writeable = params.flags.writeable = False
+    return TriangulatedSurface(tris, name=surface.name or "parametric"), params
 
 
 @dataclass

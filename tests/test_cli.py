@@ -62,17 +62,18 @@ class TestGenerateAndAudit:
         assert "surface not found" in capsys.readouterr().err
         assert not output.exists()
 
-    def test_two_thread_generate_is_reproducible(self, tmp_path, monkeypatch):
-        # shards draw from seed + i, so the file depends on the thread count but not on timing
-        monkeypatch.setenv("CROFTONCLOUD_THREADS", "2")
+    def test_generate_ignores_thread_variable(self, tmp_path, monkeypatch):
+        # a file depends on the seed and the configuration only
+        monkeypatch.delenv("CROFTONCLOUD_THREADS", raising=False)
         paths = [tmp_path / f"s{i}.xyz" for i in range(2)]
         for path in paths:
             assert cli.main(["generate", "--surface", "sphere", "--n", "3001", "-o", str(path)]) == 0
+            monkeypatch.setenv("CROFTONCLOUD_THREADS", "2")
         assert paths[0].read_bytes() == paths[1].read_bytes()
         positions, normals, meta = cloudio.read_cloud(str(paths[0]))
         assert len(positions) >= 3001 and normals.shape == positions.shape
         assert np.allclose(np.linalg.norm(positions, axis=1), 1.0, atol=1e-9)
-        assert meta["threads"] == "2"
+        assert "threads" not in meta
 
     def test_method_option_is_gone(self, tmp_path):
         output = str(tmp_path / "s.xyz")

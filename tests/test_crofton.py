@@ -387,6 +387,21 @@ class TestBVHBuild:
         assert builds == [10_000]
         assert mesh.bvh is mesh.bvh
 
+    def test_one_triangulation_per_chart(self, builds, monkeypatch):
+        grids = []
+        triangulate = surfaces._triangulate_grid
+
+        def counting(surface):
+            grids.append(surface.name)
+            return triangulate(surface)
+
+        monkeypatch.setattr(surfaces, "_triangulate_grid", counting)
+        chart = torus_chart(u_res=21, v_res=41)
+        cloud_parametric(chart, Pseudo(1), 2000)
+        estimate_area(chart, Pseudo(2), 500)
+        estimate_surface_integral(chart, lambda p: p[:, 2] ** 2, Pseudo(3), 500)
+        assert grids == ["torus"] and builds == [1600]
+
 
 class TestDirectionalJacobianConstant:
     def test_absolute_cosine_integral_over_sphere(self):

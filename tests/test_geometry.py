@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from croftoncloud.geometry import (
-    _fill_feet,
+    _reflect_feet,
     kinematic_mass,
     sample_line_batch,
     unit_sphere_area,
 )
 from croftoncloud.rng import Pseudo, sample_ball
 
-from conftest import binomial_sigma
+from conftest import ScriptedSource, binomial_sigma
 
 
 def unit_vectors(dim=3):
@@ -26,40 +26,48 @@ def unit_vectors(dim=3):
 
 
 def _disk(seed, count, r):
-    """The disk points _fill_feet draws first from Pseudo(seed), in the plane z = 0."""
-    return np.hstack([sample_ball(Pseudo(seed), 2, size=count) * r, np.zeros((count, 1))])
+    """Points of the radius-r disk, drawn from Pseudo(seed)."""
+    return sample_ball(Pseudo(seed), 2, size=count) * r
 
 
-class TestRotation:
-    """The rotation taking e_3 to each direction, as _fill_feet applies it to disk points."""
+def _in_plane(disk):
+    return np.hstack([disk, np.zeros((len(disk), 1))])
+
+
+class TestReflection:
+    """_reflect_feet: disk points of the plane z = 0 reflected into the plane orthogonal to each direction."""
 
     def test_identity_when_equal(self):
         dirs = np.tile([0.0, 0.0, 1.0], (50, 1))
-        assert np.array_equal(_fill_feet(Pseudo(1), dirs, 1.5), _disk(1, 50, 1.5))
+        disk = _disk(1, 50, 1.5)
+        assert np.array_equal(_reflect_feet(dirs, disk), _in_plane(disk))
 
     def test_e3_to_e1_closed_form(self):
+        # for v_3 >= 0 the reflection agrees with the rotation taking e_3 to v
         dirs = np.tile([1.0, 0.0, 0.0], (50, 1))
         rot = np.array([[0, 0, 1], [0, 1, 0], [-1, 0, 0.0]])
-        assert np.array_equal(_fill_feet(Pseudo(2), dirs, 1.5), _disk(2, 50, 1.5) @ rot.T)
-
-    def test_antipodal_direction_redrawn(self):
-        # no rotation fixing the orthocomplement takes e_3 to -e_3
-        dirs = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])
-        feet = _fill_feet(Pseudo(3), dirs, 1.0)
-        assert dirs[0].tolist() != [0.0, 0.0, -1.0]
-        assert abs(np.linalg.norm(dirs[0]) - 1.0) < 1e-12
-        assert abs(dirs[0] @ feet[0]) < 1e-12
-        assert np.linalg.norm(feet, axis=1).max() < 1.0
+        disk = _disk(2, 50, 1.5)
+        assert np.array_equal(_reflect_feet(dirs, disk), _in_plane(disk) @ rot.T)
 
     @given(unit_vectors(), st.integers(0, 2**32))
     @settings(max_examples=300, deadline=None)
     def test_contract_on_random_pairs(self, v, seed):
-        # float64 reflection: the orthogonality error grows like 1e-16 / |v + e_3|
-        if float((v[2] + 1.0) ** 2 + v[0] ** 2 + v[1] ** 2) <= 1e-8:
-            return
-        foot = _fill_feet(Pseudo(seed), v[None].copy(), 1.0)[0]
-        assert abs(np.linalg.norm(foot) - np.linalg.norm(_disk(seed, 1, 1.0))) < 1e-12
-        assert abs(foot @ v) < 1e-12
+        disk = _disk(seed, 1, 1.0)
+        foot = _reflect_feet(v[None], disk)[0]
+        assert abs(foot @ v) <= 1e-14
+        assert abs(np.linalg.norm(foot) - np.linalg.norm(disk)) <= 1e-15
+
+    @pytest.mark.parametrize("angle", [1e-4, 2e-6, 1e-7, 0.0])
+    def test_near_antipodal_directions(self, angle):
+        # s = v - e_3 has <s, s> >= 2, so directions near -e_3 keep full precision
+        azimuth = np.linspace(0.0, 2.0 * np.pi, 200, endpoint=False)
+        dirs = np.stack(
+            [np.sin(angle) * np.cos(azimuth), np.sin(angle) * np.sin(azimuth), -np.cos(angle) * np.ones(200)], axis=1
+        )
+        disk = _disk(3, 200, 2.0)
+        feet = _reflect_feet(dirs, disk)
+        assert np.abs((feet * dirs).sum(axis=1)).max() <= 1e-14 * 2.0
+        assert np.abs(np.linalg.norm(feet, axis=1) - np.linalg.norm(disk, axis=1)).max() <= 1e-15 * 2.0
 
 
 class TestKinematicMass:
@@ -136,23 +144,49 @@ class TestLineSampling:
             assert abs(inner - n * 0.25) < 3.0 * binomial_sigma(n, 0.25)
 
     def test_foot_matches_explicit_rotation(self):
-        # the collapsed formula equals applying the full two-reflection matrix
-        # R = I + 2 v e_3^T - (2 / <s, s>) s s^T, s = e_3 + v, which takes e_3 to v
+        # the collapsed formula equals applying the full reflection matrix
+        # H = I - (2 / <s, s>) s s^T, s = v + sign(v_3) e_3, which takes -sign(v_3) e_3 to v;
+        # for v_3 >= 0, H agrees on the plane z = 0 with the rotation taking e_3 to v
         dirs, feet = sample_line_batch(Pseudo(8), 3, 1.5, 200)
         e3 = np.array([0.0, 0.0, 1.0])
+        assert (dirs[:, 2] < 0.0).any() and (dirs[:, 2] > 0.0).any()
         for v, p in zip(dirs, feet):
-            s = e3 + v
-            rot = np.eye(3) + 2.0 * np.outer(v, e3) - (2.0 / (s @ s)) * np.outer(s, s)
-            assert np.linalg.norm(rot @ e3 - v) < 1e-12
-            back = rot.T @ p
-            assert abs(back[2]) < 1e-9
-            assert np.linalg.norm(rot @ back - p) < 1e-12
+            sign = 1.0 if v[2] >= 0.0 else -1.0
+            s = v + sign * e3
+            h = np.eye(3) - (2.0 / (s @ s)) * np.outer(s, s)
+            assert np.linalg.norm(h @ (-sign * e3) - v) < 1e-12
+            disk = h @ p
+            assert abs(disk[2]) < 1e-12
+            assert np.linalg.norm(h @ disk - p) < 1e-12
+            if sign > 0.0:
+                rot = np.eye(3) + 2.0 * np.outer(v, e3) - (2.0 / (s @ s)) * np.outer(s, s)
+                assert np.linalg.norm(rot @ disk - p) < 1e-12
 
     def test_general_dimension_contract(self):
         dirs, feet = sample_line_batch(Pseudo(9), 4, 1.0, 500)
         assert np.abs((dirs * feet).sum(axis=1)).max() < 1e-10 * 2.0
         assert np.linalg.norm(feet, axis=1).max() < 1.0
         assert np.abs(np.linalg.norm(dirs, axis=1) - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_line_j_does_not_depend_on_batch_split(self, n):
+        whole = sample_line_batch(Pseudo(20 + n), n, 1.5, 10_000)
+        src = Pseudo(20 + n)
+        parts = [sample_line_batch(src, n, 1.5, count) for count in (1, 999, 9_000)]
+        for k in range(2):
+            assert np.array_equal(whole[k], np.concatenate([part[k] for part in parts]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("scalar", [0.0, 1.0 - 2.0**-53])
+    def test_extreme_scalar_blocks(self, n, scalar):
+        # every scalar of every line's block at either end of [0, 1)
+        r = 1.5
+        dirs, feet = sample_line_batch(ScriptedSource([scalar] * (2 * n + 1) * 3), n, r, 3)
+        assert np.isfinite(dirs).all() and np.isfinite(feet).all()
+        assert np.abs(np.linalg.norm(dirs, axis=1) - 1.0).max() < 1e-15
+        radii = np.linalg.norm(feet, axis=1)
+        assert (radii > 0.0).all() and (radii < r).all()
+        assert np.abs((dirs * feet).sum(axis=1)).max() < 1e-14 * r
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_feet_in_general_dimension(self, n):

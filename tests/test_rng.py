@@ -245,6 +245,23 @@ class TestBallAndSphere:
         points = sample_sphere(Pseudo(38), 6, size=n)
         assert abs(int((points[:, 0] > 0).sum()) - n / 2) < 3.0 * binomial_sigma(n, 0.5)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    @pytest.mark.parametrize("scalar", [0.0, 1.0 - 2.0**-53])
+    def test_extreme_scalar_blocks(self, n, scalar):
+        # a ball point reads n + n % 2 + 1 scalars; all of them at either end of [0, 1)
+        points = sample_ball(ScriptedSource([scalar] * (n + n % 2 + 1) * 2), n, size=2)
+        norms = np.linalg.norm(points, axis=1)
+        assert np.isfinite(points).all() and (norms > 0.0).all() and (norms < 1.0).all()
+        if n > 1:
+            unit = sample_sphere(ScriptedSource([scalar] * (n + n % 2)), n)
+            assert abs(np.linalg.norm(unit) - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("draw", [lambda s, k: sample_sphere(s, 3, size=k), lambda s, k: sample_ball(s, 5, size=k)])
+    def test_point_i_does_not_depend_on_batch_split(self, draw):
+        src = Pseudo(39)
+        parts = [draw(src, k) for k in (1, 99, 900)]
+        assert np.array_equal(draw(Pseudo(39), 1000), np.concatenate(parts))
+
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             sample_sphere(Pseudo(1), 1)
@@ -267,6 +284,22 @@ class TestNormals:
         z = standard_normals(Pseudo(43), n)
         p = 0.9500042097035593  # Phi(1.96) - Phi(-1.96)
         assert abs(int((np.abs(z) < 1.96).sum()) - n * p) < 3.0 * binomial_sigma(n, p)
+
+    def test_box_muller_pair(self):
+        # (u, w) gives sqrt(-2 ln u) (cos 2 pi w, sin 2 pi w)
+        z = standard_normals(ScriptedSource([0.25, 0.25, 0.5, 0.0]), 4)
+        radius = math.sqrt(-2.0 * math.log(0.25))
+        assert np.allclose(z, [0.0, radius, math.sqrt(-2.0 * math.log(0.5)), 0.0], atol=1e-15)
+
+    @pytest.mark.parametrize("scalar", [0.0, 1.0 - 2.0**-53])
+    def test_extreme_scalars_finite(self, scalar):
+        z = standard_normals(ScriptedSource([scalar] * 4), 4)
+        assert np.isfinite(z).all() and (np.abs(z[::2]) > 0.0).all()
+
+    def test_even_split_matches_one_call(self):
+        src = Pseudo(45)
+        parts = [standard_normals(src, k) for k in (2, 998, 9000)]
+        assert np.array_equal(standard_normals(Pseudo(45), 10_000), np.concatenate(parts))
 
     def test_pair_stream_deterministic(self):
         assert standard_normals(Pseudo(44), 2).tolist() == standard_normals(Pseudo(44), 2).tolist()

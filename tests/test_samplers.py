@@ -77,6 +77,16 @@ class TestIntersectLineImplicit:
         ts, _ = _one_line(sphere_implicit(), [0.0, 0.0, 1.0], [0.5, 0.0, 0.0], cfg)
         assert abs(ts[1] - math.sqrt(0.75)) < 1e-11
 
+    def test_bracket_refined_alone_or_in_a_batch(self):
+        # a narrow bracket stops on its own width, whatever the wider brackets beside it need
+        surface, cfg = sphere_implicit(), ImplicitSamplerConfig()
+        dirs, feet = np.tile([1.0, 0.0, 0.0], (2, 1)), np.array([[0.0, 0.1, 0.0], [0.0, 0.2, 0.0]])
+        t_lo, t_hi = np.array([0.99, 0.9]), np.array([1.0, 1.0])
+        g_lo = surface.field(feet + t_lo[:, None] * dirs)
+        both = samplers._refine_bisection(surface, dirs, feet, t_lo, t_hi, g_lo, cfg)
+        alone = samplers._refine_bisection(surface, dirs[:1], feet[:1], t_lo[:1], t_hi[:1], g_lo[:1], cfg)
+        assert both[0] == alone[0] and abs(alone[0] - math.sqrt(0.99)) < 1e-10
+
     def test_nonfinite_field_raises(self):
         def bad(x):
             with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -83,9 +84,9 @@ class TestBarycentric:
     def test_centroid(self):
         assert np.allclose(self.points([0.0, 1 / 3, 1 / 3]), [[1 / 3, 1 / 3, 1 / 3]])
 
-    def test_outside_simplex_rejected(self):
-        # (0.7, 0.7) lies outside the simplex and is redrawn
-        assert np.allclose(self.points([0.0, 0.7, 0.7, 0.2, 0.3]), [[0.2, 0.3, 0.5]])
+    def test_outside_simplex_folded(self):
+        # (0.7, 0.7) lies above the diagonal and folds to (0.3, 0.3)
+        assert np.allclose(self.points([0.0, 0.7, 0.7]), [[0.3, 0.3, 0.4]])
 
 
 class TestTriangulateParametric:
@@ -117,6 +118,16 @@ class TestTriangulateParametric:
         cum = mesh.cumulative_areas
         assert (np.diff(cum) >= 0.0).all()
         assert cum[-1] == pytest.approx(mesh.areas.sum(), rel=1e-12)
+
+    def test_cached_on_the_frozen_surface(self):
+        surface = sphere_chart(u_res=7, v_res=9)
+        mesh, params = triangulate_parametric(surface)
+        assert triangulate_parametric(surface)[0] is mesh
+        assert not params.flags.writeable and not mesh.triangles.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            surface.u_res = 8
+        finer, _ = triangulate_parametric(dataclasses.replace(surface, u_res=8))
+        assert len(finer) == 2 * 7 * 8 and len(mesh) == 2 * 6 * 8
 
     def test_nonfinite_chart_reports_grid_point(self):
         def bad_chart(u, v):
