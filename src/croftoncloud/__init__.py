@@ -24,7 +24,6 @@ from .rng import (
     unit_ball_volume,
 )
 from .samplers import (
-    ImplicitSamplerConfig,
     PointCloud,
     cloud_axis_aligned,
     cloud_implicit,
@@ -54,7 +53,6 @@ __all__ = [
     "BoxDomain",
     "CATALOG",
     "CroftonEstimate",
-    "ImplicitSamplerConfig",
     "ImplicitSurface",
     "NeighborIndex",
     "ParametricSurface",

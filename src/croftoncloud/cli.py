@@ -9,6 +9,10 @@ tetrahedron, pyramid), by a field expression in x, y, z (the zero level set
 is used), or by a mesh path (.off / .stl).  Exit codes: 0 ok, 1 usage or
 input error, 2 numeric failure, 3 audit failure.
 
+The default clip (--r) is the surface's own ball: a catalog surface's, 2 for
+an expression, and a mesh's bounding radius, so a catalog mesh and the same
+mesh read from a file clip alike.
+
 ``generate`` draws from the one stream of --seed, so a file depends on the
 seed and the configuration only.
 """
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import __version__, cloudio, crofton, expr, meshio, samplers, stats, surfaces
 from .rng import Pseudo
-from .samplers import ImplicitSamplerConfig, PointCloud, SurfaceNotFound
+from .samplers import PointCloud, SurfaceNotFound
 
 USAGE_ERROR = 1
 NUMERIC_ERROR = 2
@@ -49,10 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_surface_options(p, need_sampler=False):
         p.add_argument("--surface", required=True, help="catalog name, field expression, or mesh path")
-        p.add_argument("--r", type=float, default=None, help="clip radius (default: per-surface)")
+        p.add_argument("--r", type=float, default=None, help="clip radius (default: own ball; mesh: bounding radius)")
         p.add_argument("--seed", type=int, default=0, help="stream seed (default 0)")
-        p.add_argument("--scan-steps", type=int, default=256, help="chord scan subintervals (default 256)")
-        p.add_argument("--root-tol", type=float, default=1e-10, help="root parameter tolerance (default 1e-10)")
         p.add_argument("--res", type=int, default=None, help="grid resolution for chart triangulation")
         if need_sampler:
             p.add_argument(
@@ -99,10 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sampler_config(args) -> ImplicitSamplerConfig:
-    return ImplicitSamplerConfig(scan_steps=args.scan_steps, root_tol=args.root_tol)
-
-
 #: the surface form each cloud sampler consumes
 _SAMPLER_FORMS = {"crofton": "implicit", "axis-aligned": "implicit", "triangulated": "mesh", "parametric": "chart"}
 
@@ -117,11 +115,11 @@ def _resolve_surface(spec: str, clip: float | None, res: int | None, forms: tupl
     """
     entry = surfaces.CATALOG.get(spec)
     if entry is not None:
-        clip = entry.default_clip if clip is None else clip
+        clip_kw = {} if clip is None else {"clip": clip}
         res_kw = {} if res is None else {"u_res": res, "v_res": res}
         chart = entry.chart and (lambda: entry.chart(**res_kw))
         builders = {
-            "implicit": entry.implicit and (lambda: entry.implicit(clip=clip)),
+            "implicit": entry.implicit and (lambda: entry.implicit(**clip_kw)),
             "mesh": entry.mesh or (chart and (lambda: surfaces.triangulate_parametric(chart())[0])),
             "chart": chart,
         }
@@ -136,31 +134,29 @@ def _resolve_surface(spec: str, clip: float | None, res: int | None, forms: tupl
             raise UsageError(
                 f"surface spec {spec!r} is neither a catalog name, a mesh path, nor a valid expression: {err}"
             )
-        clip = 2.0 if clip is None else clip
-        builders = {"implicit": lambda: surfaces.ImplicitSurface(field, clip, name=spec)}
+        builders = {"implicit": lambda: surfaces.ImplicitSurface(field, 2.0 if clip is None else clip, name=spec)}
     for form in forms:
         if builders.get(form):
-            return builders[form](), clip
+            return builders[form]()
     usable = ", ".join(f"--sampler {name}" for name, form in _SAMPLER_FORMS.items() if builders.get(form))
     raise UsageError(f"surface {spec!r} has no {' or '.join(forms)} form; it works with {usable}")
 
 
-def _generate_cloud(args, config) -> PointCloud:
-    surface, _ = _resolve_surface(args.surface, args.r, args.res, (_SAMPLER_FORMS[args.sampler],))
+def _generate_cloud(args) -> PointCloud:
+    surface = _resolve_surface(args.surface, args.r, args.res, (_SAMPLER_FORMS[args.sampler],))
     src = Pseudo(args.seed)
     if args.sampler == "crofton":
-        return samplers.cloud_implicit(surface, src, args.n, config)
+        return samplers.cloud_implicit(surface, src, args.n)
     if args.sampler == "axis-aligned":
-        return samplers.cloud_axis_aligned(surface, src, args.n, config)
+        return samplers.cloud_axis_aligned(surface, src, args.n)
     if args.sampler == "triangulated":
         return samplers.cloud_triangulated(surface, src, args.n)
     return samplers.cloud_parametric(surface, src, args.n)
 
 
 def cmd_generate(args) -> int:
-    config = _sampler_config(args)
     started = time.perf_counter()
-    cloud = _generate_cloud(args, config)
+    cloud = _generate_cloud(args)
     elapsed = time.perf_counter() - started
     meta = {
         "generator": f"croftoncloud {__version__}",
@@ -168,8 +164,6 @@ def cmd_generate(args) -> int:
         "sampler": args.sampler,
         "seed": args.seed,
         "n": args.n,
-        "scan_steps": args.scan_steps,
-        "root_tol": args.root_tol,
     }
     if args.r is not None:
         meta["r"] = args.r
@@ -202,21 +196,19 @@ _ESTIMATOR_FORMS = ("implicit", "mesh", "chart")
 
 
 def cmd_area(args) -> int:
-    surface, clip = _resolve_surface(args.surface, args.r, args.res, _ESTIMATOR_FORMS)
-    estimate = crofton.estimate_area(surface, Pseudo(args.seed), args.m, clip_radius=clip, config=_sampler_config(args))
+    surface = _resolve_surface(args.surface, args.r, args.res, _ESTIMATOR_FORMS)
+    estimate = crofton.estimate_area(surface, Pseudo(args.seed), args.m, clip_radius=args.r)
     _print_estimate("area", estimate)
     return 0
 
 
 def cmd_integrate(args) -> int:
-    surface, clip = _resolve_surface(args.surface, args.r, args.res, _ESTIMATOR_FORMS)
+    surface = _resolve_surface(args.surface, args.r, args.res, _ESTIMATOR_FORMS)
     try:
         integrand = expr.compile_field(args.f)
     except expr.ExpressionError as err:
         raise UsageError(f"bad integrand: {err}")
-    estimate = crofton.estimate_surface_integral(
-        surface, integrand, Pseudo(args.seed), args.m, clip_radius=clip, config=_sampler_config(args)
-    )
+    estimate = crofton.estimate_surface_integral(surface, integrand, Pseudo(args.seed), args.m, clip_radius=args.r)
     _print_estimate("integral", estimate)
     return 0
 
@@ -250,14 +242,9 @@ def _audit_suites(name: str, positions: np.ndarray):
     entry = surfaces.CATALOG.get(name)
     if entry is not None and entry.mesh is not None:
         mesh = entry.mesh()
-        tests = stats.mesh_face_region_tests(mesh)
-        from .stats import mesh_cumulative_scalar
-
-        normals_ = surfaces.triangle_normal(mesh.triangles)
-        offsets = np.einsum("ij,ij->i", normals_, mesh.triangles[:, 0])
-        labels = np.argmin(np.abs(positions @ normals_.T - offsets[None, :]), axis=1)
-        scalar = mesh_cumulative_scalar(positions, labels, mesh)
-        return tests, scalar, labels, mesh.areas
+        labels = stats.mesh_nearest_face(mesh, positions)
+        scalar = stats.mesh_cumulative_scalar(positions, labels, mesh)
+        return stats.mesh_face_region_tests(mesh), scalar, labels, mesh.areas
     raise UsageError(f"no audit suite for surface {name!r}; supported: sphere, torus, mesh catalog entries")
 
 

@@ -12,6 +12,7 @@ write/read/write cycle is byte-identical in every format.  Run metadata
 from __future__ import annotations
 
 import re
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -84,20 +85,35 @@ def write_xyz(path: str, positions: np.ndarray, normals: Optional[np.ndarray] = 
 
 
 def read_xyz(path: str):
-    """Returns (positions, normals or None, meta dict)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = "\n" + fh.read()
+    """Returns (positions, normals or None, meta dict).
+
+    The file's lines stream to ``np.loadtxt``, so its text is never held
+    whole.  Only a file numpy rejects is read again, by the line scan of
+    :func:`_read_rows`, to name its first bad row as ``path:line``.
+    """
     comments = []
 
-    def blank(match) -> str:
-        comments.append(match[1])
-        return "\n"
+    def rows(fh):
+        for line in fh:
+            head = line.lstrip()
+            if head.startswith("#"):
+                comments.append(head[1:])
+            elif head:
+                yield line
 
-    # one pass collects the comment texts and blanks their lines, so line numbers hold;
-    # each rebinding releases the copy before it, so at most two are held
-    text = _XYZ_COMMENT.sub(blank, text)
-    text = text[1:]
-    data = _read_rows(text, (3, 6), lambda lineno, _: f"{path}:{lineno}")
+    with open(path, "r", encoding="utf-8") as fh:
+        body = rows(fh)
+        first = next(body, None)
+        try:
+            data = np.loadtxt(chain([first], body), comments=None, ndmin=2) if first else np.empty((0, 3))
+        except ValueError:
+            data = None
+    if data is None or data.shape[1] not in (3, 6):
+        with open(path, "r", encoding="utf-8") as fh:
+            text = "\n" + fh.read()
+        comments = _XYZ_COMMENT.findall(text)
+        # blanking the comment lines keeps the line numbers
+        data = _read_rows(_XYZ_COMMENT.sub("\n", text)[1:], (3, 6), lambda lineno, _: f"{path}:{lineno}")
     meta = _meta(comment.lstrip("#") for comment in comments)
     return data[:, :3], data[:, 3:] if data.shape[1] == 6 else None, meta
 

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from . import geometry, samplers
 from .rng import ScalarSource
-from .samplers import ImplicitSamplerConfig
 from .surfaces import ImplicitSurface, ParametricSurface, TriangulatedSurface, triangulate_parametric
 
 __all__ = ["CroftonEstimate", "estimate_area", "estimate_surface_integral", "estimate_double_integral"]
@@ -151,7 +151,7 @@ def _mesh_hits(mesh: TriangulatedSurface, dirs: np.ndarray, feet: np.ndarray, cl
     return _pair_hits(mesh.triangles, dirs, feet, clip, *_bvh_pairs(mesh.bvh, dirs, feet, half))
 
 
-def _resolve(surface, clip_radius, config):
+def _resolve(surface, clip_radius):
     """``(hits, clip, chunk)`` for *surface*: line-hits function, clip radius, lines per chunk.
 
     Implicit surfaces are scanned; meshes, and charts through their grid
@@ -163,8 +163,7 @@ def _resolve(surface, clip_radius, config):
     if isinstance(surface, ImplicitSurface):
         # the scan runs over chords of the surface's own clip ball, so an explicit clip replaces it
         surface = surface if clip_radius is None else replace(surface, clip_radius=float(clip_radius))
-        hits = samplers._implicit_hits(surface, config or ImplicitSamplerConfig())
-        return hits, surface.clip_radius, samplers.DEFAULT_LINE_CHUNK
+        return partial(samplers._scan_lines, surface), surface.clip_radius, samplers.DEFAULT_LINE_CHUNK
     mesh = triangulate_parametric(surface)[0] if isinstance(surface, ParametricSurface) else surface
     radius = mesh.bounding_radius()
     clip = radius * (1.0 + 1e-6) if clip_radius is None else float(clip_radius)
@@ -177,9 +176,9 @@ def _resolve(surface, clip_radius, config):
     return hits, clip, max(1, int(2_000_000 // max(len(mesh), 1)))
 
 
-def _gather(surface, src, lines, clip_radius, config, want_points):
+def _gather(surface, src, lines, clip_radius, want_points):
     """``(clip, counts, line_ids, points)`` for *lines* kinematic lines; see samplers._line_hits."""
-    hits, clip, chunk = _resolve(surface, clip_radius, config)
+    hits, clip, chunk = _resolve(surface, clip_radius)
 
     def draw(s, count):
         return geometry.sample_line_batch(s, 3, clip, count)
@@ -201,13 +200,7 @@ def _finish(stat: np.ndarray, norm: float, counts: np.ndarray) -> CroftonEstimat
     )
 
 
-def estimate_area(
-    surface,
-    src: ScalarSource,
-    lines: int,
-    clip_radius: float | None = None,
-    config: ImplicitSamplerConfig | None = None,
-) -> CroftonEstimate:
+def estimate_area(surface, src: ScalarSource, lines: int, clip_radius: float | None = None) -> CroftonEstimate:
     """Surface area from mean line-intersection counts.
 
     The surface must lie inside the clip ball (the implicit kind carries its
@@ -218,17 +211,12 @@ def estimate_area(
     """
     if lines < 1:
         raise ValueError("need at least one line")
-    clip, counts, _, _ = _gather(surface, src, lines, clip_radius, config, want_points=False)
+    clip, counts, _, _ = _gather(surface, src, lines, clip_radius, want_points=False)
     return _finish(counts.astype(np.float64), _normalization(3, clip), counts)
 
 
 def estimate_surface_integral(
-    surface,
-    fn,
-    src: ScalarSource,
-    lines: int,
-    clip_radius: float | None = None,
-    config: ImplicitSamplerConfig | None = None,
+    surface, fn, src: ScalarSource, lines: int, clip_radius: float | None = None
 ) -> CroftonEstimate:
     """Estimate of the surface integral of *fn* (vectorized ``(m, 3) -> (m,)``).
 
@@ -237,19 +225,14 @@ def estimate_surface_integral(
     """
     if lines < 1:
         raise ValueError("need at least one line")
-    clip, counts, ids, pts = _gather(surface, src, lines, clip_radius, config, want_points=True)
+    clip, counts, ids, pts = _gather(surface, src, lines, clip_radius, want_points=True)
     values = np.asarray(fn(pts), dtype=np.float64) if len(pts) else np.empty(0)
     sums = np.bincount(ids, weights=values, minlength=lines)
     return _finish(sums, _normalization(3, clip), counts)
 
 
 def estimate_double_integral(
-    surface,
-    fn2,
-    src: ScalarSource,
-    line_pairs: int,
-    clip_radius: float | None = None,
-    config: ImplicitSamplerConfig | None = None,
+    surface, fn2, src: ScalarSource, line_pairs: int, clip_radius: float | None = None
 ) -> CroftonEstimate:
     """Estimate of the double integral of *fn2* over the surface squared.
 
@@ -261,7 +244,7 @@ def estimate_double_integral(
     """
     if line_pairs < 1:
         raise ValueError("need at least one line pair")
-    clip, counts, ids, pts = _gather(surface, src, 2 * line_pairs, clip_radius, config, want_points=True)
+    clip, counts, ids, pts = _gather(surface, src, 2 * line_pairs, clip_radius, want_points=True)
 
     pair_stat = np.zeros(line_pairs)
     if len(pts):

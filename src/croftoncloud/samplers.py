@@ -16,6 +16,12 @@ triangle, so outputs lie exactly on the surface rather than on the
 piecewise-linear proxy (the selection weights still come from the proxy, a
 bias that shrinks like the squared grid step).
 
+The scan has no knobs: :data:`SCAN_STEPS` equal cells per chord and
+:data:`ROOT_TOL` on each refined hit.  A feature thinner than
+chord/SCAN_STEPS (a short chord through an edge or a vertex) can show no
+sign change and be missed; a bounded, certified scan that finds such chords
+is the fix the roadmap holds (item 1), not a finer user-set step count.
+
 The axis-aligned sampler reproduces the legacy approach (lines parallel to
 coordinate axes); its clouds have local density proportional to
 |n_x| + |n_y| + |n_z|, varying by a factor sqrt(3) across orientations, and
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -41,7 +48,6 @@ from .surfaces import (
 )
 
 __all__ = [
-    "ImplicitSamplerConfig",
     "PointCloud",
     "cloud_implicit",
     "cloud_axis_aligned",
@@ -54,31 +60,16 @@ __all__ = [
 DEFAULT_LINE_CHUNK = 8192
 #: lines a cloud draws without a single hit before raising SurfaceNotFound
 MAX_EMPTY_LINES = 200_000
-#: bisection rounds per bracket, a cap reached only if root_tol is below the chord's rounding
+#: equal scan cells per chord; a feature thinner than chord/SCAN_STEPS can show no sign change and be missed
+SCAN_STEPS = 256
+#: absolute parameter error of each refined hit
+ROOT_TOL = 1e-10
+#: bisection rounds per bracket, a cap reached only if ROOT_TOL is below the chord's rounding
 MAX_REFINE = 200
 
 
 class SurfaceNotFound(RuntimeError):
     """No line in the budget met the surface inside the clip ball."""
-
-
-@dataclass(frozen=True)
-class ImplicitSamplerConfig:
-    """Chord scan and root refinement knobs.
-
-    ``scan_steps`` equal subintervals per chord; a surface feature thinner
-    than chord/scan_steps can be missed.  ``root_tol`` bounds the absolute
-    parameter error of each refined hit.
-    """
-
-    scan_steps: int = 256
-    root_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.scan_steps < 2:
-            raise ValueError("scan_steps must be at least 2")
-        if self.root_tol <= 0.0:
-            raise ValueError("root_tol must be positive")
 
 
 @dataclass
@@ -123,10 +114,10 @@ def _field_on_grid(surface: ImplicitSurface, dirs, feet, t_grid):
     return values
 
 
-def _refine_bisection(surface, dirs, feet, t_lo, t_hi, g_lo, cfg):
-    # a bracket stops once it is 2 root_tol wide, so its rounds never depend on the other brackets of its batch
+def _refine_bisection(surface, dirs, feet, t_lo, t_hi, g_lo):
+    # a bracket stops once it is 2 ROOT_TOL wide, so its rounds never depend on the other brackets of its batch
     for _ in range(MAX_REFINE):
-        live = t_hi - t_lo > 2.0 * cfg.root_tol
+        live = t_hi - t_lo > 2.0 * ROOT_TOL
         if not live.any():
             break
         t_mid = 0.5 * (t_lo + t_hi)
@@ -138,7 +129,7 @@ def _refine_bisection(surface, dirs, feet, t_lo, t_hi, g_lo, cfg):
     return 0.5 * (t_lo + t_hi)
 
 
-def _scan_lines(surface: ImplicitSurface, dirs, feet, cfg: ImplicitSamplerConfig, want_points: bool):
+def _scan_lines(surface: ImplicitSurface, dirs, feet, want_points: bool):
     """Count (and optionally locate) transverse hits for a batch of lines.
 
     Returns ``(counts, line_ids, ts, boundary_hits)``: per-line hit counts,
@@ -156,7 +147,7 @@ def _scan_lines(surface: ImplicitSurface, dirs, feet, cfg: ImplicitSamplerConfig
         empty = np.empty(0)
         return counts, empty.astype(np.int64), empty, 0
     dirs_l, feet_l, half_l = dirs[live], feet[live], half[live]
-    steps = np.linspace(-1.0, 1.0, cfg.scan_steps + 1)
+    steps = np.linspace(-1.0, 1.0, SCAN_STEPS + 1)
     t_grid = half_l[:, None] * steps[None, :]
     g = _field_on_grid(surface, dirs_l, feet_l, t_grid)
 
@@ -174,13 +165,13 @@ def _scan_lines(surface: ImplicitSurface, dirs, feet, cfg: ImplicitSamplerConfig
     if zero_nodes is not None:
         counts_live = counts_live + zero_nodes.sum(axis=1)
     counts[live_ids] = counts_live
-    boundary = int(((col == 0) | (col == cfg.scan_steps - 1)).sum())
+    boundary = int(((col == 0) | (col == SCAN_STEPS - 1)).sum())
     if not want_points:
         return counts, None, None, boundary
 
     if len(row):
         t_lo, t_hi = t_grid[row, col], t_grid[row, col + 1]
-        ts = _refine_bisection(surface, dirs_l[row], feet_l[row], t_lo, t_hi, g[row, col], cfg)
+        ts = _refine_bisection(surface, dirs_l[row], feet_l[row], t_lo, t_hi, g[row, col])
     else:
         ts = np.empty(0)
     line_ids = live_ids[row]
@@ -199,15 +190,6 @@ def _unit_normals(surface: ImplicitSurface, points: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(grads, axis=1, keepdims=True)
     with np.errstate(invalid="ignore"):
         return grads / np.where(norms > 0.0, norms, np.nan)
-
-
-def _implicit_hits(surface: ImplicitSurface, cfg: ImplicitSamplerConfig):
-    """The line-hits function of an implicit surface: its chord scan."""
-
-    def hits(dirs, feet, want_points):
-        return _scan_lines(surface, dirs, feet, cfg, want_points)
-
-    return hits
 
 
 def _line_hits(src: ScalarSource, draw, hits, next_count, want_points: bool = True):
@@ -242,9 +224,7 @@ def _line_hits(src: ScalarSource, draw, hits, next_count, want_points: bool = Tr
     return counts, np.concatenate(id_parts), np.concatenate(t_parts), np.concatenate(pt_parts)
 
 
-def _cloud_from_lines(
-    surface: ImplicitSurface, src: ScalarSource, n_points: int, cfg: ImplicitSamplerConfig, draw
-) -> PointCloud:
+def _cloud_from_lines(surface: ImplicitSurface, src: ScalarSource, n_points: int, draw) -> PointCloud:
     if n_points < 1:
         raise ValueError("target point count must be at least 1")
 
@@ -258,7 +238,7 @@ def _cloud_from_lines(
             )
         return DEFAULT_LINE_CHUNK
 
-    counts, line_ids, ts, positions = _line_hits(src, draw, _implicit_hits(surface, cfg), next_count)
+    counts, line_ids, ts, positions = _line_hits(src, draw, partial(_scan_lines, surface), next_count)
     # keep whole lines up to and including the one reaching the target
     lines_used = int(np.searchsorted(np.cumsum(counts), n_points)) + 1
     keep = line_ids < lines_used
@@ -273,12 +253,7 @@ def _cloud_from_lines(
     )
 
 
-def cloud_implicit(
-    surface: ImplicitSurface,
-    src: ScalarSource,
-    n_points: int,
-    config: ImplicitSamplerConfig | None = None,
-) -> PointCloud:
+def cloud_implicit(surface: ImplicitSurface, src: ScalarSource, n_points: int) -> PointCloud:
     """Equidistributed cloud of at least *n_points* points on the level set.
 
     Lines are drawn from the kinematic measure in chunks of
@@ -291,15 +266,10 @@ def cloud_implicit(
     def draw(s, count):
         return geometry.sample_line_batch(s, 3, surface.clip_radius, count)
 
-    return _cloud_from_lines(surface, src, n_points, config or ImplicitSamplerConfig(), draw)
+    return _cloud_from_lines(surface, src, n_points, draw)
 
 
-def cloud_axis_aligned(
-    surface: ImplicitSurface,
-    src: ScalarSource,
-    n_points: int,
-    config: ImplicitSamplerConfig | None = None,
-) -> PointCloud:
+def cloud_axis_aligned(surface: ImplicitSurface, src: ScalarSource, n_points: int) -> PointCloud:
     """Legacy sampler: directions drawn from the six signed coordinate axes.
 
     Kept for comparison; its clouds carry the sqrt(3) density variation
@@ -320,7 +290,7 @@ def cloud_axis_aligned(
         feet[np.arange(count), (axes + 2) % 3] = disk[:, 1]
         return dirs, feet
 
-    return _cloud_from_lines(surface, src, n_points, config or ImplicitSamplerConfig(), draw)
+    return _cloud_from_lines(surface, src, n_points, draw)
 
 
 _CLAMP = 1.0 - 2.0**-52

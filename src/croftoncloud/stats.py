@@ -23,6 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.stats import chi2 as _chi2
 
 from .rng import BoxDomain, Pseudo, ScalarSource, sample_box
+from .surfaces import triangle_normal
 
 __all__ = [
     "RegionTest",
@@ -40,6 +41,7 @@ __all__ = [
     "sphere_region_tests",
     "torus_region_tests",
     "mesh_face_region_tests",
+    "mesh_nearest_face",
     "sphere_unit_scalar",
     "torus_angle_scalar",
     "mesh_cumulative_scalar",
@@ -372,27 +374,28 @@ def torus_region_tests(ring_radius: float = 2.0, tube_radius: float = 0.5) -> li
     return tests
 
 
+def mesh_nearest_face(mesh, points: np.ndarray) -> np.ndarray:
+    """Index of the triangle whose plane lies nearest each point: a mesh cloud point's face.
+
+    A degenerate triangle has no plane (its normal is nan) and is never nearest.
+    """
+    normals = triangle_normal(mesh.triangles)
+    offsets = np.einsum("ij,ij->i", normals, mesh.triangles[:, 0])
+    dists = np.abs(points @ normals.T - offsets[None, :])
+    return np.argmin(np.where(np.isnan(dists), np.inf, dists), axis=1)
+
+
 def mesh_face_region_tests(mesh, min_fraction: float = 0.01) -> list[RegionTest]:
     """One region per triangle (nearest-plane membership), skipping slivers."""
-    from .surfaces import triangle_normal
-
-    tris = mesh.triangles
     areas = mesh.areas
-    total = areas.sum()
-    normals = triangle_normal(tris)
-    offsets = np.einsum("ij,ij->i", normals, tris[:, 0])
-
-    def nearest_face(pts):
-        dists = np.abs(pts @ normals.T - offsets[None, :])
-        return np.argmin(dists, axis=1)
-
+    has_plane = np.isfinite(triangle_normal(mesh.triangles)).all(axis=1)
     tests = []
-    for i, (area, frac) in enumerate(zip(areas, areas / total)):
-        if frac < min_fraction or not np.isfinite(normals[i]).all():
+    for i, frac in enumerate(areas / areas.sum()):
+        if frac < min_fraction or not has_plane[i]:
             continue
 
         def ind(pts, i=i):
-            return nearest_face(pts) == i
+            return mesh_nearest_face(mesh, pts) == i
 
         tests.append(RegionTest(f"face {i}", ind, float(frac)))
     return tests

@@ -293,7 +293,6 @@ def _validate_implicit(surface: ImplicitSurface) -> ValidationReport:
     from . import samplers
 
     report = ValidationReport(surface.name or "implicit")
-    cfg = samplers.ImplicitSamplerConfig()
     r = surface.clip_radius
 
     # coarse grid sweep catches exact critical points of the level set
@@ -318,7 +317,7 @@ def _validate_implicit(surface: ImplicitSurface) -> ValidationReport:
     feet = a[:, None] * np.eye(3)[(axis + 1) % 3] + b[:, None] * np.eye(3)[(axis + 2) % 3]
     inside = np.linalg.norm(feet, axis=1) < r
     dirs, feet = dirs[inside], feet[inside]
-    _, ids, ts, _ = samplers._scan_lines(surface, dirs, feet, cfg, want_points=True)
+    _, ids, ts, _ = samplers._scan_lines(surface, dirs, feet, want_points=True)
     if not len(ts):
         report.warnings.append("no probe line met the level set inside the clip ball")
         return report
@@ -514,22 +513,22 @@ def corner_pyramid_implicit(clip: float = 2.0) -> ImplicitSurface:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """Builders for the forms a named surface supports (None if unsupported)."""
+    """Builders for the forms a named surface supports (None if unsupported).
+
+    The implicit builder's ``clip`` defaults to the surface's own ball.
+    """
 
     implicit: Optional[Callable[..., ImplicitSurface]]
     chart: Optional[Callable[..., ParametricSurface]]
     mesh: Optional[Callable[[], TriangulatedSurface]]
     area: Optional[float]
-    default_clip: float
 
 
 CATALOG: dict[str, CatalogEntry] = {
-    "sphere": CatalogEntry(sphere_implicit, sphere_chart, None, 4.0 * np.pi, 2.0),
-    "torus": CatalogEntry(torus_implicit, torus_chart, None, 4.0 * np.pi**2, 3.0),
-    "ellipsoid": CatalogEntry(ellipsoid_implicit, ellipsoid_chart, None, None, 2.0),
-    "plane": CatalogEntry(plane_implicit, plane_patch_chart, None, None, 2.0),
-    "tetrahedron": CatalogEntry(None, None, tetrahedron_mesh, 8.0 * np.sqrt(3.0), 2.0),
-    "pyramid": CatalogEntry(
-        corner_pyramid_implicit, None, corner_pyramid_mesh, (3.0 + np.sqrt(3.0)) / 2.0, 2.0
-    ),
+    "sphere": CatalogEntry(sphere_implicit, sphere_chart, None, 4.0 * np.pi),
+    "torus": CatalogEntry(torus_implicit, torus_chart, None, 4.0 * np.pi**2),
+    "ellipsoid": CatalogEntry(ellipsoid_implicit, ellipsoid_chart, None, None),
+    "plane": CatalogEntry(plane_implicit, plane_patch_chart, None, None),
+    "tetrahedron": CatalogEntry(None, None, tetrahedron_mesh, 8.0 * np.sqrt(3.0)),
+    "pyramid": CatalogEntry(corner_pyramid_implicit, None, corner_pyramid_mesh, (3.0 + np.sqrt(3.0)) / 2.0),
 }

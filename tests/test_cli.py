@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from croftoncloud import cli, cloudio
+import croftoncloud
+from croftoncloud import cli, cloudio, samplers
 from croftoncloud.surfaces import tetrahedron_mesh
 
 
@@ -54,10 +55,11 @@ class TestGenerateAndAudit:
         assert cli.main(args) == cli.USAGE_ERROR
         assert "--sampler triangulated" in capsys.readouterr().err
 
-    def test_surface_not_found_is_a_numeric_failure(self, tmp_path, capsys):
+    def test_surface_not_found_is_a_numeric_failure(self, tmp_path, capsys, monkeypatch):
         # x^2 + y^2 + z^2 + 1 has no zero set: every line misses
+        monkeypatch.setattr(samplers, "MAX_EMPTY_LINES", 20_000)
         output = tmp_path / "none.xyz"
-        args = ["generate", "--surface", "x^2+y^2+z^2+1", "--n", "10", "--scan-steps", "2", "-o", str(output)]
+        args = ["generate", "--surface", "x^2+y^2+z^2+1", "--n", "10", "-o", str(output)]
         assert cli.main(args) == cli.NUMERIC_ERROR
         assert "surface not found" in capsys.readouterr().err
         assert not output.exists()
@@ -75,13 +77,79 @@ class TestGenerateAndAudit:
         assert np.allclose(np.linalg.norm(positions, axis=1), 1.0, atol=1e-9)
         assert "threads" not in meta
 
+    def test_crofton_metadata_keys(self, tmp_path):
+        path = str(tmp_path / "s.xyz")
+        assert cli.main(["generate", "--surface", "sphere", "--r", "1.5", "--n", "200", "--seed", "2", "-o", path]) == 0
+        _, _, meta = cloudio.read_cloud(path)
+        assert set(meta) == {"generator", "surface", "sampler", "seed", "n", "r"}
+        assert (meta["sampler"], meta["seed"], meta["n"], meta["r"]) == ("crofton", "2", "200", "1.5")
+
+    def test_triangulated_pyramid_cloud_passes_audit(self, tmp_path):
+        # fixed seed; the audit's region, k=2 and density gates fail about 1% of seeds on a uniform cloud
+        cloud = str(tmp_path / "p.ply")
+        args = ["generate", "--surface", "pyramid", "--sampler", "triangulated", "--n", "20000", "-o", cloud]
+        assert cli.main(args) == 0
+        assert cli.main(["audit", "--cloud", cloud, "--surface", "pyramid"]) == 0
+
     def test_method_option_is_gone(self, tmp_path):
         output = str(tmp_path / "s.xyz")
         args = ["generate", "--surface", "sphere", "--method", "bisection", "--n", "100", "-o", output]
         assert cli.main(args) == cli.USAGE_ERROR
 
 
+#: (--format, output name, first bytes of the file)
+_FORMATS = [
+    ("xyz", "c.xyz", b"# generator="),
+    ("ply", "c.ply", b"ply\nformat ascii 1.0\n"),
+    ("ply-binary", "c.ply", b"ply\nformat binary_little_endian 1.0\n"),
+    ("auto", "c.ply", b"ply\nformat ascii 1.0\n"),
+    ("auto", "c.xyz", b"# generator="),
+]
+
+
+class TestGenerateTriangleSamplers:
+    """--sampler triangulated and parametric in every output format, read back with read_cloud."""
+
+    @pytest.mark.parametrize("sampler", ["triangulated", "parametric"])
+    @pytest.mark.parametrize("fmt, name, head", _FORMATS, ids=["xyz", "ply", "ply-binary", "auto-ply", "auto-xyz"])
+    def test_torus_cloud_reads_back(self, tmp_path, sampler, fmt, name, head):
+        path = tmp_path / name
+        args = ["generate", "--surface", "torus", "--sampler", sampler, "--res", "24", "--n", "500"]
+        assert cli.main(args + ["--seed", "5", "--format", fmt, "-o", str(path)]) == 0
+        assert path.read_bytes().startswith(head)
+        positions, normals, meta = cloudio.read_cloud(str(path))
+        assert positions.shape == normals.shape == (500, 3)
+        assert meta == {
+            "generator": f"croftoncloud {croftoncloud.__version__}",
+            "surface": "torus",
+            "sampler": sampler,
+            "seed": "5",
+            "n": "500",
+            "res": "24",
+        }
+        assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-12)
+        # the torus normal at p points from the nearest ring point to p
+        rho = np.hypot(positions[:, 0], positions[:, 1])
+        radial = positions - np.column_stack([2.0 * positions[:, :2] / rho[:, None], np.zeros(len(rho))])
+        cosines = np.abs(np.einsum("ij,ij->i", normals, radial)) / np.linalg.norm(radial, axis=1)
+        if sampler == "parametric":
+            # chart points lie on the torus, with its exact normal
+            assert np.allclose((rho - 2.0) ** 2 + positions[:, 2] ** 2, 0.25, atol=1e-12)
+            assert cosines.min() > 1.0 - 1e-8
+        else:
+            # flat facets of a 24 x 24 grid tilt at most about half a cell from the true normal
+            assert cosines.min() > math.cos(2.0 * math.pi / 24)
+
+
 class TestEstimates:
+    def test_catalog_and_off_tetrahedron_agree(self, tetra_off, capsys):
+        # both clip at the mesh's bounding radius, so they draw the same lines
+        assert cli.main(["area", "--surface", "tetrahedron", "--m", "20000", "--seed", "3"]) == 0
+        catalog = capsys.readouterr().out
+        assert cli.main(["area", "--surface", tetra_off, "--m", "20000", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == catalog
+        assert catalog.startswith("area  13.688575 +- 0.128197\n")
+
     def test_area_of_off_tetrahedron(self, tetra_off, capsys):
         assert cli.main(["area", "--surface", tetra_off, "--m", "20000", "--seed", "3"]) == 0
         value, se = _estimate(capsys.readouterr().out)

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from croftoncloud import cloudio
 from croftoncloud.cloudio import read_cloud, read_ply, read_xyz, write_cloud, write_ply, write_xyz
 from croftoncloud.rng import Pseudo
 
@@ -67,6 +68,29 @@ class TestXYZ:
         assert got_p.shape == (0, 3)
         assert got_n is None
         assert meta["surface"] == "sphere"
+
+    def test_comments_and_blank_lines_anywhere(self, tmp_path, monkeypatch):
+        # a well-formed file streams to np.loadtxt: the whole-text line scan is never reached
+        monkeypatch.setattr(cloudio, "_read_rows", lambda *args: pytest.fail("whole-text line scan"))
+        path = tmp_path / "mixed.xyz"
+        path.write_text("  # a = 1\n1 2 3 4 5 6\n\n\t#b=2\n   \n7 8 9 1 0 0\n# note without a value\n# c=3")
+        got_p, got_n, meta = read_xyz(str(path))
+        assert got_p.tolist() == [[1, 2, 3], [7, 8, 9]]
+        assert got_n.tolist() == [[4, 5, 6], [1, 0, 0]]
+        assert meta == {"a": "1", "b": "2", "c": "3"}
+
+    def test_rejected_row_is_numbered_among_comments(self, tmp_path):
+        # comment and blank lines count, so the number is the row's line in the file
+        path = tmp_path / "bad.xyz"
+        path.write_text("# a=1\n1 2 3\n\n# b=2\n4 5 6\n7 8\n# c=3\n")
+        with pytest.raises(ValueError, match="bad.xyz:6: malformed row '7 8'"):
+            read_xyz(str(path))
+
+    def test_wrong_width_is_rejected(self, tmp_path):
+        path = tmp_path / "four.xyz"
+        path.write_text("# a=1\n1 2 3 4\n5 6 7 8\n")
+        with pytest.raises(ValueError, match="four.xyz:2: malformed row '1 2 3 4'"):
+            read_xyz(str(path))
 
 
 MAX = np.finfo(np.float64).max

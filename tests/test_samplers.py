@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from croftoncloud import samplers
 from croftoncloud.rng import Pseudo
 from croftoncloud.samplers import (
-    ImplicitSamplerConfig,
     SurfaceNotFound,
     cloud_axis_aligned,
     cloud_implicit,
@@ -31,12 +30,12 @@ from croftoncloud.surfaces import (
 from conftest import ScriptedSource, binomial_sigma
 
 
-def _one_line(surface, direction, through, config=None):
+def _one_line(surface, direction, through):
     """Hits of the single line with unit *direction* through *through*: ``(ts, points)``."""
     d = np.array([direction], dtype=np.float64)
     q = np.array([through], dtype=np.float64)
     feet = q - (q * d).sum(axis=1, keepdims=True) * d
-    counts, ids, ts, _ = samplers._scan_lines(surface, d, feet, config or ImplicitSamplerConfig(), want_points=True)
+    counts, ids, ts, _ = samplers._scan_lines(surface, d, feet, want_points=True)
     assert counts.tolist() == [len(ts)] and not ids.any()
     return ts, feet[0] + ts[:, None] * d[0]
 
@@ -72,19 +71,19 @@ class TestIntersectLineImplicit:
         ts, _ = _one_line(sphere_implicit(clip=2.0), [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
         assert len(ts) == 0
 
-    def test_root_tolerance_honored(self):
-        cfg = ImplicitSamplerConfig(root_tol=1e-12)
-        ts, _ = _one_line(sphere_implicit(), [0.0, 0.0, 1.0], [0.5, 0.0, 0.0], cfg)
+    def test_root_tolerance_honored(self, monkeypatch):
+        monkeypatch.setattr(samplers, "ROOT_TOL", 1e-12)
+        ts, _ = _one_line(sphere_implicit(), [0.0, 0.0, 1.0], [0.5, 0.0, 0.0])
         assert abs(ts[1] - math.sqrt(0.75)) < 1e-11
 
     def test_bracket_refined_alone_or_in_a_batch(self):
         # a narrow bracket stops on its own width, whatever the wider brackets beside it need
-        surface, cfg = sphere_implicit(), ImplicitSamplerConfig()
+        surface = sphere_implicit()
         dirs, feet = np.tile([1.0, 0.0, 0.0], (2, 1)), np.array([[0.0, 0.1, 0.0], [0.0, 0.2, 0.0]])
         t_lo, t_hi = np.array([0.99, 0.9]), np.array([1.0, 1.0])
         g_lo = surface.field(feet + t_lo[:, None] * dirs)
-        both = samplers._refine_bisection(surface, dirs, feet, t_lo, t_hi, g_lo, cfg)
-        alone = samplers._refine_bisection(surface, dirs[:1], feet[:1], t_lo[:1], t_hi[:1], g_lo[:1], cfg)
+        both = samplers._refine_bisection(surface, dirs, feet, t_lo, t_hi, g_lo)
+        alone = samplers._refine_bisection(surface, dirs[:1], feet[:1], t_lo[:1], t_hi[:1], g_lo[:1])
         assert both[0] == alone[0] and abs(alone[0] - math.sqrt(0.99)) < 1e-10
 
     def test_nonfinite_field_raises(self):

@@ -15,13 +15,14 @@ from croftoncloud.stats import (
     loglog_slope,
     mesh_cumulative_scalar,
     mesh_face_region_tests,
+    mesh_nearest_face,
     midpoint_rule,
     region_test,
     sphere_region_tests,
     star_discrepancy_1d,
     torus_region_tests,
 )
-from croftoncloud.surfaces import tetrahedron_mesh
+from croftoncloud.surfaces import TriangulatedSurface, corner_pyramid_mesh, tetrahedron_mesh
 
 
 def brute_star_discrepancy(values):
@@ -219,3 +220,25 @@ class TestSurfaceSuites:
         tests = mesh_face_region_tests(tetrahedron_mesh())
         assert len(tests) == 4
         assert sum(t.fraction for t in tests) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("build", [tetrahedron_mesh, corner_pyramid_mesh])
+    def test_nearest_face_is_the_sampled_triangle(self, build):
+        mesh = build()
+        cloud = cloud_triangulated(mesh, Pseudo(12), 5_000)
+        assert np.array_equal(mesh_nearest_face(mesh, cloud.positions), cloud.triangle_index)
+
+    def test_degenerate_triangle_is_never_nearest(self):
+        # its nan normal once made argmin pick it for every point
+        mesh = TriangulatedSurface([[(0, 0, 0), (1, 1, 1), (2, 2, 2)], [(0, 0, 0), (1, 0, 0), (0, 1, 0)]])
+        cloud = cloud_triangulated(mesh, Pseudo(14), 50)
+        assert (cloud.triangle_index == 1).all()
+        assert (mesh_nearest_face(mesh, cloud.positions) == 1).all()
+
+    def test_face_regions_use_the_nearest_face(self):
+        mesh = corner_pyramid_mesh()
+        points = cloud_triangulated(mesh, Pseudo(13), 1_000).positions
+        labels = mesh_nearest_face(mesh, points)
+        tests = mesh_face_region_tests(mesh)
+        assert [test.name for test in tests] == [f"face {i}" for i in range(4)]
+        for i, test in enumerate(tests):
+            assert np.array_equal(test.indicator(points), labels == i)

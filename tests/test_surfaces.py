@@ -247,7 +247,7 @@ class TestCatalog:
     def test_catalog_entries_build(self):
         for name, entry in surfaces.CATALOG.items():
             if entry.implicit is not None:
-                assert entry.implicit(clip=entry.default_clip).clip_radius == entry.default_clip
+                assert entry.implicit(clip=1.25).clip_radius == 1.25
             if entry.chart is not None:
                 entry.chart(u_res=4, v_res=4)
             if entry.mesh is not None:
