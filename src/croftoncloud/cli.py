@@ -11,7 +11,9 @@ input error, 2 numeric failure, 3 audit failure.
 
 The default clip (--r) is the surface's own ball: a catalog surface's, 2 for
 an expression, and a mesh's bounding radius, so a catalog mesh and the same
-mesh read from a file clip alike.
+mesh read from a file clip alike.  ``generate`` takes --r only with the line
+samplers (crofton, axis-aligned); the triangulated and parametric samplers
+do not clip and refuse it.
 
 ``generate`` draws from the one stream of --seed, so a file depends on the
 seed and the configuration only.
@@ -53,7 +55,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_surface_options(p, need_sampler=False):
         p.add_argument("--surface", required=True, help="catalog name, field expression, or mesh path")
-        p.add_argument("--r", type=float, default=None, help="clip radius (default: own ball; mesh: bounding radius)")
+        p.add_argument(
+            "--r",
+            type=float,
+            default=None,
+            help="clip radius (default: own ball; mesh: bounding radius; generate: line samplers only)",
+        )
         p.add_argument("--seed", type=int, default=0, help="stream seed (default 0)")
         p.add_argument("--res", type=int, default=None, help="grid resolution for chart triangulation")
         if need_sampler:
@@ -143,6 +150,9 @@ def _resolve_surface(spec: str, clip: float | None, res: int | None, forms: tupl
 
 
 def _generate_cloud(args) -> PointCloud:
+    if args.r is not None and _SAMPLER_FORMS[args.sampler] != "implicit":
+        honour = " and ".join(f"--sampler {name}" for name, form in _SAMPLER_FORMS.items() if form == "implicit")
+        raise UsageError(f"--sampler {args.sampler} does not clip, so it takes no --r; only {honour} do")
     surface = _resolve_surface(args.surface, args.r, args.res, (_SAMPLER_FORMS[args.sampler],))
     src = Pseudo(args.seed)
     if args.sampler == "crofton":

@@ -1,11 +1,12 @@
 """Point-cloud generation for the three surface types.
 
 Implicit surfaces: draw kinematic-measure lines, restrict each to the chord
-inside the clip ball, scan the chord for sign changes of the field, refine
-each bracket by bisection, and append the hits in increasing parameter
-order.  Because the expected number of hits a line makes with any
-region is proportional to that region's area, the appended sequence is
-equidistributed on the surface.
+inside the clip ball (and inside the surface's bounding box, when it has
+one), scan the chord for sign changes of the field, refine each bracket by
+bisection, and append the hits in increasing parameter order.  Because the
+expected number of hits a line makes with any region is proportional to
+that region's area, the appended sequence is equidistributed on the
+surface.
 
 Triangulated surfaces: pick a triangle through the cumulative-area table,
 then place a point by barycentric coordinates folded into the simplex.
@@ -16,11 +17,15 @@ triangle, so outputs lie exactly on the surface rather than on the
 piecewise-linear proxy (the selection weights still come from the proxy, a
 bias that shrinks like the squared grid step).
 
-The scan has no knobs: :data:`SCAN_STEPS` equal cells per chord and
-:data:`ROOT_TOL` on each refined hit.  A feature thinner than
-chord/SCAN_STEPS (a short chord through an edge or a vertex) can show no
-sign change and be missed; a bounded, certified scan that finds such chords
-is the fix the roadmap holds (item 1), not a finer user-set step count.
+The scan has no knobs: :data:`SCAN_STEPS` equal cells per ball chord and
+:data:`ROOT_TOL` on each refined hit.  A line that misses the bounding box
+counts 0 and is never evaluated.  A chord cut by the box gets the fewest
+power-of-two cells, up to SCAN_STEPS, that are no wider than the ball
+chord's cells, so lines are scanned in a few rectangular grids, one per
+cell count, and a box only ever narrows a line's cells.  A feature thinner
+than one cell (a short chord through an edge or a vertex) can show no sign
+change and be missed; a certified scan that finds such chords is the fix
+the roadmap holds (item 1), not a finer user-set step count.
 
 The axis-aligned sampler reproduces the legacy approach (lines parallel to
 coordinate axes); its clouds have local density proportional to
@@ -60,7 +65,8 @@ __all__ = [
 DEFAULT_LINE_CHUNK = 8192
 #: lines a cloud draws without a single hit before raising SurfaceNotFound
 MAX_EMPTY_LINES = 200_000
-#: equal scan cells per chord; a feature thinner than chord/SCAN_STEPS can show no sign change and be missed
+#: equal scan cells per ball chord, a power of two; a chord cut by a bounding box gets the fewest power-of-two
+#: cells no wider than these, and a feature thinner than one cell can show no sign change and be missed
 SCAN_STEPS = 256
 #: absolute parameter error of each refined hit
 ROOT_TOL = 1e-10
@@ -129,56 +135,115 @@ def _refine_bisection(surface, dirs, feet, t_lo, t_hi, g_lo):
     return 0.5 * (t_lo + t_hi)
 
 
+def _box_chords(bounds, dirs, feet, half):
+    """``(ids, t0, t1)``: the lines whose chord t in [-half, half] meets the box, and the part inside it.
+
+    The slab test of ``crofton._bvh_pairs``: a direction component of 0 with
+    the foot on that face gives 0 * inf = nan, which fmax/fmin ignore.
+    """
+    lo, hi = bounds
+    neg = np.signbit(dirs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / dirs
+        enter = (np.where(neg, hi, lo) - feet) * inv
+        leave = (np.where(neg, lo, hi) - feet) * inv
+    t0 = np.fmax(np.fmax.reduce(enter, axis=1), -half)
+    t1 = np.fmin(np.fmin.reduce(leave, axis=1), half)
+    ids = np.nonzero(t0 < t1)[0]
+    return ids, t0[ids], t1[ids]
+
+
+def _chord_groups(surface: ImplicitSurface, dirs, feet):
+    """Split the lines whose chord is not empty into groups of one cell count each.
+
+    Yields ``(ids, cells, mid, rad, half)``: line ids, cells per chord, the
+    chords t in [mid - rad, mid + rad] (mid None for 0), and the ball
+    chords' half-lengths.  Without a box every chord is the ball's and gets
+    SCAN_STEPS cells.  With one, a chord gets the fewest power-of-two cells
+    no wider than the ball scan's.
+    """
+    half = _chord_half_lengths(feet, surface.clip_radius)
+    if surface.bounds is None:
+        ids = np.nonzero(half > 0.0)[0]
+        half = half[ids]
+        yield ids, SCAN_STEPS, None, half, half
+        return
+    ids, t0, t1 = _box_chords(surface.bounds, dirs, feet, half)
+    half = half[ids]
+    mid, rad = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
+    powers = 1 << np.arange(SCAN_STEPS.bit_length())
+    cells = powers[np.minimum(np.searchsorted(powers, SCAN_STEPS * rad / half), len(powers) - 1)]
+    for c in np.unique(cells):
+        rows = np.nonzero(cells == c)[0]
+        yield ids[rows], int(c), mid[rows], rad[rows], half[rows]
+
+
+def _end_cell_hits(surface: ImplicitSurface, dirs, feet, brackets) -> int:
+    """Number of brackets whose crossing lies in the ball scan's first or last cell.
+
+    *brackets* is ``(line_ids, t_lo, t_hi, g_lo, half)``, *half* the ball
+    chord's half-length.  A bracket across the inner node of such a cell is
+    settled by the sign of the field there, so a box changes no count.
+    """
+    line_ids, t_lo, t_hi, g_lo, half = brackets
+    inner = np.linspace(-1.0, 1.0, SCAN_STEPS + 1)
+    lo_cut, hi_cut = half * inner[1], half * inner[-2]
+    low, high = t_lo < lo_cut, t_hi > hi_cut
+    across = np.nonzero((low & (t_hi > lo_cut)) | (high & (t_lo < hi_cut)))[0]
+    if len(across):
+        ids, cut = line_ids[across], np.where(low[across], lo_cut[across], hi_cut[across])
+        sign = g_lo[across] * np.asarray(surface.field(feet[ids] + cut[:, None] * dirs[ids]))
+        low[across] &= sign < 0.0
+        high[across] &= sign > 0.0
+    return int((low | high).sum())
+
+
 def _scan_lines(surface: ImplicitSurface, dirs, feet, want_points: bool):
     """Count (and optionally locate) transverse hits for a batch of lines.
 
     Returns ``(counts, line_ids, ts, boundary_hits)``: per-line hit counts,
     flat hit arrays in (line, t) order when ``want_points`` is true, and the
-    number of hits falling in the first or last scan subinterval (a cheap
-    proxy for hits at the clip boundary).  Brackets are strict sign changes;
-    an exact zero at an interior grid node counts once when its neighbors
-    straddle zero, and tangential touches are dropped.
+    number of hits falling in the first or last cell of the ball scan (a
+    cheap proxy for hits at the clip boundary, the same with or without a
+    box).  Brackets are strict sign changes; an exact zero at an interior
+    grid node counts once when its neighbors straddle zero, and tangential
+    touches are dropped.
     """
-    m = len(dirs)
-    counts = np.zeros(m, dtype=np.int64)
-    half = _chord_half_lengths(feet, surface.clip_radius)
-    live = half > 0.0
-    if not live.any():
-        empty = np.empty(0)
-        return counts, empty.astype(np.int64), empty, 0
-    dirs_l, feet_l, half_l = dirs[live], feet[live], half[live]
-    steps = np.linspace(-1.0, 1.0, SCAN_STEPS + 1)
-    t_grid = half_l[:, None] * steps[None, :]
-    g = _field_on_grid(surface, dirs_l, feet_l, t_grid)
+    counts = np.zeros(len(dirs), dtype=np.int64)
+    # one empty entry each, so the concatenations below hold when no line is scanned
+    no_ids, no_ts = np.empty(0, dtype=np.intp), np.empty(0)
+    brackets, zeros = [(no_ids,) + (no_ts,) * 4], [(no_ids, no_ts)]
+    for ids, cells, mid, rad, half in _chord_groups(surface, dirs, feet):
+        t_grid = rad[:, None] * np.linspace(-1.0, 1.0, cells + 1)[None, :]
+        if mid is not None:
+            t_grid += mid[:, None]
+        g = _field_on_grid(surface, dirs[ids], feet[ids], t_grid)
 
-    bracket = g[:, :-1] * g[:, 1:] < 0.0
-    zero_nodes = g[:, 1:-1] == 0.0
-    if zero_nodes.any():
-        crossing = g[:, :-2] * g[:, 2:] < 0.0
-        zero_nodes &= crossing
-    else:
-        zero_nodes = None
+        bracket = g[:, :-1] * g[:, 1:] < 0.0
+        zero_nodes = g[:, 1:-1] == 0.0
+        if zero_nodes.any():
+            crossing = g[:, :-2] * g[:, 2:] < 0.0
+            zero_nodes &= crossing
+        else:
+            zero_nodes = None
 
-    row, col = np.nonzero(bracket)
-    live_ids = np.nonzero(live)[0]
-    counts_live = bracket.sum(axis=1)
-    if zero_nodes is not None:
-        counts_live = counts_live + zero_nodes.sum(axis=1)
-    counts[live_ids] = counts_live
-    boundary = int(((col == 0) | (col == SCAN_STEPS - 1)).sum())
+        row, col = np.nonzero(bracket)
+        group_counts = bracket.sum(axis=1)
+        if zero_nodes is not None:
+            group_counts += zero_nodes.sum(axis=1)
+            zrow, zcol = np.nonzero(zero_nodes)
+            zeros.append((ids[zrow], t_grid[zrow, zcol + 1]))
+        counts[ids] = group_counts
+        brackets.append((ids[row], t_grid[row, col], t_grid[row, col + 1], g[row, col], half[row]))
+
+    brackets = [np.concatenate(part) for part in zip(*brackets)]
+    boundary = _end_cell_hits(surface, dirs, feet, brackets)
     if not want_points:
         return counts, None, None, boundary
-
-    if len(row):
-        t_lo, t_hi = t_grid[row, col], t_grid[row, col + 1]
-        ts = _refine_bisection(surface, dirs_l[row], feet_l[row], t_lo, t_hi, g[row, col])
-    else:
-        ts = np.empty(0)
-    line_ids = live_ids[row]
-    if zero_nodes is not None:
-        zrow, zcol = np.nonzero(zero_nodes)
-        line_ids = np.concatenate([line_ids, live_ids[zrow]])
-        ts = np.concatenate([ts, t_grid[zrow, zcol + 1]])
+    line_ids, t_lo, t_hi, g_lo = brackets[:4]
+    ts = _refine_bisection(surface, dirs[line_ids], feet[line_ids], t_lo, t_hi, g_lo) if len(line_ids) else t_lo
+    zero_ids, zero_ts = (np.concatenate(part) for part in zip(*zeros))
+    line_ids, ts = np.concatenate([line_ids, zero_ids]), np.concatenate([ts, zero_ts])
     order = np.lexsort((ts, line_ids))
     return counts, line_ids[order], ts[order], boundary
 

@@ -55,6 +55,15 @@ class TestGenerateAndAudit:
         assert cli.main(args) == cli.USAGE_ERROR
         assert "--sampler triangulated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sampler", ["triangulated", "parametric"])
+    def test_clip_radius_is_refused_by_samplers_that_ignore_it(self, tmp_path, capsys, sampler):
+        output = tmp_path / "c.xyz"
+        args = ["generate", "--surface", "torus", "--sampler", sampler, "--r", "0.1", "--n", "100", "-o", str(output)]
+        assert cli.main(args) == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert f"--sampler {sampler}" in err and "--sampler crofton" in err and "--sampler axis-aligned" in err
+        assert not output.exists()
+
     def test_surface_not_found_is_a_numeric_failure(self, tmp_path, capsys, monkeypatch):
         # x^2 + y^2 + z^2 + 1 has no zero set: every line misses
         monkeypatch.setattr(samplers, "MAX_EMPTY_LINES", 20_000)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from croftoncloud import samplers
+from croftoncloud.geometry import sample_line_batch
 from croftoncloud.rng import Pseudo
 from croftoncloud.samplers import (
     SurfaceNotFound,
@@ -24,6 +26,7 @@ from croftoncloud.surfaces import (
     sphere_chart,
     sphere_implicit,
     tetrahedron_mesh,
+    torus_implicit,
     triangulate_parametric,
 )
 
@@ -93,6 +96,103 @@ class TestIntersectLineImplicit:
 
         with pytest.raises(FloatingPointError, match="t ="):
             _one_line(ImplicitSurface(bad, 1.0), [0.0, 0.0, 1.0], [0.1, 0.0, 0.0])
+
+
+def _scan_in_chunks(surface, dirs, feet, chunk=4096):
+    """``_scan_lines`` with points over 4096-line chunks, line ids counted from the first chunk."""
+    parts = [
+        samplers._scan_lines(surface, dirs[i : i + chunk], feet[i : i + chunk], want_points=True)
+        for i in range(0, len(dirs), chunk)
+    ]
+    counts = np.concatenate([p[0] for p in parts])
+    ids = np.concatenate([p[1] + k * chunk for k, p in enumerate(parts)])
+    return counts, ids, np.concatenate([p[2] for p in parts]), sum(p[3] for p in parts)
+
+
+class TestBoxedScan:
+    """A bounding box narrows the scanned part of each chord; it must change no hit."""
+
+    @pytest.mark.parametrize("name", ["sphere", "torus", "ellipsoid"])
+    def test_box_changes_no_hit_count(self, name):
+        surface = CATALOG[name].implicit()
+        dirs, feet = sample_line_batch(Pseudo(9), 3, surface.clip_radius, 20_000)
+        counts, ids, ts, _ = _scan_in_chunks(surface, dirs, feet)
+        ball_counts, _, ball_ts, _ = _scan_in_chunks(replace(surface, bounds=None), dirs, feet)
+        assert counts.sum() > 5000
+        assert np.array_equal(counts, ball_counts)
+        np.testing.assert_allclose(ts, ball_ts, rtol=0.0, atol=1e-9)
+        pts = feet[ids] + ts[:, None] * dirs[ids]
+        lo, hi = map(np.array, surface.bounds)
+        assert ((pts >= lo) & (pts <= hi)).all()
+
+    def test_cells_are_the_fewest_no_wider_than_the_ball_scan(self):
+        surface = torus_implicit()
+        dirs, feet = sample_line_batch(Pseudo(10), 3, surface.clip_radius, 4096)
+        half = samplers._chord_half_lengths(feet, surface.clip_radius)
+        lo, hi = map(np.array, surface.bounds)
+        scanned = []
+        for ids, cells, mid, rad, chord_half in samplers._chord_groups(surface, dirs, feet):
+            assert np.array_equal(chord_half, half[ids])
+            assert cells & (cells - 1) == 0 and 1 <= cells <= samplers.SCAN_STEPS
+            ball_cell = 2.0 * half[ids] / samplers.SCAN_STEPS
+            assert (2.0 * rad / cells <= ball_cell * (1.0 + 1e-12)).all()
+            if cells > 1:
+                assert (2.0 * rad / (cells // 2) > ball_cell * (1.0 - 1e-12)).all()
+            for end in (mid - rad, mid + rad):
+                pts = feet[ids] + end[:, None] * dirs[ids]
+                assert ((pts >= lo - 1e-12) & (pts <= hi + 1e-12)).all()
+                assert (np.linalg.norm(pts, axis=1) <= surface.clip_radius * (1.0 + 1e-12)).all()
+            scanned.append(ids)
+        scanned = np.concatenate(scanned)
+        assert len(np.unique(scanned)) == len(scanned)
+        assert 0 < len(scanned) < (half > 0.0).sum()
+
+    def test_without_a_box_every_chord_is_the_balls(self):
+        surface = replace(torus_implicit(), bounds=None)
+        dirs, feet = sample_line_batch(Pseudo(10), 3, surface.clip_radius, 4096)
+        half = samplers._chord_half_lengths(feet, surface.clip_radius)
+        [(ids, cells, mid, rad, _)] = samplers._chord_groups(surface, dirs, feet)
+        assert cells == samplers.SCAN_STEPS and mid is None
+        assert np.array_equal(ids, np.nonzero(half > 0.0)[0]) and np.array_equal(rad, half[ids])
+
+    def test_lines_missing_the_box_are_not_evaluated(self):
+        evaluated = []
+
+        def field(x):
+            evaluated.append(x.reshape(-1, 3).copy())
+            return (x * x).sum(axis=-1) - 1.0
+
+        surface = ImplicitSurface(field, 3.0, bounds=(-np.ones(3), np.ones(3)))
+        # both lines run along z; the first passes beside the box, the second through the unit sphere
+        dirs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        feet = np.array([[1.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
+        counts, ids, ts, boundary = samplers._scan_lines(surface, dirs, feet, want_points=True)
+        assert counts.tolist() == [0, 2] and ids.tolist() == [1, 1] and boundary == 0
+        np.testing.assert_allclose(ts, [-math.sqrt(0.75), math.sqrt(0.75)], rtol=0.0, atol=1e-9)
+        assert (np.concatenate(evaluated)[:, 0] == 0.5).all()
+
+
+class TestTruncationWarning:
+    """Only hits in the ball scan's end cells warn, with or without a box."""
+
+    def test_bounded_torus_at_its_default_clip_is_quiet(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cloud_implicit(torus_implicit(), Pseudo(11), 10_000)
+
+    def test_clip_cutting_the_ring_warns_once(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cloud_implicit(torus_implicit(clip=2.2), Pseudo(12), 10_000)
+        assert [str(w.message) for w in caught] == ["clip radius may truncate surface"]
+
+    @pytest.mark.parametrize("want_points", [False, True])
+    def test_same_boundary_hits_as_the_ball_scan(self, want_points):
+        surface = torus_implicit(clip=2.2)
+        dirs, feet = sample_line_batch(Pseudo(13), 3, surface.clip_radius, 8192)
+        boxed = samplers._scan_lines(surface, dirs, feet, want_points)[3]
+        ball = samplers._scan_lines(replace(surface, bounds=None), dirs, feet, want_points)[3]
+        assert boxed == ball > 20
 
 
 def _select(cumulative, scalars):

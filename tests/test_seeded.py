@@ -14,7 +14,7 @@ from croftoncloud.crofton import estimate_area, estimate_surface_integral
 from croftoncloud.geometry import sample_line_batch
 from croftoncloud.rng import Pseudo, standard_normals
 from croftoncloud.samplers import cloud_implicit, cloud_triangulated
-from croftoncloud.surfaces import torus_chart, torus_implicit, triangulate_parametric
+from croftoncloud.surfaces import ImplicitSurface, torus_chart, torus_implicit, triangulate_parametric
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +56,13 @@ class TestPinnedFloats:
     def test_first_normals(self):
         expected = [-0.7325897739453221, 0.25693778552813296, 1.8901652393937498, 1.4764394453326888]
         np.testing.assert_allclose(standard_normals(Pseudo(6), 4), expected, rtol=0.0, atol=1e-12)
+
+    def test_unbounded_torus_line_t(self):
+        # the torus without a bounding box: every chord is scanned over the whole clip ball
+        t = torus_implicit()
+        cloud = cloud_implicit(ImplicitSurface(t.field, 3.0, gradient=t.gradient), Pseudo(3), 2000)
+        expected = [1.3582358326096808, 2.2407177343836873, 0.16914580601585538, 1.0260849660635423, -1.3774907500828653]
+        np.testing.assert_allclose(cloud.line_t[:5], expected, rtol=0.0, atol=1e-12)
 
 
 def _twice(monkeypatch, run):

@@ -209,6 +209,54 @@ class TestValidate:
         assert validate(surface).ok
 
 
+def _sphere_field(x):
+    return (x * x).sum(axis=-1) - 1.0
+
+
+class TestImplicitBounds:
+    @pytest.mark.parametrize(
+        "bounds, match",
+        [
+            (5.0, "pair"),
+            (([0.0, 0.0, 0.0],), "pair"),
+            (([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]), "pair"),
+            (("lo", "hi"), "pair"),
+            (([0.0, 0.0], [1.0, 1.0]), "3-vectors"),
+            (([0.0, 0.0, 0.0], [[1.0, 1.0, 1.0]]), "3-vectors"),
+            (([0.0, 0.0, np.nan], [1.0, 1.0, 1.0]), "finite"),
+            (([0.0, 0.0, 0.0], [1.0, np.inf, 1.0]), "finite"),
+            (([0.0, 2.0, 0.0], [1.0, 1.0, 1.0]), "lo <= hi"),
+        ],
+        ids=["scalar", "one-corner", "three-corners", "strings", "2-vectors", "2d-corner", "nan", "inf", "lo-above-hi"],
+    )
+    def test_rejected(self, bounds, match):
+        with pytest.raises(ValueError, match=match):
+            ImplicitSurface(_sphere_field, 2.0, bounds=bounds)
+
+    def test_kept_as_float_tuples(self):
+        s = ImplicitSurface(_sphere_field, 2.0, bounds=(np.array([-1, -1, -1]), [1, 1, 1]))
+        assert s.bounds == ((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
+        assert all(type(x) is float for corner in s.bounds for x in corner)
+        assert dataclasses.replace(s, clip_radius=3.0).bounds == s.bounds
+        assert dataclasses.replace(s) == s
+
+    def test_a_flat_box_is_allowed(self):
+        assert ImplicitSurface(_sphere_field, 2.0, bounds=([0.0] * 3, [0.0] * 3)).bounds is not None
+
+    @pytest.mark.parametrize(
+        "name, half_widths", [("sphere", [1.0, 1.0, 1.0]), ("torus", [2.5, 2.5, 0.5]), ("ellipsoid", [1.5, 1.0, 0.5])]
+    )
+    def test_catalog_boxes_are_exact_and_padded(self, name, half_widths):
+        lo, hi = map(np.array, surfaces.CATALOG[name].implicit().bounds)
+        pad = hi - np.array(half_widths)
+        assert np.array_equal(lo, -hi)
+        assert (pad > 0.0).all() and (pad < 1e-8).all()
+
+    @pytest.mark.parametrize("name", ["pyramid", "plane"])
+    def test_pyramid_and_plane_have_no_box(self, name):
+        assert surfaces.CATALOG[name].implicit().bounds is None
+
+
 class TestCatalog:
     def test_sphere_field_and_gradient(self):
         s = sphere_implicit()
