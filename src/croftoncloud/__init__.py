@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .crofton import CroftonEstimate, estimate_area, estimate_double_integral, estimate_surface_integral
 from .geometry import kinematic_mass
-from .normals import NeighborIndex, normal_cloud, normal_implicit, tangent_frame
+from .normals import NeighborIndex, normal_cloud
 from .rng import (
     BoxDomain,
     Pseudo,
@@ -18,9 +18,7 @@ from .rng import (
     VanDerCorputRearranged,
     sample_ball,
     sample_box,
-    sample_rejection,
     sample_sphere,
-    sample_union,
     unit_ball_volume,
 )
 from .samplers import (
@@ -36,7 +34,6 @@ from .stats import (
     density_variation,
     ktuple_test,
     region_test,
-    star_discrepancy_1d,
 )
 from .surfaces import (
     CATALOG,
@@ -75,15 +72,10 @@ __all__ = [
     "kinematic_mass",
     "ktuple_test",
     "normal_cloud",
-    "normal_implicit",
     "region_test",
     "sample_ball",
     "sample_box",
-    "sample_rejection",
     "sample_sphere",
-    "sample_union",
-    "star_discrepancy_1d",
-    "tangent_frame",
     "triangle_area",
     "triangulate_parametric",
     "unit_ball_volume",

@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from . import geometry, samplers
-from .rng import ScalarSource
+from .rng import ScalarSource, unit_ball_volume
 from .surfaces import ImplicitSurface, ParametricSurface, TriangulatedSurface, triangulate_parametric
 
 __all__ = ["CroftonEstimate", "estimate_area", "estimate_surface_integral", "estimate_double_integral"]
@@ -58,8 +58,6 @@ class CroftonEstimate:
 
 
 def _normalization(n: int, clip: float) -> float:
-    from .rng import unit_ball_volume
-
     return geometry.kinematic_mass(n, clip) / (2.0 * unit_ball_volume(n - 1))
 
 
@@ -110,11 +108,8 @@ def _bvh_pairs(bvh, dirs: np.ndarray, feet: np.ndarray, half: np.ndarray):
     """``(line_ids, tri_ids)`` pairing each line with the triangles of every leaf box its chord meets.
 
     Line i's chord is t in [-half[i], half[i]].  The walk goes level by level
-    over (line, node) frontier arrays.  Each axis's entry plane is chosen by
-    the sign bit of the direction, so an empty box (lo = +inf, hi = -inf)
-    is entered at t = +inf and never passes.  A direction component of 0
-    with the foot on that face gives 0 * inf = nan, which fmax/fmin ignore:
-    the box stays a candidate.
+    over (line, node) frontier arrays, with the slab test of
+    :func:`geometry.slab_chord`.
     """
     lo, hi, leaves = bvh
     size = len(lo) // 2
@@ -123,12 +118,7 @@ def _bvh_pairs(bvh, dirs: np.ndarray, feet: np.ndarray, half: np.ndarray):
         inv = 1.0 / dirs
     lines, nodes = np.arange(len(dirs)), np.ones(len(dirs), dtype=np.intp)
     while len(nodes):
-        sign, foot, scale, chord = neg[lines], feet[lines], inv[lines], half[lines]
-        with np.errstate(invalid="ignore"):
-            enter = (np.where(sign, hi[nodes], lo[nodes]) - foot) * scale
-            leave = (np.where(sign, lo[nodes], hi[nodes]) - foot) * scale
-        enter = np.fmax(np.fmax(np.fmax(enter[:, 0], enter[:, 1]), enter[:, 2]), -chord)
-        leave = np.fmin(np.fmin(np.fmin(leave[:, 0], leave[:, 1]), leave[:, 2]), chord)
+        enter, leave = geometry.slab_chord(lo[nodes], hi[nodes], neg[lines], inv[lines], feet[lines], half[lines])
         keep = enter <= leave
         lines, nodes = lines[keep], nodes[keep]
         if not len(nodes) or nodes[0] >= size:

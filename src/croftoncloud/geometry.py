@@ -47,6 +47,27 @@ def kinematic_mass(n: int, r: float) -> float:
     return unit_sphere_area(n) * rng.unit_ball_volume(n - 1) * r ** (n - 1)
 
 
+def slab_chord(lo, hi, neg, inv, feet, half):
+    """``(enter, leave)``: the part of each chord t in [-half, half] inside its box [lo, hi].
+
+    The slab test for lines of R^3 in foot form: *neg* holds the sign bits
+    and *inv* the reciprocals of the directions, *lo* and *hi* one box or
+    one box per line.  The chord meets the closed box when
+    ``enter <= leave``.  Each axis's entry plane is chosen by the sign bit
+    of the direction, so an empty box (lo = +inf, hi = -inf) is entered at
+    t = +inf and never passes.  A direction component of 0 gives
+    inv = ±inf, so that axis admits all t or none; with the foot on that
+    face, 0 * inf = nan, which fmax/fmin ignore, so the face counts as
+    inside.
+    """
+    with np.errstate(invalid="ignore"):
+        enter = (np.where(neg, hi, lo) - feet) * inv
+        leave = (np.where(neg, lo, hi) - feet) * inv
+    enter = np.fmax(np.fmax(np.fmax(enter[:, 0], enter[:, 1]), enter[:, 2]), -half)
+    leave = np.fmin(np.fmin(np.fmin(leave[:, 0], leave[:, 1]), leave[:, 2]), half)
+    return enter, leave
+
+
 def _reflect_feet(dirs: np.ndarray, disk: np.ndarray) -> np.ndarray:
     """Feet ``(count, n)`` orthogonal to *dirs*, from (n-1)-ball points *disk*; see :func:`sample_line_batch`."""
     s = dirs.copy()

@@ -1,9 +1,9 @@
-"""Surface normals: analytic per surface type, or estimated from a bare cloud.
+"""Surface normals estimated from a bare cloud.
 
-For an implicit surface the normal is the normalized gradient.  For a cloud
-with no known surface, the normal at a point is recovered by averaging
-sign-aligned cross products ``(q - p) x (r - p)`` over pseudo-randomly
-chosen pairs of near neighbors; neighbor lookup goes through a k-d tree.
+For a cloud with no known surface, the normal at a point is recovered by
+averaging sign-aligned cross products ``(q - p) x (r - p)`` over
+pseudo-randomly chosen pairs of near neighbors; neighbor lookup goes
+through a k-d tree.
 """
 
 from __future__ import annotations
@@ -12,17 +12,16 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .rng import Pseudo
-from .surfaces import GRADIENT_FLOOR, ImplicitSurface
 
-__all__ = ["NeighborIndex", "k_nearest_bruteforce", "normal_implicit", "normal_cloud", "tangent_frame"]
+__all__ = ["NeighborIndex", "normal_cloud"]
 
 
 class NeighborIndex:
     """k-d tree (scipy's cKDTree) over a fixed point set.
 
-    Queries break distance ties by index, with distances computed as in
-    :func:`k_nearest_bruteforce`, so results match a brute-force scan
-    exactly.
+    Queries break distance ties by index, with the squared distances of a
+    brute-force scan, so results match one exactly (the all-pairs oracle is
+    ``k_nearest_bruteforce`` in ``tests/test_normals.py``).
     """
 
     def __init__(self, points: np.ndarray):
@@ -50,25 +49,6 @@ class NeighborIndex:
             cand = cand[cand != exclude]
         d2 = ((self.points[cand] - query) ** 2).sum(axis=1)
         return cand[np.lexsort((cand, d2))[:k]]
-
-
-def k_nearest_bruteforce(points: np.ndarray, query_index: int, k: int) -> np.ndarray:
-    """All-pairs oracle with the same (distance, index) ordering."""
-    pts = np.asarray(points, dtype=np.float64)
-    d2 = ((pts - pts[query_index]) ** 2).sum(axis=1)
-    idx = np.arange(len(pts))
-    keep = idx != query_index
-    order = np.lexsort((idx[keep], d2[keep]))
-    return idx[keep][order[:k]]
-
-
-def normal_implicit(surface: ImplicitSurface, point: np.ndarray) -> np.ndarray:
-    """Normalized field gradient at a surface point."""
-    grad = np.asarray(surface.gradient_at(np.asarray(point, dtype=np.float64)))
-    norm = float(np.linalg.norm(grad))
-    if norm < GRADIENT_FLOOR:
-        raise ValueError(f"critical point: |grad| = {norm:.3e}")
-    return grad / norm
 
 
 def _pair_choices(k: int, pairs: int, seed: int) -> list[tuple[int, int]]:
@@ -119,25 +99,3 @@ def normal_cloud(
     cross[cross @ cross[0] < 0.0] *= -1.0
     total = np.add.reduce(cross, axis=0)
     return total / np.linalg.norm(total)
-
-
-def tangent_frame(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal (e1, e2) spanning the plane orthogonal to unit *normal*.
-
-    Seeds Gram-Schmidt with the two coordinate axes least aligned with the
-    normal (deterministic in the input).
-    """
-    nu = np.asarray(normal, dtype=np.float64)
-    if abs(np.linalg.norm(nu) - 1.0) > 1e-12:
-        raise ValueError("normal must be a unit vector")
-    axes = np.argsort(np.abs(nu), kind="stable")[:2]
-    frame = []
-    for axis in axes:
-        e = np.zeros(3)
-        e[axis] = 1.0
-        w = e - (e @ nu) * nu
-        for b in frame:
-            w -= (w @ b) * b
-        w /= np.linalg.norm(w)
-        frame.append(w)
-    return frame[0], frame[1]

@@ -10,17 +10,15 @@ stream of values in ``[0, 1)``.  Three kinds are provided:
   the binary van der Corput sequence, kept as a known-bad fixture: it is not
   equidistributed.
 
-On top of the raw streams sit the standard combinators: affine box sampling,
-rejection, weighted unions, and the unit ball / sphere / normal samplers.
-Each point of a batch draw (``size=k``) reads its own fixed block of
-scalars, so point i depends on the source state and i alone, never on the
-batch size.  :func:`sample_rejection` is the one variable-count combinator.
+On top of the raw streams sit the standard combinators: affine box sampling
+and the unit ball / sphere / normal samplers.  Each point of a batch draw
+(``size=k``) reads its own fixed block of scalars, so point i depends on the
+source state and i alone, never on the batch size.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,25 +30,16 @@ __all__ = [
     "VanDerCorputRearranged",
     "BoxDomain",
     "sample_box",
-    "sample_rejection",
-    "sample_union",
     "sample_ball",
     "sample_sphere",
     "standard_normals",
     "unit_ball_volume",
-    "RejectionCapExceeded",
 ]
 
 # splitmix64 constants: golden-ratio increment and two xor-shift-multiply rounds
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
-
-#: Default cap on attempts per rejection-sampled point.
-DEFAULT_REJECTION_CAP = 10_000
-
-class RejectionCapExceeded(RuntimeError):
-    """Raised when rejection sampling exhausts its attempt budget."""
 
 
 class ScalarSource:
@@ -59,10 +48,6 @@ class ScalarSource:
     def take(self, count: int) -> np.ndarray:
         """Return the next *count* values as a float64 array."""
         raise NotImplementedError
-
-    def next_unit(self) -> float:
-        """Return the next value in [0, 1)."""
-        return float(self.take(1)[0])
 
 
 class Pseudo(ScalarSource):
@@ -181,63 +166,6 @@ def sample_box(src: ScalarSource, dom: BoxDomain, size: int | None = None) -> np
     lows = np.asarray(dom.lows)
     pts = lows + (np.asarray(dom.highs) - lows) * xi
     return pts[0] if size is None else pts
-
-
-def sample_rejection(
-    src: ScalarSource,
-    dom: BoxDomain,
-    accept,
-    max_attempts: int = DEFAULT_REJECTION_CAP,
-    size: int | None = None,
-):
-    """Keep box samples for which *accept* is true.
-
-    *accept* must be vectorized: it maps an ``(m, n)`` array of candidate
-    points to a boolean ``(m,)`` mask.  Rejected slots are redrawn in rounds
-    (n scalars each) until filled.  Returns ``(points, rejections)`` where
-    *rejections* counts all discarded candidates.
-
-    Raises :class:`RejectionCapExceeded` once any slot has burned
-    *max_attempts* candidates, which guards accept regions of measure zero.
-    """
-    count = 1 if size is None else int(size)
-    out = np.empty((count, dom.dim))
-    pending = np.arange(count)
-    rejections = 0
-    attempts = 0
-    while pending.size:
-        attempts += 1
-        if attempts > max_attempts:
-            raise RejectionCapExceeded(
-                f"no acceptance after {max_attempts} attempts; "
-                "accept region may have measure zero"
-            )
-        cand = sample_box(src, dom, size=len(pending))
-        ok = np.asarray(accept(cand), dtype=bool)
-        out[pending[ok]] = cand[ok]
-        rejections += int((~ok).sum())
-        pending = pending[~ok]
-    return (out[0], rejections) if size is None else (out, rejections)
-
-
-def sample_union(src: ScalarSource, parts):
-    """Delegate to one of *parts* = [(weight, sampler), ...].
-
-    Part l is chosen when weight * xi falls in the l-th subinterval of the
-    cumulative weight partition; the chosen sampler is called with *src*.
-    """
-    cums = []
-    total = 0.0
-    for weight, _ in parts:
-        if weight < 0.0:
-            raise ValueError("weights must be nonnegative")
-        total += float(weight)
-        cums.append(total)
-    if total <= 0.0:
-        raise ValueError("at least one weight must be positive")
-    target = src.next_unit() * total
-    index = min(bisect_right(cums, target), len(parts) - 1)
-    return parts[index][1](src)
 
 
 def _open_unit(u: np.ndarray) -> np.ndarray:

@@ -135,24 +135,6 @@ def _refine_bisection(surface, dirs, feet, t_lo, t_hi, g_lo):
     return 0.5 * (t_lo + t_hi)
 
 
-def _box_chords(bounds, dirs, feet, half):
-    """``(ids, t0, t1)``: the lines whose chord t in [-half, half] meets the box, and the part inside it.
-
-    The slab test of ``crofton._bvh_pairs``: a direction component of 0 with
-    the foot on that face gives 0 * inf = nan, which fmax/fmin ignore.
-    """
-    lo, hi = bounds
-    neg = np.signbit(dirs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / dirs
-        enter = (np.where(neg, hi, lo) - feet) * inv
-        leave = (np.where(neg, lo, hi) - feet) * inv
-    t0 = np.fmax(np.fmax.reduce(enter, axis=1), -half)
-    t1 = np.fmin(np.fmin.reduce(leave, axis=1), half)
-    ids = np.nonzero(t0 < t1)[0]
-    return ids, t0[ids], t1[ids]
-
-
 def _chord_groups(surface: ImplicitSurface, dirs, feet):
     """Split the lines whose chord is not empty into groups of one cell count each.
 
@@ -168,8 +150,12 @@ def _chord_groups(surface: ImplicitSurface, dirs, feet):
         half = half[ids]
         yield ids, SCAN_STEPS, None, half, half
         return
-    ids, t0, t1 = _box_chords(surface.bounds, dirs, feet, half)
-    half = half[ids]
+    lo, hi = surface.bounds
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / dirs
+    t0, t1 = geometry.slab_chord(lo, hi, np.signbit(dirs), inv, feet, half)
+    ids = np.nonzero(t0 < t1)[0]
+    t0, t1, half = t0[ids], t1[ids], half[ids]
     mid, rad = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
     powers = 1 << np.arange(SCAN_STEPS.bit_length())
     cells = powers[np.minimum(np.searchsorted(powers, SCAN_STEPS * rad / half), len(powers) - 1)]
@@ -249,12 +235,16 @@ def _scan_lines(surface: ImplicitSurface, dirs, feet, want_points: bool):
 
 
 def _unit_normals(surface: ImplicitSurface, points: np.ndarray) -> np.ndarray:
+    """Normalized field gradients at *points* ``(m, 3)``; raises FloatingPointError where one is 0 or not finite."""
     if not len(points):
         return np.empty((0, 3))
     grads = surface.gradient_at(points)
-    norms = np.linalg.norm(grads, axis=1, keepdims=True)
-    with np.errstate(invalid="ignore"):
-        return grads / np.where(norms > 0.0, norms, np.nan)
+    norms = np.linalg.norm(grads, axis=1)
+    ok = np.isfinite(norms) & (norms > 0.0)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise FloatingPointError(f"no unit normal at {points[i].tolist()}: gradient norm {norms[i]}")
+    return grads / norms[:, None]
 
 
 def _line_hits(src: ScalarSource, draw, hits, next_count, want_points: bool = True):

@@ -3,9 +3,8 @@
 The counting tests quantify how closely an empirical sequence tracks a
 target measure: region tests compare hit frequencies of fixed regions
 against their analytic measure fractions (z-scores under the binomial
-null), k-tuple tests bin overlapping windows ``(x_n, ..., x_(n+k-1))`` into
-a grid of product boxes and apply a chi-square gate, and the exact 1-D star
-discrepancy gives the classical scalar uniformity metric.
+null), and k-tuple tests bin overlapping windows ``(x_n, ..., x_(n+k-1))``
+into a grid of product boxes and apply a chi-square gate.
 
 ``density_variation`` audits a surface cloud for orientation-dependent
 density (the defect of axis-aligned line sampling), and ``curse_benchmark``
@@ -31,7 +30,6 @@ __all__ = [
     "region_test",
     "KTupleResult",
     "ktuple_test",
-    "star_discrepancy_1d",
     "DensityResult",
     "density_variation",
     "BenchRow",
@@ -173,21 +171,6 @@ def ktuple_test(values: np.ndarray, k: int, grid: int) -> KTupleResult:
     dof = cells - 1
     threshold = float(_chi2.ppf(KTUPLE_PERCENTILE, dof))
     return KTupleResult(k, grid, len(codes), statistic, dof, threshold)
-
-
-def star_discrepancy_1d(values: np.ndarray) -> float:
-    """Exact sup over anchored intervals [0, t) of |empirical - t|.
-
-    Sorted-sample formula: D* = max_i max(i/N - x_(i), x_(i) - (i-1)/N).
-    """
-    x = np.sort(np.asarray(values, dtype=np.float64))
-    if len(x) == 0:
-        raise ValueError("empty sequence")
-    if x[0] < 0.0 or x[-1] >= 1.0:
-        raise ValueError("values must lie in [0, 1)")
-    n = len(x)
-    i = np.arange(1, n + 1)
-    return float(np.maximum(i / n - x, x - (i - 1) / n).max())
 
 
 @dataclass

