@@ -66,9 +66,11 @@ class ImplicitSurface:
     """Level set of ``field`` restricted to the ball of radius ``clip_radius``.
 
     ``field`` must be vectorized: it maps an ``(..., 3)`` array of points to
-    an ``(...)`` array of values.  ``gradient``, when supplied, maps
-    ``(..., 3)`` to ``(..., 3)``; otherwise gradients fall back to central
-    finite differences.
+    an ``(...)`` array of values.  The chord scan calls it on ``(rows,
+    nodes, 3)`` tiles of at most ``samplers.SCAN_TILE`` points whose last
+    axis may be strided; the field must not write into its argument.
+    ``gradient``, when supplied, maps ``(..., 3)`` to ``(..., 3)``;
+    otherwise gradients fall back to central finite differences.
 
     ``bounds``, when supplied, is an axis-aligned box ``(lo, hi)`` of two
     3-vectors, kept as float tuples, that must contain the whole level set

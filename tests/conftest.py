@@ -3,6 +3,9 @@ import pytest
 
 from croftoncloud.rng import ScalarSource
 
+#: the benchmark's expression torus; an expression surface has no bounding box, so it runs the whole-ball scan
+TORUS_EXPR = "(x^2+y^2+z^2+3.75)^2-16*(x^2+y^2)"
+
 
 class ScriptedSource(ScalarSource):
     """Feeds a fixed list of scalars; for exact sampler arithmetic tests."""

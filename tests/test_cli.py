@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,15 @@ class TestGenerateAndAudit:
         assert cli.main(args) == cli.NUMERIC_ERROR
         assert "surface not found" in capsys.readouterr().err
         assert not output.exists()
+
+    def test_nonfinite_field_is_one_error_and_no_warning(self, capsys):
+        # 1/(x-x) divides by zero at every scan node
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["area", "--surface", "1/(x-x)", "--m", "100", "--seed", "1"]) == cli.NUMERIC_ERROR
+        err = capsys.readouterr().err
+        assert "field not finite at (x, y, z) = (" in err and "t = " in err
+        assert "RuntimeWarning" not in err and not caught
 
     def test_generate_ignores_thread_variable(self, tmp_path, monkeypatch):
         # a file depends on the seed and the configuration only

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from croftoncloud import samplers
+from croftoncloud.crofton import estimate_area
+from croftoncloud.expr import compile_field
 from croftoncloud.geometry import sample_line_batch
 from croftoncloud.rng import Pseudo
 from croftoncloud.samplers import (
@@ -30,7 +33,7 @@ from croftoncloud.surfaces import (
     triangulate_parametric,
 )
 
-from conftest import ScriptedSource, binomial_sigma
+from conftest import TORUS_EXPR, ScriptedSource, binomial_sigma
 
 
 def _one_line(surface, direction, through):
@@ -193,6 +196,19 @@ class TestTruncationWarning:
         boxed = samplers._scan_lines(surface, dirs, feet, want_points)[3]
         ball = samplers._scan_lines(replace(surface, bounds=None), dirs, feet, want_points)[3]
         assert boxed == ball > 20
+
+
+class TestScanMemory:
+    def test_ball_scan_peak_is_bounded_by_the_tile_not_the_chunk(self):
+        # the expression torus has no box: one 8,192-line chunk is 8192 x 257 scan nodes, 50 MB of points at once
+        surface = ImplicitSurface(compile_field(TORUS_EXPR), 3.0)
+        tracemalloc.start()
+        try:
+            estimate_area(surface, Pseudo(21), 8192)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 def _select(cumulative, scalars):

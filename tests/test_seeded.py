@@ -1,4 +1,4 @@
-"""Pinned seeded output, and its independence from chunk sizes.
+"""Pinned seeded output, and its independence from chunk and scan tile sizes.
 
 A change that alters what a seed draws fails here until the pins are
 updated on purpose.  Integers are pinned exactly.  Floats are pinned to
@@ -6,15 +6,27 @@ updated on purpose.  Integers are pinned exactly.  Floats are pinned to
 one CPU to another.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from croftoncloud import samplers
 from croftoncloud.crofton import estimate_area, estimate_surface_integral
+from croftoncloud.expr import compile_field
 from croftoncloud.geometry import sample_line_batch
 from croftoncloud.rng import Pseudo, standard_normals
 from croftoncloud.samplers import cloud_implicit, cloud_triangulated
-from croftoncloud.surfaces import ImplicitSurface, torus_chart, torus_implicit, triangulate_parametric
+from croftoncloud.surfaces import (
+    ImplicitSurface,
+    corner_pyramid_implicit,
+    plane_implicit,
+    torus_chart,
+    torus_implicit,
+    triangulate_parametric,
+)
+
+from conftest import TORUS_EXPR
 
 
 @pytest.fixture(scope="module")
@@ -90,3 +102,109 @@ class TestChunkIndependence:
         assert a.lines_used == b.lines_used > 1000
         for name in ("positions", "normals", "line_index", "line_t", "per_line_counts"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def _sum_of_squares(p):
+    # reduces over the last axis, which the scan passes strided
+    return (p * p).sum(axis=-1) - 1.0
+
+
+TILED_SURFACES = {
+    "torus": torus_implicit,
+    "torus-unboxed": lambda: replace(torus_implicit(), bounds=None),
+    "torus-expr": lambda: ImplicitSurface(compile_field(TORUS_EXPR), 3.0),
+    "pyramid": corner_pyramid_implicit,
+    "sum-of-squares": lambda: ImplicitSurface(_sum_of_squares, 2.0),
+}
+#: one row per tile, and one tile per chord group of a whole chunk
+TILES = {"row": 1, "group": samplers.DEFAULT_LINE_CHUNK * (samplers.SCAN_STEPS + 1)}
+
+
+def _scans(surface, dirs, feet):
+    return [samplers._scan_lines(surface, dirs, feet, want_points) for want_points in (False, True)]
+
+
+def _assert_same_scans(a, b):
+    for (counts, ids, ts, boundary), (counts_b, ids_b, ts_b, boundary_b) in zip(a, b):
+        assert np.array_equal(counts, counts_b) and boundary == boundary_b
+        assert (ids is None and ids_b is None) or (np.array_equal(ids, ids_b) and ts.tobytes() == ts_b.tobytes())
+
+
+def _tiled(monkeypatch, tile, run):
+    """``run()`` at the default tile, then with SCAN_TILE set to *tile*."""
+    first = run()
+    monkeypatch.setattr(samplers, "SCAN_TILE", tile)
+    return first, run()
+
+
+class TestTileIndependence:
+    """Tiles bound the scan's memory; every count, bracket, t and hit must be bit-identical whatever their size."""
+
+    @pytest.mark.parametrize("tile", TILES.values(), ids=TILES.keys())
+    @pytest.mark.parametrize("name", TILED_SURFACES)
+    def test_scan_lines(self, monkeypatch, name, tile):
+        surface = TILED_SURFACES[name]()
+        dirs, feet = sample_line_batch(Pseudo(14), 3, surface.clip_radius, 1500)
+        a, b = _tiled(monkeypatch, tile, lambda: _scans(surface, dirs, feet))
+        assert a[0][0].sum() > 100
+        _assert_same_scans(a, b)
+
+    @pytest.mark.parametrize("tile", TILES.values(), ids=TILES.keys())
+    @pytest.mark.parametrize("name", TILED_SURFACES)
+    def test_cloud_and_estimates(self, monkeypatch, name, tile):
+        surface = TILED_SURFACES[name]()
+
+        def run():
+            cloud = cloud_implicit(surface, Pseudo(15), 1000)
+            area = estimate_area(surface, Pseudo(16), 1500)
+            z2 = estimate_surface_integral(surface, lambda p: p[:, 2] ** 2, Pseudo(17), 1500)
+            return cloud, [(e.value, e.standard_error, e.hit_histogram) for e in (area, z2)]
+
+        (a, a_est), (b, b_est) = _tiled(monkeypatch, tile, run)
+        assert a.lines_used == b.lines_used and a_est == b_est
+        for field in ("positions", "normals", "line_index", "line_t", "per_line_counts"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+
+    @pytest.mark.parametrize("tile", TILES.values(), ids=TILES.keys())
+    def test_plane_exact_zero_node(self, monkeypatch, tile):
+        # the line of the exact-grid-zero test first, then lines that cross the plane between nodes
+        surface = plane_implicit()
+        dirs, feet = sample_line_batch(Pseudo(18), 3, surface.clip_radius, 200)
+        dirs, feet = np.vstack([[0.0, 0.0, 1.0], dirs]), np.vstack([[0.3, 0.4, 0.0], feet])
+        a, b = _tiled(monkeypatch, tile, lambda: _scans(surface, dirs, feet))
+        counts, ids, ts, _ = a[1]
+        assert counts[0] == 1 and ids[0] == 0 and ts[0] == 0.0
+        _assert_same_scans(a, b)
+
+    @pytest.mark.parametrize("tile, rows", [(1, 1), (samplers.SCAN_STEPS + 1, 1), (10 * (samplers.SCAN_STEPS + 1), 10)])
+    def test_tile_rows(self, monkeypatch, tile, rows):
+        # a tile holds whole rows, at least one, and at most SCAN_TILE nodes
+        monkeypatch.setattr(samplers, "SCAN_TILE", tile)
+        shapes = []
+        field_on_grid = samplers._field_on_grid
+
+        def recorded(surface, dirs, feet, t_grid):
+            shapes.append(t_grid.shape)
+            return field_on_grid(surface, dirs, feet, t_grid)
+
+        monkeypatch.setattr(samplers, "_field_on_grid", recorded)
+        surface = TILED_SURFACES["torus-unboxed"]()
+        dirs, feet = sample_line_batch(Pseudo(19), 3, surface.clip_radius, 25)
+        samplers._scan_lines(surface, dirs, feet, want_points=False)
+        assert [r for r, _ in shapes] == [rows] * (25 // rows) + ([25 % rows] if 25 % rows else [])
+        assert {n for _, n in shapes} == {samplers.SCAN_STEPS + 1}
+
+    def test_last_axis_reduction_sees_the_same_values_as_on_a_contiguous_copy(self):
+        tiles = []
+
+        def field(p):
+            tiles.append(p)
+            return _sum_of_squares(p)
+
+        surface = ImplicitSurface(field, 2.0)
+        dirs, feet = sample_line_batch(Pseudo(20), 3, surface.clip_radius, 500)
+        samplers._scan_lines(surface, dirs, feet, want_points=False)
+        grids = [p for p in tiles if p.ndim == 3]
+        assert grids and all(p.strides[-1] != p.itemsize for p in grids)
+        for p in grids:
+            assert _sum_of_squares(p).tobytes() == _sum_of_squares(np.ascontiguousarray(p)).tobytes()
