@@ -18,16 +18,16 @@ piecewise-linear proxy (the selection weights still come from the proxy, a
 bias that shrinks like the squared grid step).
 
 The scan has no knobs: :data:`SCAN_STEPS` equal cells per ball chord and
-:data:`ROOT_TOL` on each refined hit.  A line that misses the bounding box
-counts 0 and is never evaluated.  A chord cut by the box gets the fewest
-power-of-two cells, up to SCAN_STEPS, that are no wider than the ball
-chord's cells, so lines are scanned in a few rectangular grids, one per
-cell count, and a box only ever narrows a line's cells.  Each grid is
-scanned in tiles of whole rows, at most :data:`SCAN_TILE` nodes each, so the
-scan's memory does not grow with the line count.  A feature thinner
-than one cell (a short chord through an edge or a vertex) can show no sign
-change and be missed; a certified scan that finds such chords is the fix
-the roadmap holds (item 1), not a finer user-set step count.
+:data:`ROOT_TOL` on each refined hit.  A bounding box only picks which of
+those cells a line evaluates: a line that misses the box counts 0 and is
+never evaluated, and a chord cut by the box scans the ball cells that meet
+the box plus one on each side.  Every node is a ball scan node, so a box
+changes no output bit.  Lines are scanned widest run first, in tiles of
+whole rows of at most :data:`SCAN_TILE` nodes each, so the scan's memory
+does not grow with the line count.  A feature thinner than one cell (a
+short chord through an edge or a vertex) can show no sign change and be
+missed; a certified scan that finds such chords is the fix the roadmap
+holds (item 1), not a finer user-set step count.
 
 The axis-aligned sampler reproduces the legacy approach (lines parallel to
 coordinate axes); its clouds have local density proportional to
@@ -68,11 +68,11 @@ __all__ = [
 DEFAULT_LINE_CHUNK = 8192
 #: lines a cloud draws without a single hit before raising SurfaceNotFound
 MAX_EMPTY_LINES = 200_000
-#: equal scan cells per ball chord, a power of two; a chord cut by a bounding box gets the fewest power-of-two
-#: cells no wider than these, and a feature thinner than one cell can show no sign change and be missed
+#: equal scan cells per ball chord, a power of two; a bounding box only picks which of them are evaluated, and a
+#: feature thinner than one cell can show no sign change and be missed
 SCAN_STEPS = 256
-#: scan nodes per tile, at most (a tile holds at least one row): a chord group is scanned a tile of whole rows at a
-#: time, so the grid and its field values stay in cache; seeded output does not depend on it
+#: scan nodes per tile, at most (a tile holds at least one row): lines are scanned a tile of whole rows at a time, so
+#: the grid and its field values stay in cache; seeded output does not depend on it
 SCAN_TILE = 1 << 14
 #: absolute parameter error of each refined hit
 ROOT_TOL = 1e-10
@@ -145,53 +145,32 @@ def _refine_bisection(surface, dirs, feet, t_lo, t_hi, g_lo):
     return 0.5 * (t_lo + t_hi)
 
 
-def _chord_groups(surface: ImplicitSurface, dirs, feet):
-    """Split the lines whose chord is not empty into groups of one cell count each.
+def _scan_runs(surface: ImplicitSurface, dirs, feet):
+    """The ball scan's nodes each line with a chord evaluates: ``(ids, half, first, width)``, widest run first.
 
-    Yields ``(ids, cells, mid, rad, half)``: line ids, cells per chord, the
-    chords t in [mid - rad, mid + rad] (mid None for 0), and the ball
-    chords' half-lengths.  Without a box every chord is the ball's and gets
-    SCAN_STEPS cells.  With one, a chord gets the fewest power-of-two cells
-    no wider than the ball scan's.
+    Line ``ids[i]`` scans nodes ``first[i] .. first[i] + width[i]`` of the
+    ball grid ``half[i] * linspace(-1, 1, SCAN_STEPS + 1)``, *half* its ball
+    chord's half-length.  Without a box that is every node.  With one it is
+    every cell that meets the box's part of the chord plus one on each
+    side, so the cells left out hold no zero of the field and a box changes
+    no hit.
     """
     half = _chord_half_lengths(feet, surface.clip_radius)
     if surface.bounds is None:
         ids = np.nonzero(half > 0.0)[0]
-        half = half[ids]
-        yield ids, SCAN_STEPS, None, half, half
-        return
+        first = np.zeros(len(ids), dtype=np.intp)
+        return ids, half[ids], first, first + SCAN_STEPS
     lo, hi = surface.bounds
     with np.errstate(divide="ignore"):
         inv = 1.0 / dirs
     t0, t1 = geometry.slab_chord(lo, hi, np.signbit(dirs), inv, feet, half)
     ids = np.nonzero(t0 < t1)[0]
-    t0, t1, half = t0[ids], t1[ids], half[ids]
-    mid, rad = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-    powers = 1 << np.arange(SCAN_STEPS.bit_length())
-    cells = powers[np.minimum(np.searchsorted(powers, SCAN_STEPS * rad / half), len(powers) - 1)]
-    for c in np.unique(cells):
-        rows = np.nonzero(cells == c)[0]
-        yield ids[rows], int(c), mid[rows], rad[rows], half[rows]
-
-
-def _end_cell_hits(surface: ImplicitSurface, dirs, feet, brackets) -> int:
-    """Number of brackets whose crossing lies in the ball scan's first or last cell.
-
-    *brackets* is ``(line_ids, t_lo, t_hi, g_lo, half)``, *half* the ball
-    chord's half-length.  A bracket across the inner node of such a cell is
-    settled by the sign of the field there, so a box changes no count.
-    """
-    line_ids, t_lo, t_hi, g_lo, half = brackets
-    inner = np.linspace(-1.0, 1.0, SCAN_STEPS + 1)
-    lo_cut, hi_cut = half * inner[1], half * inner[-2]
-    low, high = t_lo < lo_cut, t_hi > hi_cut
-    across = np.nonzero((low & (t_hi > lo_cut)) | (high & (t_lo < hi_cut)))[0]
-    if len(across):
-        ids, cut = line_ids[across], np.where(low[across], lo_cut[across], hi_cut[across])
-        sign = g_lo[across] * np.asarray(surface.field(feet[ids] + cut[:, None] * dirs[ids]))
-        low[across] &= sign < 0.0
-        high[across] &= sign > 0.0
-    return int((low | high).sum())
+    half = half[ids]
+    scale = 0.5 * SCAN_STEPS / half
+    first = np.maximum(np.floor((t0[ids] + half) * scale).astype(np.intp) - 1, 0)
+    width = np.minimum(np.floor((t1[ids] + half) * scale).astype(np.intp) + 2, SCAN_STEPS) - first
+    order = np.argsort(-width, kind="stable")
+    return ids[order], half[order], first[order], width[order]
 
 
 def _scan_lines(surface: ImplicitSurface, dirs, feet, want_points: bool):
@@ -200,48 +179,54 @@ def _scan_lines(surface: ImplicitSurface, dirs, feet, want_points: bool):
     Returns ``(counts, line_ids, ts, boundary_hits)``: per-line hit counts,
     flat hit arrays in (line, t) order when ``want_points`` is true, and the
     number of hits falling in the first or last cell of the ball scan (a
-    cheap proxy for hits at the clip boundary, the same with or without a
-    box).  Brackets are strict sign changes; an exact zero at an interior
-    grid node counts once when its neighbors straddle zero, and tangential
-    touches are dropped.
+    cheap proxy for hits at the clip boundary).  Brackets are strict sign
+    changes; an exact zero at an interior grid node counts once when its
+    neighbors straddle zero, and tangential touches are dropped.  Every
+    node is a ball scan node, so a bounding box changes no output bit.
     """
     counts = np.zeros(len(dirs), dtype=np.int64)
+    scan_ids, scan_half, scan_first, scan_width = _scan_runs(surface, dirs, feet)
+    nodes = np.linspace(-1.0, 1.0, SCAN_STEPS + 1)
     # one empty entry each, so the concatenations below hold when no line is scanned
     no_ids, no_ts = np.empty(0, dtype=np.intp), np.empty(0)
-    brackets, zeros = [(no_ids,) + (no_ts,) * 4], [(no_ids, no_ts)]
-    for group_ids, cells, group_mid, group_rad, group_half in _chord_groups(surface, dirs, feet):
-        nodes = np.linspace(-1.0, 1.0, cells + 1)
-        rows = max(1, SCAN_TILE // (cells + 1))
-        for start in range(0, len(group_ids), rows):
-            tile = slice(start, start + rows)
-            ids, half = group_ids[tile], group_half[tile]
-            t_grid = group_rad[tile, None] * nodes[None, :]
-            if group_mid is not None:
-                t_grid += group_mid[tile, None]
-            g = _field_on_grid(surface, dirs[ids], feet[ids], t_grid)
+    brackets, zeros = [(no_ids, no_ts, no_ts, no_ts, no_ids)], [(no_ids, no_ts)]
+    start, width = 0, -1
+    # a tile's first row, its widest, sets its width
+    while start < len(scan_ids):
+        if scan_width[start] != width:
+            width = int(scan_width[start])
+            runs = np.lib.stride_tricks.sliding_window_view(nodes, width + 1)
+        tile = slice(start, start + max(1, SCAN_TILE // (width + 1)))
+        start = tile.stop
+        ids = scan_ids[tile]
+        # a narrower run is widened to the tile's width, to the right unless that passes the ball's last node
+        first = np.minimum(scan_first[tile], SCAN_STEPS - width)
+        # scaled in place, so a tile allocates one grid-sized array here, not two
+        t_grid = runs[first]
+        t_grid *= scan_half[tile, None]
+        g = _field_on_grid(surface, dirs[ids], feet[ids], t_grid)
 
-            bracket = g[:, :-1] * g[:, 1:] < 0.0
-            zero_nodes = g[:, 1:-1] == 0.0
-            if zero_nodes.any():
-                crossing = g[:, :-2] * g[:, 2:] < 0.0
-                zero_nodes &= crossing
-            else:
-                zero_nodes = None
+        bracket = g[:, :-1] * g[:, 1:] < 0.0
+        zero_nodes = g[:, 1:-1] == 0.0
+        if zero_nodes.any():
+            crossing = g[:, :-2] * g[:, 2:] < 0.0
+            zero_nodes &= crossing
+        else:
+            zero_nodes = None
 
-            row, col = np.nonzero(bracket)
-            tile_counts = bracket.sum(axis=1)
-            if zero_nodes is not None:
-                tile_counts += zero_nodes.sum(axis=1)
-                zrow, zcol = np.nonzero(zero_nodes)
-                zeros.append((ids[zrow], t_grid[zrow, zcol + 1]))
-            counts[ids] = tile_counts
-            brackets.append((ids[row], t_grid[row, col], t_grid[row, col + 1], g[row, col], half[row]))
+        row, col = np.nonzero(bracket)
+        tile_counts = bracket.sum(axis=1)
+        if zero_nodes is not None:
+            tile_counts += zero_nodes.sum(axis=1)
+            zrow, zcol = np.nonzero(zero_nodes)
+            zeros.append((ids[zrow], t_grid[zrow, zcol + 1]))
+        counts[ids] = tile_counts
+        brackets.append((ids[row], t_grid[row, col], t_grid[row, col + 1], g[row, col], first[row] + col))
 
-    brackets = [np.concatenate(part) for part in zip(*brackets)]
-    boundary = _end_cell_hits(surface, dirs, feet, brackets)
+    line_ids, t_lo, t_hi, g_lo, cells = (np.concatenate(part) for part in zip(*brackets))
+    boundary = int(np.count_nonzero((cells == 0) | (cells == SCAN_STEPS - 1)))
     if not want_points:
         return counts, None, None, boundary
-    line_ids, t_lo, t_hi, g_lo = brackets[:4]
     ts = _refine_bisection(surface, dirs[line_ids], feet[line_ids], t_lo, t_hi, g_lo) if len(line_ids) else t_lo
     zero_ids, zero_ts = (np.concatenate(part) for part in zip(*zeros))
     line_ids, ts = np.concatenate([line_ids, zero_ids]), np.concatenate([ts, zero_ts])

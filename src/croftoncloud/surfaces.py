@@ -75,9 +75,10 @@ class ImplicitSurface:
     ``bounds``, when supplied, is an axis-aligned box ``(lo, hi)`` of two
     3-vectors, kept as float tuples, that must contain the whole level set
     inside the clip ball.
-    The chord scan then covers only the part of each line inside the box.
-    Nothing checks the contract: a box that is too small drops the hits
-    outside it silently.
+    The chord scan then evaluates only the scan cells of each line that meet
+    the box, plus one on each side, and finds the same hits, bit for bit, as
+    without it.  Nothing checks the contract: a box that is too small drops
+    the hits outside it silently.
     """
 
     field: Callable[[np.ndarray], np.ndarray]
@@ -530,14 +531,6 @@ def corner_pyramid_implicit(clip: float = 2.0) -> ImplicitSurface:
 
     Piecewise smooth; lines through edges form a null set, so scan-based
     intersection works unchanged.
-
-    It has no ``bounds``.  Its faces lie on the faces of [0, 1]^3, so with
-    that box the first scan node of a chord would always sit just outside
-    an entry face, and a chord through the solid thinner than one scan cell
-    would then always be missed.  Scanned over the whole ball, a node lands
-    inside such a chord with a chance of its length over the cell.  On
-    40,000 seeded lines a boxed scan found 3,530 hits, the ball scan 3,562
-    and a 4,096-step scan 3,634.
     """
 
     def f(x):
@@ -545,7 +538,9 @@ def corner_pyramid_implicit(clip: float = 2.0) -> ImplicitSurface:
             [-x[..., 0], -x[..., 1], -x[..., 2], x[..., 0] + x[..., 1] + x[..., 2] - 1.0]
         )
 
-    return ImplicitSurface(f, clip, name="pyramid")
+    # the box [0, 1]^3, padded as the centred boxes are
+    lo, hi = _centred_box([0.5] * 3)
+    return ImplicitSurface(f, clip, name="pyramid", bounds=(lo + 0.5, hi + 0.5))
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,13 @@ takes one in ``tests/test_knobs.py``.
 import importlib
 import importlib.util
 import pkgutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import croftoncloud
+from croftoncloud import samplers
 
 MODULES = sorted(f"croftoncloud.{info.name}" for info in pkgutil.iter_modules(croftoncloud.__path__))
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
@@ -63,3 +65,31 @@ def test_benchmark_trace_targets_resolve():
         if obj is None or not hasattr(obj, attr):
             missing.append(f"{owner}.{attr}")
     assert not missing, f"perfbench/layertrace.py targets no longer exist: {missing}"
+
+
+def test_benchmark_trace_hooks_record_their_counts():
+    # the hooks wrap private names by call and return shape, so a changed shape fails here, not in the benchmark
+    layertrace = _layertrace()
+    tracer = layertrace.Tracer()
+    assert not tracer.not_measured
+    torus = croftoncloud.CATALOG["torus"].implicit()
+    boxed = replace(torus, field=tracer.field("surfaces.field", torus.field))
+    ball = replace(boxed, bounds=None)
+    with tracer.patched(0):
+        cloud = croftoncloud.cloud_implicit(boxed, croftoncloud.Pseudo(1), 500)
+    with tracer.patched(1):
+        area = croftoncloud.estimate_area(ball, croftoncloud.Pseudo(2), 1000)
+    assert {span[0] for span in tracer.spans} >= {"samplers.scan", "samplers.grid_field", "samplers.refine"}
+
+    traced = tracer.values(0, wall=1.0)
+    assert traced["samplers.scan_lines"] == traced["geometry.lines"] == samplers.DEFAULT_LINE_CHUNK
+    assert traced["samplers.scan_hits"] >= len(cloud) and traced["samplers.grid_field_s"] > 0.0
+    assert traced["samplers.refine_brackets"] >= len(cloud) and traced["samplers.refine_rounds"] > 1.0
+    # the box leaves most of each ball chord unevaluated
+    assert 0 < traced["surfaces.field_points.scan"] < 0.5 * samplers.DEFAULT_LINE_CHUNK * (samplers.SCAN_STEPS + 1)
+
+    traced = tracer.values(1, wall=1.0)
+    assert traced["samplers.scan_lines"] == traced["geometry.lines"] == 1000
+    assert traced["samplers.scan_hits"] == sum(k * n for k, n in area.hit_histogram.items()) > 0
+    assert traced["samplers.refine_brackets"] == 0
+    assert traced["surfaces.field_points.scan"] == 1000 * (samplers.SCAN_STEPS + 1)

@@ -112,8 +112,16 @@ def _scan_in_chunks(surface, dirs, feet, chunk=4096):
     return counts, ids, np.concatenate([p[2] for p in parts]), sum(p[3] for p in parts)
 
 
+def _assert_same_as_the_ball_scan(surface, dirs, feet):
+    boxed = samplers._scan_lines(surface, dirs, feet, want_points=True)
+    ball = samplers._scan_lines(replace(surface, bounds=None), dirs, feet, want_points=True)
+    assert np.array_equal(boxed[0], ball[0]) and np.array_equal(boxed[1], ball[1])
+    assert boxed[2].tobytes() == ball[2].tobytes() and boxed[3] == ball[3]
+    return boxed
+
+
 class TestBoxedScan:
-    """A bounding box narrows the scanned part of each chord; it must change no hit."""
+    """A bounding box only picks which of the ball scan's nodes are evaluated; it must change no output bit."""
 
     @pytest.mark.parametrize("name", ["sphere", "torus", "ellipsoid"])
     def test_box_changes_no_hit_count(self, name):
@@ -123,40 +131,48 @@ class TestBoxedScan:
         ball_counts, _, ball_ts, _ = _scan_in_chunks(replace(surface, bounds=None), dirs, feet)
         assert counts.sum() > 5000
         assert np.array_equal(counts, ball_counts)
-        np.testing.assert_allclose(ts, ball_ts, rtol=0.0, atol=1e-9)
+        assert ts.tobytes() == ball_ts.tobytes()
         pts = feet[ids] + ts[:, None] * dirs[ids]
         lo, hi = map(np.array, surface.bounds)
         assert ((pts >= lo) & (pts <= hi)).all()
 
-    def test_cells_are_the_fewest_no_wider_than_the_ball_scan(self):
-        surface = torus_implicit()
-        dirs, feet = sample_line_batch(Pseudo(10), 3, surface.clip_radius, 4096)
-        half = samplers._chord_half_lengths(feet, surface.clip_radius)
-        lo, hi = map(np.array, surface.bounds)
-        scanned = []
-        for ids, cells, mid, rad, chord_half in samplers._chord_groups(surface, dirs, feet):
-            assert np.array_equal(chord_half, half[ids])
-            assert cells & (cells - 1) == 0 and 1 <= cells <= samplers.SCAN_STEPS
-            ball_cell = 2.0 * half[ids] / samplers.SCAN_STEPS
-            assert (2.0 * rad / cells <= ball_cell * (1.0 + 1e-12)).all()
-            if cells > 1:
-                assert (2.0 * rad / (cells // 2) > ball_cell * (1.0 - 1e-12)).all()
-            for end in (mid - rad, mid + rad):
-                pts = feet[ids] + end[:, None] * dirs[ids]
-                assert ((pts >= lo - 1e-12) & (pts <= hi + 1e-12)).all()
-                assert (np.linalg.norm(pts, axis=1) <= surface.clip_radius * (1.0 + 1e-12)).all()
-            scanned.append(ids)
-        scanned = np.concatenate(scanned)
-        assert len(np.unique(scanned)) == len(scanned)
-        assert 0 < len(scanned) < (half > 0.0).sum()
+    @pytest.mark.parametrize(
+        "name, clip",
+        [
+            ("sphere", None),
+            ("sphere", 1.2),
+            ("torus", None),
+            ("torus", 2.2),
+            ("ellipsoid", None),
+            ("ellipsoid", 1.2),
+            ("pyramid", None),
+            ("pyramid", 0.8),
+        ],
+    )
+    def test_same_bits_as_the_ball_scan(self, name, clip):
+        # each smaller clip cuts the box; it cuts the surface too, with hits in the ball scan's end cells, except on
+        # the sphere, which a ball about its centre cannot cut
+        build = CATALOG[name].implicit
+        surface = build() if clip is None else build(clip=clip)
+        assert surface.bounds is not None
+        dirs, feet = sample_line_batch(Pseudo(22), 3, surface.clip_radius, 8192)
+        counts, _, _, boundary = _assert_same_as_the_ball_scan(surface, dirs, feet)
+        assert counts.sum() > 500 and (boundary > 0) == (clip is not None and name != "sphere")
 
-    def test_without_a_box_every_chord_is_the_balls(self):
-        surface = replace(torus_implicit(), bounds=None)
-        dirs, feet = sample_line_batch(Pseudo(10), 3, surface.clip_radius, 4096)
-        half = samplers._chord_half_lengths(feet, surface.clip_radius)
-        [(ids, cells, mid, rad, _)] = samplers._chord_groups(surface, dirs, feet)
-        assert cells == samplers.SCAN_STEPS and mid is None
-        assert np.array_equal(ids, np.nonzero(half > 0.0)[0]) and np.array_equal(rad, half[ids])
+    def test_close_crossings_the_ball_grid_splits(self):
+        # line 8137 crosses at t = -1.55097 and -1.54338, with a ball grid node between them
+        surface = torus_implicit(clip=2.2)
+        dirs, feet = sample_line_batch(Pseudo(2), 3, surface.clip_radius, 8192)
+        counts, ids, ts, _ = _assert_same_as_the_ball_scan(surface, dirs, feet)
+        assert counts[8137] == 2
+        np.testing.assert_allclose(ts[ids == 8137], [-1.55097, -1.54338], rtol=0.0, atol=1e-5)
+
+    def test_hits_on_grid_nodes(self):
+        # the z axis meets the unit sphere at t = -1 and 1, ball grid nodes 64 and 192 of the clip-2 chord
+        surface = sphere_implicit()
+        dirs, feet = np.array([[0.0, 0.0, 1.0]]), np.zeros((1, 3))
+        counts, _, ts, _ = _assert_same_as_the_ball_scan(surface, dirs, feet)
+        assert counts.tolist() == [2] and ts.tolist() == [-1.0, 1.0]
 
     def test_lines_missing_the_box_are_not_evaluated(self):
         evaluated = []

@@ -21,6 +21,7 @@ from croftoncloud.surfaces import (
     ImplicitSurface,
     corner_pyramid_implicit,
     plane_implicit,
+    sphere_implicit,
     torus_chart,
     torus_implicit,
     triangulate_parametric,
@@ -110,13 +111,14 @@ def _sum_of_squares(p):
 
 
 TILED_SURFACES = {
+    "sphere": sphere_implicit,
     "torus": torus_implicit,
     "torus-unboxed": lambda: replace(torus_implicit(), bounds=None),
     "torus-expr": lambda: ImplicitSurface(compile_field(TORUS_EXPR), 3.0),
     "pyramid": corner_pyramid_implicit,
     "sum-of-squares": lambda: ImplicitSurface(_sum_of_squares, 2.0),
 }
-#: one row per tile, and one tile per chord group of a whole chunk
+#: one row per tile, and one tile holding a whole chunk, every row widened to the widest run
 TILES = {"row": 1, "group": samplers.DEFAULT_LINE_CHUNK * (samplers.SCAN_STEPS + 1)}
 
 
@@ -193,6 +195,36 @@ class TestTileIndependence:
         samplers._scan_lines(surface, dirs, feet, want_points=False)
         assert [r for r, _ in shapes] == [rows] * (25 // rows) + ([25 % rows] if 25 % rows else [])
         assert {n for _, n in shapes} == {samplers.SCAN_STEPS + 1}
+
+    @pytest.mark.parametrize("tile", [1000, samplers.SCAN_TILE])
+    @pytest.mark.parametrize("name", ["sphere", "torus", "pyramid"])
+    def test_boxed_tiles_hold_runs_of_ball_nodes(self, monkeypatch, name, tile):
+        # a boxed tile holds at most SCAN_TILE nodes or one row, and each row is a run of its ball chord's nodes
+        monkeypatch.setattr(samplers, "SCAN_TILE", tile)
+        grids = []
+        field_on_grid = samplers._field_on_grid
+
+        def recorded(surface, dirs, feet, t_grid):
+            grids.append((feet, t_grid))
+            return field_on_grid(surface, dirs, feet, t_grid)
+
+        monkeypatch.setattr(samplers, "_field_on_grid", recorded)
+        surface = TILED_SURFACES[name]()
+        assert surface.bounds is not None
+        dirs, feet = sample_line_batch(Pseudo(23), 3, surface.clip_radius, 1500)
+        samplers._scan_lines(surface, dirs, feet, want_points=False)
+        nodes = np.linspace(-1.0, 1.0, samplers.SCAN_STEPS + 1)
+        widths = set()
+        for tile_feet, t_grid in grids:
+            rows, width = t_grid.shape
+            assert rows * width <= tile or rows == 1
+            widths.add(width)
+            half = samplers._chord_half_lengths(tile_feet, surface.clip_radius)
+            first = np.rint((t_grid[:, 0] / half + 1.0) * samplers.SCAN_STEPS / 2).astype(int)
+            assert ((first >= 0) & (first + width <= len(nodes))).all()
+            runs = np.lib.stride_tricks.sliding_window_view(nodes, width)[first]
+            assert t_grid.tobytes() == (half[:, None] * runs).tobytes()
+        assert len(widths) > 1
 
     def test_last_axis_reduction_sees_the_same_values_as_on_a_contiguous_copy(self):
         tiles = []
