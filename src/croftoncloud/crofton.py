@@ -177,6 +177,17 @@ def _gather(surface, src, lines, clip_radius, want_points):
     return clip, counts, ids, pts
 
 
+def _integrand(fn, *points: np.ndarray) -> np.ndarray:
+    """``fn(*points)`` as float64; raises FloatingPointError naming the first point where it is not finite."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        values = np.asarray(fn(*points), dtype=np.float64)
+    if not np.isfinite(values).all():
+        i = np.flatnonzero(~np.isfinite(values))[0]
+        at = " and ".join(str(tuple(p[i].tolist())) for p in points)
+        raise FloatingPointError(f"integrand not finite at (x, y, z) = {at}: {values[i]}")
+    return values
+
+
 def _finish(stat: np.ndarray, norm: float, counts: np.ndarray) -> CroftonEstimate:
     m = len(stat)
     mean = float(stat.mean())
@@ -211,12 +222,13 @@ def estimate_surface_integral(
     """Estimate of the surface integral of *fn* (vectorized ``(m, 3) -> (m,)``).
 
     Per line, *fn* is summed over the intersection points; with fn == 1 this
-    reduces to the area estimator.
+    reduces to the area estimator.  Raises FloatingPointError where *fn* is
+    not finite.
     """
     if lines < 1:
         raise ValueError("need at least one line")
     clip, counts, ids, pts = _gather(surface, src, lines, clip_radius, want_points=True)
-    values = np.asarray(fn(pts), dtype=np.float64) if len(pts) else np.empty(0)
+    values = _integrand(fn, pts) if len(pts) else np.empty(0)
     sums = np.bincount(ids, weights=values, minlength=lines)
     return _finish(sums, _normalization(3, clip), counts)
 
@@ -229,8 +241,8 @@ def estimate_double_integral(
     Draws 2 * line_pairs lines; pair j is lines (2j, 2j+1).  For each pair
     the statistic sums ``fn2(p, q)`` over all intersection combinations
     (p from the first line, q from the second); *fn2* must be vectorized
-    ``(m, 3), (m, 3) -> (m,)``.  Normalization is the square of the
-    single-integral constant.
+    ``(m, 3), (m, 3) -> (m,)`` and finite (else FloatingPointError).
+    Normalization is the square of the single-integral constant.
     """
     if line_pairs < 1:
         raise ValueError("need at least one line pair")
@@ -257,6 +269,6 @@ def estimate_double_integral(
             within = np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)
             idx_b = np.repeat(off_b[pair_a], lengths) + within
             pair_id = np.repeat(pair_a, lengths)
-            vals = np.asarray(fn2(pts_a[idx_a], pts_b[idx_b]), dtype=np.float64)
+            vals = _integrand(fn2, pts_a[idx_a], pts_b[idx_b])
             pair_stat = np.bincount(pair_id, weights=vals, minlength=line_pairs)
     return _finish(pair_stat, _normalization(3, clip) ** 2, counts)

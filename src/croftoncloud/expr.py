@@ -1,144 +1,80 @@
-"""Tiny arithmetic expression parser for user-specified scalar fields.
+"""Field expressions in x, y, z, compiled to vectorized numpy callables.
 
 Grammar (highest precedence first):
 
     ^  (right associative)  >  unary -  >  * /  >  + -
 
 with functions ``sin``, ``cos``, ``exp``, variables ``x``, ``y``, ``z``,
-decimal literals, and parentheses.  ``compile_field`` returns a vectorized
-callable mapping an ``(..., 3)`` point array to ``(...)`` values, suitable
-as an implicit surface field or a surface integrand.
+decimal literals (``5``, ``5.``, ``.5``, ``0.25``), and parentheses.  With
+``^`` read as ``**`` (itself refused) this is a subset of Python's
+expressions, so :mod:`ast` parses it under a whitelist of node types into a
+flat postfix program: an ``int`` pushes that axis of the points, a ``float``
+pushes itself, and a numpy ufunc replaces its ``nin`` top entries with its
+result.  ``compile_field`` returns a loop over that program.
 """
 
 from __future__ import annotations
 
+import ast
 import re
+import warnings
 
 import numpy as np
 
 __all__ = ["compile_field", "ExpressionError"]
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<number>\d+\.\d*|\.\d+|\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*/^()]))"
-)
-
+_BINARY = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply, ast.Div: np.divide, ast.Pow: np.power}
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _VARIABLES = {"x": 0, "y": 1, "z": 2}
+_DECIMAL = re.compile(r"\d+\.?\d*|\.\d+")
 
 
 class ExpressionError(ValueError):
     """Malformed field expression."""
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if not match:
-            raise ExpressionError(f"unexpected character {text[pos]!r} at position {pos}")
-        if match.group("number"):
-            tokens.append(("number", float(match.group("number")), pos))
-        elif match.group("name"):
-            tokens.append(("name", match.group("name"), pos))
-        else:
-            tokens.append(("op", match.group("op"), pos))
-        pos = match.end()
-    tokens.append(("end", None, len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def expect_op(self, op: str):
-        kind, value, at = self.advance()
-        if kind != "op" or value != op:
-            raise ExpressionError(f"expected {op!r} at position {at} in {self.text!r}")
-
-    def parse(self):
-        node = self.expression()
-        kind, _, at = self.peek()
-        if kind != "end":
-            raise ExpressionError(f"trailing input at position {at} in {self.text!r}")
-        return node
-
-    def expression(self):
-        node = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.advance()[1]
-            rhs = self.term()
-            node = (lambda a, b: lambda p: a(p) + b(p))(node, rhs) if op == "+" else (
-                lambda a, b: lambda p: a(p) - b(p)
-            )(node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.advance()[1]
-            rhs = self.unary()
-            node = (lambda a, b: lambda p: a(p) * b(p))(node, rhs) if op == "*" else (
-                lambda a, b: lambda p: a(p) / b(p)
-            )(node, rhs)
-        return node
-
-    def unary(self):
-        if self.peek()[:2] == ("op", "-"):
-            self.advance()
-            inner = self.unary()
-            return lambda p: -inner(p)
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek()[:2] == ("op", "^"):
-            self.advance()
-            exponent = self.unary()
-            return lambda p: np.power(base(p), exponent(p))
-        return base
-
-    def atom(self):
-        kind, value, at = self.advance()
-        if kind == "number":
-            return lambda p, c=value: c
-        if kind == "name":
-            if value in _VARIABLES:
-                axis = _VARIABLES[value]
-                return lambda p, a=axis: p[..., a]
-            if value in _FUNCTIONS:
-                fn = _FUNCTIONS[value]
-                self.expect_op("(")
-                inner = self.expression()
-                self.expect_op(")")
-                return lambda p, f=fn, g=inner: f(g(p))
-            raise ExpressionError(f"unknown name {value!r} at position {at} (variables x, y, z; functions sin, cos, exp)")
-        if (kind, value) == ("op", "("):
-            inner = self.expression()
-            self.expect_op(")")
-            return inner
-        raise ExpressionError(f"unexpected token at position {at} in {self.text!r}")
+def _postfix(node, source: str) -> list:
+    """The postfix program of *node*; raises ExpressionError off the whitelist."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _postfix(node.left, source) + _postfix(node.right, source) + [_BINARY[type(node.op)]]
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return _postfix(node.operand, source) + [np.negative]
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) in _FUNCTIONS and len(node.args) == 1 and not node.keywords:
+        return _postfix(node.args[0], source) + [_FUNCTIONS[node.func.id]]
+    if isinstance(node, ast.Name):
+        if node.id not in _VARIABLES:
+            raise ExpressionError(f"unknown name {node.id!r} (variables x, y, z; functions sin, cos, exp)")
+        return [_VARIABLES[node.id]]
+    if isinstance(node, ast.Constant) and _DECIMAL.fullmatch(segment := ast.get_source_segment(source, node)):
+        return [float(segment)]
+    raise ExpressionError(f"unsupported {ast.get_source_segment(source, node)!r} in {source!r}")
 
 
 def compile_field(text: str):
     """Compile an expression in x, y, z to a vectorized field callable."""
-    node = _Parser(text).parse()
+    if "**" in text:
+        raise ExpressionError(f"powers are written ^, not **, in {text!r}")
+    source = " ".join(text.split()).replace("^", "**")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a SyntaxWarning ("1if") comes only with refused input: raise, not print
+            program = _postfix(ast.parse(source, mode="eval").body, source)
+    except SyntaxError as err:
+        raise ExpressionError(f"{err.msg} in {text!r}") from None
+    except (RecursionError, MemoryError):
+        # the walk recurses once per tree level; on deep nesting Python 3.11's parser raises MemoryError
+        raise ExpressionError("expression nested too deeply") from None
 
     def field(points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
-        out = node(points)
-        return np.broadcast_to(np.asarray(out, dtype=np.float64), points.shape[:-1])
+        stack: list = []
+        for op in program:
+            if not isinstance(op, np.ufunc):
+                stack.append(points[..., op] if type(op) is int else op)
+            elif op.nin == 1:
+                stack[-1] = op(stack[-1])
+            else:
+                stack[-1] = op(stack.pop(-2), stack[-1])  # (left, right) are the top two
+        return np.broadcast_to(np.asarray(stack[0], dtype=np.float64), points.shape[:-1])
 
-    field.expression = text
     return field

@@ -14,7 +14,7 @@ of evaluation budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -76,15 +76,7 @@ class RegionResult:
         return abs(self.z) < Z_THRESHOLD
 
     def record(self) -> dict:
-        return {
-            "test": "region",
-            "name": self.name,
-            "count": self.count,
-            "total": self.total,
-            "fraction": self.fraction,
-            "z": self.z,
-            "passed": self.passed,
-        }
+        return {"test": "region", **asdict(self), "passed": self.passed}
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -125,16 +117,7 @@ class KTupleResult:
         return self.statistic < self.threshold
 
     def record(self) -> dict:
-        return {
-            "test": "ktuple",
-            "k": self.k,
-            "grid": self.grid,
-            "windows": self.windows,
-            "statistic": self.statistic,
-            "dof": self.dof,
-            "threshold": self.threshold,
-            "passed": self.passed,
-        }
+        return {"test": "ktuple", **asdict(self), "passed": self.passed}
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -235,7 +218,7 @@ class BenchRow:
     error: float
 
     def record(self) -> dict:
-        return {"method": self.method, "evaluations": self.evaluations, "error": self.error}
+        return asdict(self)
 
 
 @dataclass

@@ -273,26 +273,13 @@ def _triangulate_grid(surface: ParametricSurface):
         i, j = np.argwhere(~np.isfinite(grid).all(axis=-1))[0]
         raise ValueError(f"chart is not finite at grid point (u, v) = ({us[i]}, {vs[j]})")
 
-    iu, jv = np.meshgrid(np.arange(surface.u_res - 1), np.arange(surface.v_res - 1), indexing="ij")
-    iu, jv = iu.ravel(), jv.ravel()
-
-    def corner(di, dj):
-        return grid[iu + di, jv + dj], np.stack([uu[iu + di, jv + dj], vv[iu + di, jv + dj]], axis=1)
-
-    (g00, p00), (g10, p10), (g11, p11), (g01, p01) = (
-        corner(0, 0),
-        corner(1, 0),
-        corner(1, 1),
-        corner(0, 1),
-    )
-    # cell (i, j) -> upper triangle (g_ij, g_i+1,j+1, g_i,j+1),
-    #                lower triangle (g_ij, g_i+1,j, g_i+1,j+1)
-    upper = np.stack([g00, g11, g01], axis=1)
-    lower = np.stack([g00, g10, g11], axis=1)
-    upper_p = np.stack([p00, p11, p01], axis=1)
-    lower_p = np.stack([p00, p10, p11], axis=1)
-    tris = np.concatenate([upper[:, None], lower[:, None]], axis=1).reshape(-1, 3, 3)
-    params = np.concatenate([upper_p[:, None], lower_p[:, None]], axis=1).reshape(-1, 3, 2)
+    # flat index k of each cell's (i, j) corner; per cell the upper triangle
+    # (g_ij, g_i+1,j+1, g_i,j+1), then the lower (g_ij, g_i+1,j, g_i+1,j+1)
+    v = surface.v_res
+    k = np.arange((surface.u_res - 1) * v).reshape(-1, v)[:, :-1].ravel()
+    corners = k[:, None] + np.array([0, v + 1, 1, 0, v, v + 1])
+    tris = grid.reshape(-1, 3)[corners].reshape(-1, 3, 3)
+    params = np.stack([uu, vv], axis=-1).reshape(-1, 2)[corners].reshape(-1, 3, 2)
     tris.flags.writeable = params.flags.writeable = False
     return TriangulatedSurface(tris, name=surface.name or "parametric"), params
 

@@ -83,6 +83,22 @@ class TestGenerateAndAudit:
         assert "field not finite at (x, y, z) = (" in err and "t = " in err
         assert "RuntimeWarning" not in err and not caught
 
+    def test_nonfinite_integrand_is_one_error_and_no_warning(self, capsys):
+        # x^0.5 is nan on the half of the sphere where x < 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            args = ["integrate", "--surface", "sphere", "--f", "x^0.5", "--m", "1000", "--seed", "1"]
+            assert cli.main(args) == cli.NUMERIC_ERROR
+        captured = capsys.readouterr()
+        assert "numeric failure: integrand not finite at (x, y, z) = (" in captured.err
+        assert "RuntimeWarning" not in captured.err and not caught and not captured.out
+
+    @pytest.mark.parametrize("spec", ["+".join(["x"] * 1500), "(" * 250 + "x" + ")" * 250], ids=["chain", "parentheses"])
+    def test_deep_expression_is_a_usage_error(self, capsys, spec):
+        assert cli.main(["area", "--surface", spec, "--m", "10"]) == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_generate_ignores_thread_variable(self, tmp_path, monkeypatch):
         # a file depends on the seed and the configuration only
         monkeypatch.delenv("CROFTONCLOUD_THREADS", raising=False)

@@ -164,6 +164,13 @@ class TestSurfaceIntegral:
         est = estimate_surface_integral(mesh, lambda p: np.ones(len(p)), Pseudo(23), 50_000, clip_radius=2.0)
         assert abs(est.value - mesh.total_area) < 3.0 * est.standard_error
 
+    def test_nonfinite_integrand_names_its_point(self):
+        # x^0.5 is nan on the sphere's x < 0 half; the error names the first such hit, and no warning leaks
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match=r"integrand not finite at \(x, y, z\) = \(-.*: nan$"):
+                estimate_surface_integral(sphere_implicit(clip=2.0), lambda p: p[:, 0] ** 0.5, Pseudo(24), 1000)
+
 
 class TestDoubleIntegral:
     def test_constant_gives_area_squared(self):
@@ -187,6 +194,12 @@ class TestDoubleIntegral:
         )
         truth = (SPHERE_AREA / 3.0) ** 2
         assert abs(est.value - truth) < 3.0 * est.standard_error
+
+    def test_nonfinite_integrand_names_both_points(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match=r"integrand not finite at .*\) and \(.*: inf"):
+                estimate_double_integral(sphere_implicit(clip=2.0), lambda p, q: 1.0 / (p - p)[:, 0], Pseudo(33), 1000)
 
 
 class TestMeshIntersections:
