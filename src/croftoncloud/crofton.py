@@ -61,27 +61,27 @@ def _normalization(n: int, clip: float) -> float:
     return geometry.kinematic_mass(n, clip) / (2.0 * unit_ball_volume(n - 1))
 
 
-def _pair_hits(triangles: np.ndarray, dirs, feet, clip: float, line_ids: np.ndarray, tri_ids: np.ndarray):
+def _pair_hits(edge_table: np.ndarray, dirs, feet, clip: float, line_ids: np.ndarray, tri_ids: np.ndarray):
     """Moller-Trumbore on the (line, triangle) pairs ``(line_ids[i], tri_ids[i])``.
 
-    Returns ``(counts, line_ids, ts, boundary_hits)`` like
+    *edge_table* is a mesh's ``TriangulatedSurface.edge_table``.  Returns
+    ``(counts, line_ids, ts, boundary_hits)`` like
     :func:`samplers._scan_lines`, with hits sorted by (line, t).  Edges are
     inclusive, hits beyond radius *clip* are dropped, and hits of one line
     closer than EDGE_DEDUP_TOL in t (shared edges) count once.
     ``boundary_hits`` counts hits at radius ``clip * (1 - 1e-9)`` or beyond.
     """
-    tri, d = triangles[tri_ids], dirs[line_ids]
-    v0 = tri[:, 0]
-    e1 = tri[:, 1] - v0
-    e2 = tri[:, 2] - v0
-    h = np.cross(d, e2)
+    # np.take gathers these rows about 3x faster than fancy indexing
+    rows, d = np.take(edge_table, tri_ids, axis=0), np.take(dirs, line_ids, axis=0)
+    v0, e1, e2 = rows[:, 0], rows[:, 1], rows[:, 2]
+    h = geometry._cross(d, e2)
     a = np.einsum("pk,pk->p", e1, h)
     # degenerate triangles and parallel lines give inf/nan here; the mask drops them
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / a
-        s = feet[line_ids] - v0
+        s = np.take(feet, line_ids, axis=0) - v0
         u = inv * np.einsum("pk,pk->p", s, h)
-        q = np.cross(s, e1)
+        q = geometry._cross(s, e1)
         v = inv * np.einsum("pk,pk->p", d, q)
         t = inv * np.einsum("pk,pk->p", e2, q)
         hit = (
@@ -138,7 +138,7 @@ def _mesh_hits(mesh: TriangulatedSurface, dirs: np.ndarray, feet: np.ndarray, cl
     hits beyond the clip sphere.
     """
     half = samplers._chord_half_lengths(feet, clip)
-    return _pair_hits(mesh.triangles, dirs, feet, clip, *_bvh_pairs(mesh.bvh, dirs, feet, half))
+    return _pair_hits(mesh.edge_table, dirs, feet, clip, *_bvh_pairs(mesh.bvh, dirs, feet, half))
 
 
 def _resolve(surface, clip_radius):

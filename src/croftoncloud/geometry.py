@@ -47,6 +47,13 @@ def kinematic_mass(n: int, r: float) -> float:
     return unit_sphere_area(n) * rng.unit_ball_volume(n - 1) * r ** (n - 1)
 
 
+def _cross(a, b):
+    """``np.cross(a, b)`` of ``(..., 3)`` arrays, bit for bit: numpy's products and differences, without its copies."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def slab_chord(lo, hi, neg, inv, feet, half):
     """``(enter, leave)``: the part of each chord t in [-half, half] inside its box [lo, hi].
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .geometry import _cross
 from .rng import Pseudo
 
 __all__ = ["NeighborIndex", "normal_cloud"]
@@ -91,7 +92,7 @@ def normal_cloud(
     offsets = neighbors - p
     scale = float(np.linalg.norm(offsets, axis=1).max()) ** 2
     i, j = np.array(_pair_choices(len(neighbors), pairs, seed=index), dtype=np.int64).reshape(-1, 2).T
-    cross = np.cross(offsets[i], offsets[j])
+    cross = _cross(offsets[i], offsets[j])
     cross = cross[np.linalg.norm(cross, axis=1) > 1e-12 * scale]
     if not len(cross):
         raise ValueError("degenerate neighborhood: all cross products vanish")

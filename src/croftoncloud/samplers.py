@@ -50,7 +50,6 @@ from .surfaces import (
     ImplicitSurface,
     ParametricSurface,
     TriangulatedSurface,
-    triangle_normal,
     triangulate_parametric,
 )
 
@@ -369,8 +368,8 @@ def cloud_triangulated(surface: TriangulatedSurface, src: ScalarSource, n_points
 
     Point i scales scalar i to the cumulative-area table to pick its
     triangle; scalars n_points + 2i and n_points + 2i + 1 then give its
-    barycentric coordinates.  Normals are the flat per-triangle normals
-    oriented by vertex order.
+    barycentric coordinates.  Normals are the mesh's cached flat
+    per-triangle normals, oriented by vertex order.
     """
     if n_points < 1:
         raise ValueError("target point count must be at least 1")
@@ -379,7 +378,7 @@ def cloud_triangulated(surface: TriangulatedSurface, src: ScalarSource, n_points
     u, v = _simplex_points(src, n_points)
     tris = surface.triangles[chosen]
     pts = u[:, None] * tris[:, 0] + v[:, None] * tris[:, 1] + (1.0 - u - v)[:, None] * tris[:, 2]
-    return PointCloud(positions=pts, normals=triangle_normal(tris), triangle_index=chosen)
+    return PointCloud(positions=pts, normals=surface.normals[chosen], triangle_index=chosen)
 
 
 def _chart_normals(surface: ParametricSurface, pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
@@ -387,7 +386,7 @@ def _chart_normals(surface: ParametricSurface, pu: np.ndarray, pv: np.ndarray) -
     hv = 1e-6 * (surface.domain.highs[1] - surface.domain.lows[1])
     du = (np.asarray(surface.chart(pu + hu, pv)) - np.asarray(surface.chart(pu - hu, pv))) / (2 * hu)
     dv = (np.asarray(surface.chart(pu, pv + hv)) - np.asarray(surface.chart(pu, pv - hv))) / (2 * hv)
-    cross = np.cross(du, dv)
+    cross = geometry._cross(du, dv)
     norms = np.linalg.norm(cross, axis=-1, keepdims=True)
     with np.errstate(invalid="ignore"):
         return cross / np.where(norms > 0.0, norms, np.nan)

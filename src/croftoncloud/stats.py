@@ -22,7 +22,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.stats import chi2 as _chi2
 
 from .rng import BoxDomain, Pseudo, ScalarSource, sample_box
-from .surfaces import triangle_normal
 
 __all__ = [
     "RegionTest",
@@ -345,7 +344,7 @@ def mesh_nearest_face(mesh, points: np.ndarray) -> np.ndarray:
 
     A degenerate triangle has no plane (its normal is nan) and is never nearest.
     """
-    normals = triangle_normal(mesh.triangles)
+    normals = mesh.normals
     offsets = np.einsum("ij,ij->i", normals, mesh.triangles[:, 0])
     dists = np.abs(points @ normals.T - offsets[None, :])
     return np.argmin(np.where(np.isnan(dists), np.inf, dists), axis=1)
@@ -354,7 +353,7 @@ def mesh_nearest_face(mesh, points: np.ndarray) -> np.ndarray:
 def mesh_face_region_tests(mesh, min_fraction: float = 0.01) -> list[RegionTest]:
     """One region per triangle (nearest-plane membership), skipping slivers."""
     areas = mesh.areas
-    has_plane = np.isfinite(triangle_normal(mesh.triangles)).all(axis=1)
+    has_plane = np.isfinite(mesh.normals).all(axis=1)
     tests = []
     for i, frac in enumerate(areas / areas.sum()):
         if frac < min_fraction or not has_plane[i]:

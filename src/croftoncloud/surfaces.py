@@ -6,9 +6,10 @@
   box that confines the chord scan.
 * :class:`ParametricSurface` -- a chart over a rectangle, plus the grid
   resolution used to triangulate it.
-* :class:`TriangulatedSurface` -- a plain list of triangles with the lazily
-  built cumulative-area table that drives area-weighted sampling, and the
-  lazily built bounding-volume hierarchy that line intersection walks.
+* :class:`TriangulatedSurface` -- a plain list of triangles with lazily
+  built per-triangle tables: the cumulative areas that drive area-weighted
+  sampling, the normals, and the edge table and bounding-volume hierarchy
+  that line intersection reads.
 
 ``validate`` runs the usual health checks (nonvanishing gradient, chart
 rank, edge sharing); the report is advisory because none of those conditions
@@ -22,6 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .geometry import _cross
 from .rng import BoxDomain
 
 __all__ = [
@@ -54,8 +56,9 @@ FD_STEP = 1e-5
 
 GRADIENT_FLOOR = 1e-8
 
-#: triangles per leaf of a mesh's bounding-volume hierarchy
-BVH_LEAF = 8
+#: triangles per leaf of a mesh's bounding-volume hierarchy; on a 10,000-triangle
+#: torus, 4 gives 40 candidate pairs per line against 88 at 8, for 20% more slab tests
+BVH_LEAF = 4
 # leaf boxes grow by this times (1 + max |coordinate|): far more than a hit the
 # line kernel's inclusive edges accept can lie outside its triangle
 _BVH_PAD = 1e-8
@@ -139,10 +142,13 @@ class ParametricSurface:
 
 
 class TriangulatedSurface:
-    """Ordered triangle list with cached cumulative areas and bounding-volume hierarchy.
+    """Ordered triangle list with per-triangle tables built on first use.
 
-    Degenerate (zero-area) triangles are kept; they occupy zero-width
-    intervals of the cumulative table and are never selected.
+    The cached tables are the cumulative areas, the unit normals, the edge
+    table the line kernel reads, the bounding radius and the
+    bounding-volume hierarchy; ``triangles`` must not change after any of
+    them is built.  Degenerate (zero-area) triangles are kept; they occupy
+    zero-width intervals of the cumulative table and are never selected.
     """
 
     def __init__(self, triangles, name: str = ""):
@@ -152,6 +158,9 @@ class TriangulatedSurface:
         self.triangles = tris
         self.name = name
         self._cumulative: Optional[np.ndarray] = None
+        self._normals: Optional[np.ndarray] = None
+        self._edge_table: Optional[np.ndarray] = None
+        self._radius: Optional[float] = None
         self._bvh: Optional[tuple] = None
 
     def __len__(self) -> int:
@@ -175,6 +184,21 @@ class TriangulatedSurface:
         return float(self.cumulative_areas[-1])
 
     @property
+    def normals(self) -> np.ndarray:
+        """:func:`triangle_normal` of every triangle, built on first use."""
+        if self._normals is None:
+            self._normals = triangle_normal(self.triangles)
+        return self._normals
+
+    @property
+    def edge_table(self) -> np.ndarray:
+        """Rows ``(v0, v1 - v0, v2 - v0)`` per triangle, shape ``(n, 3, 3)``, built on first use."""
+        if self._edge_table is None:
+            v0 = self.triangles[:, 0]
+            self._edge_table = np.stack([v0, self.triangles[:, 1] - v0, self.triangles[:, 2] - v0], axis=1)
+        return self._edge_table
+
+    @property
     def bvh(self) -> tuple:
         """``(lo, hi, leaves)`` of :func:`_build_bvh`, built on first use."""
         if self._bvh is None:
@@ -182,7 +206,9 @@ class TriangulatedSurface:
         return self._bvh
 
     def bounding_radius(self) -> float:
-        return float(np.linalg.norm(self.triangles.reshape(-1, 3), axis=1).max())
+        if self._radius is None:
+            self._radius = float(np.linalg.norm(self.triangles.reshape(-1, 3), axis=1).max())
+        return self._radius
 
 
 def _build_bvh(tris: np.ndarray) -> tuple:
@@ -228,7 +254,7 @@ def _build_bvh(tris: np.ndarray) -> tuple:
 def triangle_area(tri) -> np.ndarray | float:
     """Half the cross-product magnitude of two edges; batched over (..., 3, 3)."""
     t = np.asarray(tri, dtype=np.float64)
-    cross = np.cross(t[..., 1, :] - t[..., 0, :], t[..., 2, :] - t[..., 1, :])
+    cross = _cross(t[..., 1, :] - t[..., 0, :], t[..., 2, :] - t[..., 1, :])
     area = 0.5 * np.linalg.norm(cross, axis=-1)
     return float(area) if t.ndim == 2 else area
 
@@ -236,7 +262,7 @@ def triangle_area(tri) -> np.ndarray | float:
 def triangle_normal(tri) -> np.ndarray:
     """Unit normal oriented by vertex order; nan for degenerate triangles."""
     t = np.asarray(tri, dtype=np.float64)
-    cross = np.cross(t[..., 1, :] - t[..., 0, :], t[..., 2, :] - t[..., 1, :])
+    cross = _cross(t[..., 1, :] - t[..., 0, :], t[..., 2, :] - t[..., 1, :])
     norm = np.linalg.norm(cross, axis=-1, keepdims=True)
     with np.errstate(invalid="ignore"):
         return cross / np.where(norm > 0.0, norm, np.nan)
@@ -364,7 +390,7 @@ def _validate_parametric(surface: ParametricSurface) -> ValidationReport:
     hv = FD_STEP * (vs[-1] - vs[0])
     du = (np.asarray(surface.chart(uu + hu, vv)) - np.asarray(surface.chart(uu - hu, vv))) / (2 * hu)
     dv = (np.asarray(surface.chart(uu, vv + hv)) - np.asarray(surface.chart(uu, vv - hv))) / (2 * hv)
-    cross = np.linalg.norm(np.cross(du, dv), axis=-1)
+    cross = np.linalg.norm(_cross(du, dv), axis=-1)
     scale = np.linalg.norm(du, axis=-1) * np.linalg.norm(dv, axis=-1) + 1e-300
     bad = np.argwhere(cross / scale < 1e-8)
     for i, j in bad[:20]:

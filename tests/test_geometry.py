@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from croftoncloud.geometry import (
+    _cross,
     _reflect_feet,
     kinematic_mass,
     sample_line_batch,
@@ -68,6 +69,36 @@ class TestReflection:
         feet = _reflect_feet(dirs, disk)
         assert np.abs((feet * dirs).sum(axis=1)).max() <= 1e-14 * 2.0
         assert np.abs(np.linalg.norm(feet, axis=1) - np.linalg.norm(disk, axis=1)).max() <= 1e-15 * 2.0
+
+
+class TestCross:
+    """``_cross`` gives the bytes of ``np.cross``, shape included."""
+
+    @staticmethod
+    def assert_same_bytes(a, b):
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = _cross(a, b), np.cross(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (rng.normal(size=(1000, 3)) * 10.0 ** rng.uniform(-8, 8, (1000, 3)) for _ in range(2))
+        self.assert_same_bytes(a, b)
+
+    @pytest.mark.parametrize(
+        "shape_a, shape_b", [((3,), (3,)), ((3,), (7, 3)), ((4, 1, 3), (5, 3)), ((2, 6, 3), (2, 6, 3))]
+    )
+    def test_broadcast_shapes(self, shape_a, shape_b):
+        rng = np.random.default_rng(len(shape_a) + 3 * len(shape_b))
+        self.assert_same_bytes(rng.normal(size=shape_a), rng.normal(size=shape_b))
+
+    def test_signed_zeros_infinities_and_nan(self):
+        values = np.array([0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan])
+        vectors = np.stack(np.meshgrid(values, values, values, indexing="ij"), axis=-1).reshape(-1, 3)
+        # every ordered pair of the 343 vectors
+        self.assert_same_bytes(vectors[:, None], vectors[None, :])
 
 
 class TestKinematicMass:

@@ -119,6 +119,16 @@ class TestTriangulateParametric:
         assert (np.diff(cum) >= 0.0).all()
         assert cum[-1] == pytest.approx(mesh.areas.sum(), rel=1e-12)
 
+    def test_triangle_tables_built_once(self):
+        # the sphere chart's pole triangles have zero area, so nan normals
+        mesh, _ = triangulate_parametric(sphere_chart(u_res=7, v_res=9))
+        tris = mesh.triangles
+        assert mesh.normals is mesh.normals and mesh.edge_table is mesh.edge_table
+        assert mesh.normals.tobytes() == triangle_normal(tris).tobytes()
+        edges = np.stack([tris[:, 0], tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]], axis=1)
+        assert mesh.edge_table.tobytes() == edges.tobytes()
+        assert mesh.bounding_radius() == float(np.linalg.norm(tris.reshape(-1, 3), axis=1).max())
+
     def test_cached_on_the_frozen_surface(self):
         surface = sphere_chart(u_res=7, v_res=9)
         mesh, params = triangulate_parametric(surface)
@@ -160,7 +170,7 @@ class TestBVH:
         assert np.isposinf(lo[size + n_leaves :]).all() and np.isneginf(hi[size + n_leaves :]).all()
 
     def test_morton_order_keeps_leaves_local(self):
-        # shuffled sphere triangles: in input order a leaf of 8 would span the
+        # shuffled sphere triangles: in input order a leaf would span the
         # whole sphere; sorted by Morton code it spans a few grid cells
         mesh, _ = triangulate_parametric(sphere_chart(u_res=33, v_res=65))
         tris = mesh.triangles[np.random.default_rng(0).permutation(len(mesh))]
