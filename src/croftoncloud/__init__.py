@@ -42,7 +42,6 @@ from .surfaces import (
     TriangulatedSurface,
     triangle_area,
     triangulate_parametric,
-    validate,
 )
 
 __all__ = [
@@ -79,5 +78,4 @@ __all__ = [
     "triangle_area",
     "triangulate_parametric",
     "unit_ball_volume",
-    "validate",
 ]

@@ -11,9 +11,11 @@ input error, 2 numeric failure, 3 audit failure.
 
 The default clip (--r) is the surface's own ball: a catalog surface's, 2 for
 an expression, and a mesh's bounding radius, so a catalog mesh and the same
-mesh read from a file clip alike.  ``generate`` takes --r only with the line
-samplers (crofton, axis-aligned); the triangulated and parametric samplers
-do not clip and refuse it.
+mesh read from a file clip alike.  The line samplers (crofton,
+axis-aligned) take every surface the estimators take, preferring its
+implicit form, then its mesh, then its chart.  ``generate`` has one --r
+rule: --r clips only an implicit surface, so a surface that resolves to a
+mesh or a chart refuses it.
 
 ``generate`` draws from the one stream of --seed, so a file depends on the
 seed and the configuration only.
@@ -59,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--r",
             type=float,
             default=None,
-            help="clip radius (default: own ball; mesh: bounding radius; generate: line samplers only)",
+            help="clip radius (default: own ball; mesh: bounding radius; generate: implicit surfaces only)",
         )
         p.add_argument("--seed", type=int, default=0, help="stream seed (default 0)")
         p.add_argument("--res", type=int, default=None, help="grid resolution for chart triangulation")
@@ -68,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--sampler",
                 choices=["crofton", "triangulated", "parametric", "axis-aligned"],
                 default="crofton",
-                help="cloud generator (default crofton)",
+                help="cloud generator (default crofton; crofton and axis-aligned take every surface)",
             )
 
     gen = sub.add_parser("generate", help="generate a point cloud file")
@@ -108,8 +110,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: the surface form each cloud sampler consumes
-_SAMPLER_FORMS = {"crofton": "implicit", "axis-aligned": "implicit", "triangulated": "mesh", "parametric": "chart"}
+#: the forms the line samplers and the estimators accept, the exact one first
+_LINE_FORMS = ("implicit", "mesh", "chart")
+#: the surface forms each cloud sampler consumes, in order of preference
+_SAMPLER_FORMS = {"crofton": _LINE_FORMS, "axis-aligned": _LINE_FORMS, "triangulated": ("mesh",), "parametric": ("chart",)}
 
 
 def _resolve_surface(spec: str, clip: float | None, res: int | None, forms: tuple):
@@ -145,15 +149,21 @@ def _resolve_surface(spec: str, clip: float | None, res: int | None, forms: tupl
     for form in forms:
         if builders.get(form):
             return builders[form]()
-    usable = ", ".join(f"--sampler {name}" for name, form in _SAMPLER_FORMS.items() if builders.get(form))
+    usable = ", ".join(
+        f"--sampler {name}" for name, accepted in _SAMPLER_FORMS.items() if any(builders.get(f) for f in accepted)
+    )
     raise UsageError(f"surface {spec!r} has no {' or '.join(forms)} form; it works with {usable}")
 
 
 def _generate_cloud(args) -> PointCloud:
-    if args.r is not None and _SAMPLER_FORMS[args.sampler] != "implicit":
-        honour = " and ".join(f"--sampler {name}" for name, form in _SAMPLER_FORMS.items() if form == "implicit")
-        raise UsageError(f"--sampler {args.sampler} does not clip, so it takes no --r; only {honour} do")
-    surface = _resolve_surface(args.surface, args.r, args.res, (_SAMPLER_FORMS[args.sampler],))
+    surface = _resolve_surface(args.surface, args.r, args.res, _SAMPLER_FORMS[args.sampler])
+    if args.r is not None and not isinstance(surface, surfaces.ImplicitSurface):
+        kind = "chart" if isinstance(surface, surfaces.ParametricSurface) else "mesh"
+        clippers = " and ".join(f"--sampler {name}" for name, forms in _SAMPLER_FORMS.items() if "implicit" in forms)
+        raise UsageError(
+            f"--r clips only an implicit surface (with {clippers}); "
+            f"--sampler {args.sampler} reads {args.surface!r} as a {kind}, so it takes no --r"
+        )
     src = Pseudo(args.seed)
     if args.sampler == "crofton":
         return samplers.cloud_implicit(surface, src, args.n)
@@ -201,19 +211,15 @@ def _print_estimate(label: str, estimate: crofton.CroftonEstimate) -> None:
     print(f"hits histogram  {hist}")
 
 
-#: estimators accept every form; prefer the exact one
-_ESTIMATOR_FORMS = ("implicit", "mesh", "chart")
-
-
 def cmd_area(args) -> int:
-    surface = _resolve_surface(args.surface, args.r, args.res, _ESTIMATOR_FORMS)
+    surface = _resolve_surface(args.surface, args.r, args.res, _LINE_FORMS)
     estimate = crofton.estimate_area(surface, Pseudo(args.seed), args.m, clip_radius=args.r)
     _print_estimate("area", estimate)
     return 0
 
 
 def cmd_integrate(args) -> int:
-    surface = _resolve_surface(args.surface, args.r, args.res, _ESTIMATOR_FORMS)
+    surface = _resolve_surface(args.surface, args.r, args.res, _LINE_FORMS)
     try:
         integrand = expr.compile_field(args.f)
     except expr.ExpressionError as err:

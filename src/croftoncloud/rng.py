@@ -11,9 +11,9 @@ stream of values in ``[0, 1)``.  Three kinds are provided:
   equidistributed.
 
 On top of the raw streams sit the standard combinators: affine box sampling
-and the unit ball / sphere / normal samplers.  Each point of a batch draw
-(``size=k``) reads its own fixed block of scalars, so point i depends on the
-source state and i alone, never on the batch size.
+and the unit ball and sphere samplers, built on Box-Muller normals.  Each
+point of a batch draw (``size=k``) reads its own fixed block of scalars, so
+point i depends on the source state and i alone, never on the batch size.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "sample_box",
     "sample_ball",
     "sample_sphere",
-    "standard_normals",
     "unit_ball_volume",
 ]
 
@@ -218,12 +217,6 @@ def sample_sphere(src: ScalarSource, n: int, size: int | None = None) -> np.ndar
     width = n + n % 2
     pts = _sphere_points(src.take(count * width).reshape(count, width), n)
     return pts[0] if size is None else pts
-
-
-def standard_normals(src: ScalarSource, count: int) -> np.ndarray:
-    """Box-Muller normals: normals 2k and 2k + 1 read scalars 2k and 2k + 1."""
-    pairs = -(-int(count) // 2)
-    return _gaussian_pairs(src.take(2 * pairs).reshape(pairs, 2)).reshape(-1)[:count]
 
 
 def unit_ball_volume(n: int) -> float:

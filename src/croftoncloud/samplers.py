@@ -1,12 +1,15 @@
 """Point-cloud generation for the three surface types.
 
-Implicit surfaces: draw kinematic-measure lines, restrict each to the chord
-inside the clip ball (and inside the surface's bounding box, when it has
-one), scan the chord for sign changes of the field, refine each bracket by
-bisection, and append the hits in increasing parameter order.  Because the
-expected number of hits a line makes with any region is proportional to
-that region's area, the appended sequence is equidistributed on the
-surface.
+Line clouds, on any of the three: draw kinematic-measure lines, intersect
+each with the surface, and append the hits in increasing parameter order.
+Because the expected number of hits a line makes with any region is
+proportional to that region's area, the appended sequence is equidistributed
+on the surface.  The clouds read a surface through ``crofton._resolve``, as
+the estimators do, so a cloud and an estimate are one line statistic.  An
+implicit surface's chord inside the clip ball (and inside its bounding box,
+when it has one) is scanned for sign changes of the field and each bracket
+refined by bisection; a mesh, or a chart through its grid triangulation, is
+cut by exact line-triangle tests.
 
 Triangulated surfaces: pick a triangle through the cumulative-area table,
 then place a point by barycentric coordinates folded into the simplex.
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -62,8 +64,8 @@ __all__ = [
     "SurfaceNotFound",
 ]
 
-#: lines per chunk of the implicit clouds and estimators; seeded output does not depend on it, and the scan's memory
-#: is bounded by SCAN_TILE, not by the chunk
+#: lines per chunk of the line clouds and estimators (a mesh's chunk may be smaller); seeded output does not depend
+#: on it, and the scan's memory is bounded by SCAN_TILE, not by the chunk
 DEFAULT_LINE_CHUNK = 8192
 #: lines a cloud draws without a single hit before raising SurfaceNotFound
 MAX_EMPTY_LINES = 200_000
@@ -246,27 +248,50 @@ def _unit_normals(surface: ImplicitSurface, points: np.ndarray) -> np.ndarray:
     return grads / norms[:, None]
 
 
-def _line_hits(src: ScalarSource, draw, hits, next_count, want_points: bool = True):
+def _kinematic_lines(src: ScalarSource, clip: float, count: int):
+    """*count* lines of the kinematic measure through the ball of radius *clip*: ``(dirs, feet)``."""
+    return geometry.sample_line_batch(src, 3, clip, count)
+
+
+def _axis_aligned_lines(src: ScalarSource, clip: float, count: int):
+    """*count* lines along the six signed coordinate axes, feet uniform on the disk of radius *clip*."""
+    # line j reads scalars 4j .. 4j + 3: its signed axis, then its disk point
+    xi = src.take(4 * count).reshape(count, 4)
+    picks = np.minimum((xi[:, 0] * 6.0).astype(np.int64), 5)
+    axes = picks >> 1
+    signs = np.where(picks & 1, -1.0, 1.0)
+    dirs = np.zeros((count, 3))
+    dirs[np.arange(count), axes] = signs
+    disk = rng._ball_points(xi[:, 1:], 2) * clip
+    feet = np.zeros((count, 3))
+    feet[np.arange(count), (axes + 1) % 3] = disk[:, 0]
+    feet[np.arange(count), (axes + 2) % 3] = disk[:, 1]
+    return dirs, feet
+
+
+def _line_hits(src: ScalarSource, clip: float, hits, next_count, want_points: bool = True, draw=_kinematic_lines):
     """Draw lines in chunks, intersect them with a surface, and collect the hits.
 
-    ``draw(src, count)`` gives ``(dirs, feet)``; ``hits(dirs, feet,
-    want_points)`` gives ``(counts, line_ids, ts, boundary_hits)`` as
-    :func:`_scan_lines` does.  The stop rule ``next_count(lines_done,
-    hits_done)`` returns the size of the next chunk, 0 to stop.  Returns
-    ``(counts, line_ids, ts, points)`` over all lines drawn, with line ids
-    counted from the first chunk; the last three are None unless
-    *want_points*.  Warns when any hit lies at the clip boundary.
+    ``draw(src, clip, count)`` gives ``(dirs, feet)``; ``hits(dirs, feet,
+    want_points)`` gives ``(counts, line_ids, ts, boundary_hits, tri_ids)``
+    as the hits of ``crofton._resolve`` do.  The stop rule
+    ``next_count(lines_done, hits_done)`` returns the size of the next
+    chunk, 0 to stop.  Returns ``(counts, line_ids, ts, points, tri_ids)``
+    over all lines drawn, with line ids counted from the first chunk; the
+    last four are None unless *want_points*, and ``tri_ids`` is None for an
+    implicit surface.  Warns when any hit lies at the clip boundary.
     """
-    counts_parts, id_parts, t_parts, pt_parts = [], [], [], []
+    counts_parts, id_parts, t_parts, pt_parts, tri_parts = [], [], [], [], []
     lines_done = hits_done = boundary = 0
     while count := next_count(lines_done, hits_done):
-        dirs, feet = draw(src, count)
-        counts, line_ids, ts, nb = hits(dirs, feet, want_points)
+        dirs, feet = draw(src, clip, count)
+        counts, line_ids, ts, nb, tri_ids = hits(dirs, feet, want_points)
         boundary += nb
         if want_points:
             id_parts.append(line_ids + lines_done)
             t_parts.append(ts)
             pt_parts.append(feet[line_ids] + ts[:, None] * dirs[line_ids])
+            tri_parts.append(tri_ids)
         counts_parts.append(counts)
         lines_done += count
         hits_done += int(counts.sum())
@@ -274,77 +299,68 @@ def _line_hits(src: ScalarSource, draw, hits, next_count, want_points: bool = Tr
         warnings.warn("clip radius may truncate surface", stacklevel=4)
     counts = np.concatenate(counts_parts)
     if not want_points:
-        return counts, None, None, None
-    return counts, np.concatenate(id_parts), np.concatenate(t_parts), np.concatenate(pt_parts)
+        return counts, None, None, None, None
+    tri_ids = None if tri_parts[0] is None else np.concatenate(tri_parts)
+    return counts, np.concatenate(id_parts), np.concatenate(t_parts), np.concatenate(pt_parts), tri_ids
 
 
-def _cloud_from_lines(surface: ImplicitSurface, src: ScalarSource, n_points: int, draw) -> PointCloud:
+def _cloud_from_lines(surface, src: ScalarSource, n_points: int, draw) -> PointCloud:
+    # crofton imports this module, and its resolver is the one map from a surface to its hits
+    from . import crofton
+
     if n_points < 1:
         raise ValueError("target point count must be at least 1")
+    hits, clip, chunk, normals = crofton._resolve(surface, None)
 
     def next_count(lines_done, hits_done):
         if hits_done >= n_points:
             return 0
         if hits_done == 0 and lines_done >= MAX_EMPTY_LINES:
             raise SurfaceNotFound(
-                f"no intersections after {lines_done} lines; surface not found in ball "
-                f"of radius {surface.clip_radius}"
+                f"no intersections after {lines_done} lines; surface not found in ball of radius {clip}"
             )
-        return DEFAULT_LINE_CHUNK
+        return chunk
 
-    counts, line_ids, ts, positions = _line_hits(src, draw, partial(_scan_lines, surface), next_count)
+    counts, line_ids, ts, positions, tri_ids = _line_hits(src, clip, hits, next_count, draw=draw)
     # keep whole lines up to and including the one reaching the target
     lines_used = int(np.searchsorted(np.cumsum(counts), n_points)) + 1
     keep = line_ids < lines_used
     positions = positions[keep]
+    tri_ids = None if tri_ids is None else tri_ids[keep]
     return PointCloud(
         positions=positions,
-        normals=_unit_normals(surface, positions),
+        normals=normals(positions, tri_ids),
         line_index=line_ids[keep],
         line_t=ts[keep],
+        triangle_index=tri_ids,
         lines_used=lines_used,
         per_line_counts=counts[:lines_used],
     )
 
 
-def cloud_implicit(surface: ImplicitSurface, src: ScalarSource, n_points: int) -> PointCloud:
-    """Equidistributed cloud of at least *n_points* points on the level set.
+def cloud_implicit(surface, src: ScalarSource, n_points: int) -> PointCloud:
+    """Equidistributed cloud of at least *n_points* points on any surface, from kinematic lines.
 
-    Lines are drawn from the kinematic measure in chunks of
-    :data:`DEFAULT_LINE_CHUNK`, line j the same whatever the chunk size;
-    generation stops at the end of the line that reaches the target, so the
-    cloud may exceed it by the final line's hit count.  Warns when hits fall
-    at the clip sphere, where the clip ball may cut the surface.
+    The surface is read as the estimators read it: an implicit surface in
+    its clip ball, with unit gradient normals; a mesh, or a chart through its
+    grid triangulation, in its bounding ball, with the hit triangle's normal
+    and index.  Lines are drawn in chunks, line j the same whatever the
+    chunk size; generation stops at the end of the line that reaches the
+    target, so the cloud may exceed it by the final line's hit count.  Warns
+    when hits fall at the clip sphere, where the clip ball may cut the
+    surface.
     """
-
-    def draw(s, count):
-        return geometry.sample_line_batch(s, 3, surface.clip_radius, count)
-
-    return _cloud_from_lines(surface, src, n_points, draw)
+    return _cloud_from_lines(surface, src, n_points, _kinematic_lines)
 
 
-def cloud_axis_aligned(surface: ImplicitSurface, src: ScalarSource, n_points: int) -> PointCloud:
+def cloud_axis_aligned(surface, src: ScalarSource, n_points: int) -> PointCloud:
     """Legacy sampler: directions drawn from the six signed coordinate axes.
 
-    Kept for comparison; its clouds carry the sqrt(3) density variation
-    across surface orientations and fail density audits by design.
+    Takes every surface form, as :func:`cloud_implicit` does.  Kept for
+    comparison; its clouds carry the sqrt(3) density variation across
+    surface orientations and fail density audits by design.
     """
-
-    def draw(s, count):
-        # line j reads scalars 4j .. 4j + 3: its signed axis, then its disk point
-        xi = s.take(4 * count).reshape(count, 4)
-        picks = np.minimum((xi[:, 0] * 6.0).astype(np.int64), 5)
-        axes = picks >> 1
-        signs = np.where(picks & 1, -1.0, 1.0)
-        dirs = np.zeros((count, 3))
-        dirs[np.arange(count), axes] = signs
-        disk = rng._ball_points(xi[:, 1:], 2) * surface.clip_radius
-        feet = np.zeros((count, 3))
-        feet[np.arange(count), (axes + 1) % 3] = disk[:, 0]
-        feet[np.arange(count), (axes + 2) % 3] = disk[:, 1]
-        return dirs, feet
-
-    return _cloud_from_lines(surface, src, n_points, draw)
+    return _cloud_from_lines(surface, src, n_points, _axis_aligned_lines)
 
 
 _CLAMP = 1.0 - 2.0**-52

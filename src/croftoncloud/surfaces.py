@@ -10,10 +10,6 @@
   built per-triangle tables: the cumulative areas that drive area-weighted
   sampling, the normals, and the edge table and bounding-volume hierarchy
   that line intersection reads.
-
-``validate`` runs the usual health checks (nonvanishing gradient, chart
-rank, edge sharing); the report is advisory because none of those conditions
-enter the sampling algorithms themselves.
 """
 
 from __future__ import annotations
@@ -33,8 +29,6 @@ __all__ = [
     "triangle_area",
     "triangle_normal",
     "triangulate_parametric",
-    "validate",
-    "ValidationReport",
     "CATALOG",
     "CatalogEntry",
     "sphere_implicit",
@@ -53,8 +47,6 @@ __all__ = [
 # central-difference step, scaled by (1 + |x|) to balance truncation and
 # cancellation at double precision
 FD_STEP = 1e-5
-
-GRADIENT_FLOOR = 1e-8
 
 #: triangles per leaf of a mesh's bounding-volume hierarchy; on a 10,000-triangle
 #: torus, 4 gives 40 candidate pairs per line against 88 at 8, for 20% more slab tests
@@ -268,13 +260,6 @@ def triangle_normal(tri) -> np.ndarray:
         return cross / np.where(norm > 0.0, norm, np.nan)
 
 
-def _parameter_grid(surface: ParametricSurface):
-    (u0, v0), (u1, v1) = surface.domain.lows, surface.domain.highs
-    us = np.linspace(u0, u1, surface.u_res)
-    vs = np.linspace(v0, v1, surface.v_res)
-    return us, vs
-
-
 def triangulate_parametric(surface: ParametricSurface):
     """Split each grid cell along a diagonal and map the corners by the chart.
 
@@ -290,7 +275,9 @@ def triangulate_parametric(surface: ParametricSurface):
 
 
 def _triangulate_grid(surface: ParametricSurface):
-    us, vs = _parameter_grid(surface)
+    (u0, v0), (u1, v1) = surface.domain.lows, surface.domain.highs
+    us = np.linspace(u0, u1, surface.u_res)
+    vs = np.linspace(v0, v1, surface.v_res)
     uu, vv = np.meshgrid(us, vs, indexing="ij")
     grid = np.asarray(surface.chart(uu, vv), dtype=np.float64)
     if grid.shape != (surface.u_res, surface.v_res, 3):
@@ -308,107 +295,6 @@ def _triangulate_grid(surface: ParametricSurface):
     params = np.stack([uu, vv], axis=-1).reshape(-1, 2)[corners].reshape(-1, 3, 2)
     tris.flags.writeable = params.flags.writeable = False
     return TriangulatedSurface(tris, name=surface.name or "parametric"), params
-
-
-@dataclass
-class ValidationReport:
-    """Advisory findings; an empty warning list means nothing suspicious."""
-
-    surface: str
-    warnings: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.warnings
-
-
-def _validate_implicit(surface: ImplicitSurface) -> ValidationReport:
-    # probe the level set along a fixed bundle of scan lines; defer to the
-    # sampler module so the scan logic lives in one place
-    from . import samplers
-
-    report = ValidationReport(surface.name or "implicit")
-    r = surface.clip_radius
-
-    # coarse grid sweep catches exact critical points of the level set
-    # (cone apices and the like) that transverse line probes step over
-    axis = np.linspace(-r, r, 21)
-    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
-    grid = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
-    grid = grid[np.linalg.norm(grid, axis=1) <= r]
-    values = np.abs(np.asarray(surface.field(grid)))
-    on_level = grid[values <= 1e-9 * (1.0 + values.max())]
-    if len(on_level):
-        grads = np.linalg.norm(surface.gradient_at(on_level), axis=1)
-        for point, g in zip(on_level[grads < GRADIENT_FLOOR], grads[grads < GRADIENT_FLOOR]):
-            report.warnings.append(
-                f"vanishing gradient (|grad| = {g:.2e}) at grid point {point.round(6).tolist()}"
-            )
-
-    # probe lines parallel to each axis, feet on a 5 x 5 grid of the other two
-    offsets = np.linspace(-0.7 * r, 0.7 * r, 5)
-    axis, a, b = (g.ravel() for g in np.meshgrid(np.arange(3), offsets, offsets, indexing="ij"))
-    dirs = np.eye(3)[axis]
-    feet = a[:, None] * np.eye(3)[(axis + 1) % 3] + b[:, None] * np.eye(3)[(axis + 2) % 3]
-    inside = np.linalg.norm(feet, axis=1) < r
-    dirs, feet = dirs[inside], feet[inside]
-    _, ids, ts, _ = samplers._scan_lines(surface, dirs, feet, want_points=True)
-    if not len(ts):
-        report.warnings.append("no probe line met the level set inside the clip ball")
-        return report
-    probes = feet[ids] + ts[:, None] * dirs[ids]
-    grads = np.linalg.norm(surface.gradient_at(probes), axis=1)
-    for point, g in zip(probes[grads < GRADIENT_FLOOR], grads[grads < GRADIENT_FLOOR]):
-        report.warnings.append(f"vanishing gradient (|grad| = {g:.2e}) near {point.round(6).tolist()}")
-    return report
-
-
-def _validate_triangulated(surface: TriangulatedSurface) -> ValidationReport:
-    report = ValidationReport(surface.name or "triangulated")
-    edges: dict[tuple, int] = {}
-    for tri in surface.triangles:
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            key = tuple(sorted((tuple(tri[a]), tuple(tri[b]))))
-            edges[key] = edges.get(key, 0) + 1
-    boundary = sum(1 for count in edges.values() if count == 1)
-    nonmanifold = sum(1 for count in edges.values() if count > 2)
-    if boundary:
-        report.warnings.append(f"{boundary} boundary edges (shared by exactly one triangle)")
-    if nonmanifold:
-        report.warnings.append(f"{nonmanifold} edges shared by more than two triangles")
-    degenerate = int((surface.areas == 0.0).sum())
-    if degenerate:
-        report.warnings.append(f"{degenerate} zero-area triangles (kept with zero sampling weight)")
-    return report
-
-
-def _validate_parametric(surface: ParametricSurface) -> ValidationReport:
-    report = ValidationReport(surface.name or "parametric")
-    us, vs = _parameter_grid(surface)
-    uu, vv = np.meshgrid(us, vs, indexing="ij")
-    hu = FD_STEP * (us[-1] - us[0])
-    hv = FD_STEP * (vs[-1] - vs[0])
-    du = (np.asarray(surface.chart(uu + hu, vv)) - np.asarray(surface.chart(uu - hu, vv))) / (2 * hu)
-    dv = (np.asarray(surface.chart(uu, vv + hv)) - np.asarray(surface.chart(uu, vv - hv))) / (2 * hv)
-    cross = np.linalg.norm(_cross(du, dv), axis=-1)
-    scale = np.linalg.norm(du, axis=-1) * np.linalg.norm(dv, axis=-1) + 1e-300
-    bad = np.argwhere(cross / scale < 1e-8)
-    for i, j in bad[:20]:
-        report.warnings.append(f"rank-deficient differential at grid point (u, v) = ({us[i]:.6g}, {vs[j]:.6g})")
-    if len(bad) > 20:
-        report.warnings.append(f"... and {len(bad) - 20} more rank-deficient grid points")
-    return report
-
-
-def validate(surface) -> ValidationReport:
-    """Advisory health report for any of the three surface kinds."""
-    if isinstance(surface, ImplicitSurface):
-        return _validate_implicit(surface)
-    if isinstance(surface, TriangulatedSurface):
-        return _validate_triangulated(surface)
-    if isinstance(surface, ParametricSurface):
-        return _validate_parametric(surface)
-    raise TypeError(f"not a surface: {type(surface).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -45,10 +45,25 @@ class TestGenerateAndAudit:
         assert cli.main(["audit", "--cloud", cloud, "--surface", "sphere"]) == cli.AUDIT_FAILURE
         assert "density max/min ratio" in capsys.readouterr().out
 
-    def test_mesh_only_surface_names_the_triangle_sampler(self, tmp_path, capsys):
-        args = ["generate", "--surface", "tetrahedron", "--n", "100", "-o", str(tmp_path / "t.xyz")]
+    @pytest.mark.parametrize("surface", ["tetrahedron", "off"])
+    def test_crofton_cloud_on_a_mesh_has_face_normals(self, tmp_path, tetra_off, surface):
+        # the default crofton sampler reads a mesh, catalog or file, through the estimators' resolver
+        output = str(tmp_path / "t.xyz")
+        spec = tetra_off if surface == "off" else surface
+        assert cli.main(["generate", "--surface", spec, "--n", "100", "-o", output]) == 0
+        positions, normals, _ = cloudio.read_cloud(output)
+        assert len(positions) >= 100 and normals is not None and normals.shape == positions.shape
+        # every normal is one of the four face normals, to the file's printed precision
+        faces = tetrahedron_mesh().normals
+        assert np.allclose(np.abs(normals @ faces.T).max(axis=1), 1.0, atol=1e-6)
+
+    def test_clip_radius_is_refused_on_a_mesh_under_crofton(self, tmp_path, capsys):
+        output = tmp_path / "t.xyz"
+        args = ["generate", "--surface", "tetrahedron", "--sampler", "crofton", "--r", "1.5", "--n", "100", "-o", str(output)]
         assert cli.main(args) == cli.USAGE_ERROR
-        assert "--sampler triangulated" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--r clips only an implicit surface" in err and "'tetrahedron' as a mesh" in err
+        assert not output.exists()
 
     def test_mesh_path_has_no_chart(self, tmp_path, tetra_off, capsys):
         output = str(tmp_path / "t.xyz")
@@ -63,6 +78,8 @@ class TestGenerateAndAudit:
         assert cli.main(args) == cli.USAGE_ERROR
         err = capsys.readouterr().err
         assert f"--sampler {sampler}" in err and "--sampler crofton" in err and "--sampler axis-aligned" in err
+        kind = {"triangulated": "mesh", "parametric": "chart"}[sampler]
+        assert "--r clips only an implicit surface" in err and f"'torus' as a {kind}" in err
         assert not output.exists()
 
     def test_surface_not_found_is_a_numeric_failure(self, tmp_path, capsys, monkeypatch):

@@ -209,7 +209,7 @@ class TestMeshIntersections:
         # a vertical line through a diagonal point crosses both, one hit
         dirs = np.array([[0.0, 0.0, 1.0]])
         feet = np.array([[0.1, 0.1, 0.0]])
-        counts, _, ts, _ = _mesh_hits(mesh, dirs, feet, 1.0)
+        counts, _, ts, _, _ = _mesh_hits(mesh, dirs, feet, 1.0)
         assert counts.tolist() == [1]
         assert abs(ts[0]) < 1e-12
 
@@ -217,7 +217,7 @@ class TestMeshIntersections:
         mesh, _ = triangulate_parametric(plane_patch_chart(side=1.0))
         dirs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         feet = np.array([[0.3, -0.2, 0.0], [-0.3, 0.2, 0.0]])
-        counts, _, _, _ = _mesh_hits(mesh, dirs, feet, 1.0)
+        counts, _, _, _, _ = _mesh_hits(mesh, dirs, feet, 1.0)
         assert counts.tolist() == [1, 1]
 
     def test_oblique_against_plane_formula(self):
@@ -225,7 +225,7 @@ class TestMeshIntersections:
         d = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
         q = np.array([0.2, -0.1, 0.0])
         foot = q - (q @ d) * d
-        counts, _, ts, _ = _mesh_hits(mesh, d[None], foot[None], 1.0)
+        counts, _, ts, _, _ = _mesh_hits(mesh, d[None], foot[None], 1.0)
         assert counts.tolist() == [1]
         assert np.allclose(foot + ts[0] * d, q, atol=1e-12)
 
@@ -286,8 +286,8 @@ def _assert_matches_full_product(mesh, dirs, feet, clip):
     for start in range(0, len(dirs), block):
         d, f = dirs[start : start + block], feet[start : start + block]
         line_ids, tri_ids = np.divmod(np.arange(len(d) * len(mesh)), len(mesh))
-        counts, ids, ts, boundary = _mesh_hits(mesh, d, f, clip)
-        want_counts, want_ids, want_ts, want_boundary = _pair_hits(mesh.edge_table, d, f, clip, line_ids, tri_ids)
+        counts, ids, ts, boundary, _ = _mesh_hits(mesh, d, f, clip)
+        want_counts, want_ids, want_ts, want_boundary, _ = _pair_hits(mesh.edge_table, d, f, clip, line_ids, tri_ids)
         np.testing.assert_array_equal(counts, want_counts)
         np.testing.assert_array_equal(ids, want_ids)
         assert ts.tobytes() == want_ts.tobytes()

@@ -26,7 +26,7 @@ PUBLIC = [
     "VanDerCorputRearranged", "__version__", "cloud_axis_aligned", "cloud_implicit", "cloud_parametric",
     "cloud_triangulated", "curse_benchmark", "density_variation", "estimate_area", "estimate_double_integral",
     "estimate_surface_integral", "kinematic_mass", "ktuple_test", "normal_cloud", "region_test", "sample_ball",
-    "sample_box", "sample_sphere", "triangle_area", "triangulate_parametric", "unit_ball_volume", "validate",
+    "sample_box", "sample_sphere", "triangle_area", "triangulate_parametric", "unit_ball_volume",
 ]
 
 
@@ -79,6 +79,10 @@ def test_benchmark_trace_hooks_record_their_counts():
         cloud = croftoncloud.cloud_implicit(boxed, croftoncloud.Pseudo(1), 500)
     with tracer.patched(1):
         area = croftoncloud.estimate_area(ball, croftoncloud.Pseudo(2), 1000)
+    # a Crofton cloud on a mesh drives _mesh_hits, in chunks of 2,000,000 // 10,000 triangles = 200 lines
+    mesh = croftoncloud.triangulate_parametric(croftoncloud.CATALOG["torus"].chart(u_res=51, v_res=101))[0]
+    with tracer.patched(2):
+        mesh_cloud = croftoncloud.cloud_implicit(mesh, croftoncloud.Pseudo(3), 500)
     assert {span[0] for span in tracer.spans} >= {"samplers.scan", "samplers.grid_field", "samplers.refine"}
 
     traced = tracer.values(0, wall=1.0)
@@ -93,3 +97,8 @@ def test_benchmark_trace_hooks_record_their_counts():
     assert traced["samplers.scan_hits"] == sum(k * n for k, n in area.hit_histogram.items()) > 0
     assert traced["samplers.refine_brackets"] == 0
     assert traced["surfaces.field_points.scan"] == 1000 * (samplers.SCAN_STEPS + 1)
+
+    traced = tracer.values(2, wall=1.0)
+    drawn = -(-mesh_cloud.lines_used // 200) * 200
+    assert traced["crofton.mesh_lines"] == traced["geometry.lines"] == drawn
+    assert traced["crofton.mesh_hits"] >= len(mesh_cloud) and traced["samplers.scan_lines"] == 0

@@ -24,11 +24,13 @@ from croftoncloud.surfaces import (
     CATALOG,
     ImplicitSurface,
     TriangulatedSurface,
+    corner_pyramid_mesh,
     plane_implicit,
     plane_patch_chart,
     sphere_chart,
     sphere_implicit,
     tetrahedron_mesh,
+    torus_chart,
     torus_implicit,
     triangulate_parametric,
 )
@@ -449,3 +451,61 @@ class TestCloudAxisAligned:
         a = cloud_axis_aligned(surface, Pseudo(72), 3000)
         b = cloud_axis_aligned(surface, Pseudo(72), 3000)
         assert np.array_equal(a.positions, b.positions)
+
+
+# one of each surface form; the chart is the benchmark's 10,000-triangle torus
+_FORMS = {
+    "implicit-torus": torus_implicit,
+    "tetrahedron": tetrahedron_mesh,
+    "torus-chart": lambda: torus_chart(u_res=51, v_res=101),
+}
+
+
+def _mesh_of(surface):
+    return surface if isinstance(surface, TriangulatedSurface) else triangulate_parametric(surface)[0]
+
+
+class TestOneLinePipeline:
+    """Line clouds and estimators read every surface form through one resolver."""
+
+    @pytest.mark.parametrize("name", list(_FORMS))
+    def test_cloud_counts_are_the_estimators(self, name):
+        surface = _FORMS[name]()
+        cloud = cloud_implicit(surface, Pseudo(60), 3000)
+        histogram = {k: int(c) for k, c in enumerate(np.bincount(cloud.per_line_counts)) if c}
+        assert histogram == estimate_area(surface, Pseudo(60), cloud.lines_used).hit_histogram
+
+    @pytest.mark.parametrize("name", ["tetrahedron", "torus-chart"])
+    def test_mesh_normals_are_the_hit_triangles(self, name):
+        surface = _FORMS[name]()
+        mesh = _mesh_of(surface)
+        cloud = cloud_implicit(surface, Pseudo(61), 2000)
+        assert cloud.triangle_index.shape == (len(cloud),)
+        assert np.array_equal(cloud.normals, mesh.normals[cloud.triangle_index])
+        # each point lies in its triangle's plane
+        v0 = mesh.triangles[cloud.triangle_index, 0]
+        assert np.abs(((cloud.positions - v0) * cloud.normals).sum(axis=1)).max() < 1e-12
+
+    @pytest.mark.parametrize("make", [tetrahedron_mesh, corner_pyramid_mesh], ids=["tetrahedron", "pyramid"])
+    def test_face_shares_follow_face_areas(self, make):
+        # fixed seed; 4 faces at 3 SE each, so a uniform cloud fails at most about 1.1% of seeds (union bound)
+        mesh = make()
+        cloud = cloud_implicit(mesh, Pseudo(62), 40_000)
+        lines = cloud.lines_used
+        per_line = np.bincount(cloud.line_index, minlength=lines).astype(np.float64)
+        for face, truth in enumerate(mesh.areas / mesh.total_area):
+            # hits of one line are not independent: the ratio-estimator variance over whole lines
+            on_face = np.bincount(cloud.line_index, weights=cloud.triangle_index == face, minlength=lines)
+            share = on_face.sum() / per_line.sum()
+            se = math.sqrt(lines / (lines - 1) * ((on_face - share * per_line) ** 2).sum()) / per_line.sum()
+            assert abs(share - truth) < 3.0 * se, (face, share, truth, se)
+
+    def test_axis_aligned_takes_a_mesh(self):
+        mesh = tetrahedron_mesh()
+        cloud = cloud_axis_aligned(mesh, Pseudo(63), 2000)
+        assert len(cloud) >= 2000
+        assert np.array_equal(cloud.normals, mesh.normals[cloud.triangle_index])
+        # consecutive hits of one line differ along a single coordinate axis
+        same = np.diff(cloud.line_index) == 0
+        steps = np.diff(cloud.positions, axis=0)[same]
+        assert same.any() and ((np.abs(steps) > 1e-12).sum(axis=1) == 1).all()

@@ -21,7 +21,6 @@ from croftoncloud.surfaces import (
     triangle_area,
     triangle_normal,
     triangulate_parametric,
-    validate,
 )
 
 from conftest import ScriptedSource
@@ -178,45 +177,6 @@ class TestBVH:
         size = len(lo) // 2
         extent = (hi[size : size + len(leaves)] - lo[size : size + len(leaves)]).max(axis=1)
         assert np.median(extent) < 0.5
-
-
-class TestValidate:
-    def test_tetrahedron_is_closed(self):
-        report = validate(tetrahedron_mesh())
-        assert report.ok, report.warnings
-
-    def test_single_triangle_reports_boundary(self):
-        report = validate(TriangulatedSurface([[(0, 0, 0), (1, 0, 0), (0, 1, 0)]]))
-        assert any("3 boundary edges" in w for w in report.warnings)
-
-    def test_pyramid_mesh_closed(self):
-        assert validate(corner_pyramid_mesh()).ok
-
-    def test_cone_apex_flagged(self):
-        def cone(x):
-            return x[..., 0] ** 2 + x[..., 1] ** 2 - x[..., 2] ** 2
-
-        report = validate(ImplicitSurface(cone, 1.5))
-        assert any("vanishing gradient" in w for w in report.warnings)
-
-    def test_sphere_implicit_clean(self):
-        assert validate(sphere_implicit()).ok
-
-    def test_parametric_rank_deficiency_flagged(self):
-        def collapsed(u, v):
-            return np.stack([u, u, np.zeros_like(u)], axis=-1)
-
-        surface = ParametricSurface(collapsed, BoxDomain((0.0, 0.0), (1.0, 1.0)), 4, 4)
-        report = validate(surface)
-        assert any("rank-deficient" in w for w in report.warnings)
-
-    def test_parametric_sphere_clean_away_from_poles(self):
-        # poles are rank deficient for the latitude chart; shrink the band
-        def chart(u, v):
-            return np.stack([np.cos(u) * np.cos(v), np.cos(u) * np.sin(v), np.sin(u) * np.ones_like(v)], axis=-1)
-
-        surface = ParametricSurface(chart, BoxDomain((-1.2, 0.0), (1.2, 6.0)), 8, 8)
-        assert validate(surface).ok
 
 
 def _sphere_field(x):
