@@ -189,11 +189,7 @@ def cmd_generate(args) -> int:
         meta["r"] = args.r
     if args.res is not None:
         meta["res"] = args.res
-    fmt = args.format
-    binary = fmt == "ply-binary"
-    if fmt == "ply-binary":
-        fmt = "ply"
-    cloudio.write_cloud(args.output, cloud.positions, cloud.normals, meta, fmt=fmt, binary=binary)
+    cloudio.write_cloud(args.output, cloud.positions, cloud.normals, meta, fmt=args.format)
     print(f"points   {len(cloud)}")
     if cloud.lines_used:
         print(f"lines    {cloud.lines_used}")
@@ -284,7 +280,9 @@ def cmd_audit(args) -> int:
         unit = bool(np.allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-6))
         lines.append(f"unit normals: {'pass' if unit else 'FAIL'}")
         failed |= not unit
-    if args.surface is not None:
+    if args.surface is not None and not finite:
+        lines.append("surface tests: skipped (non-finite coordinates)")
+    elif args.surface is not None:
         tests, scalar, labels, areas = _audit_suites(args.surface, positions)
         for result in stats.region_test(positions, tests):
             lines.append(result.line())
@@ -326,16 +324,16 @@ def cmd_bench(args) -> int:
         return np.cos(pts).prod(axis=-1)
 
     truth = float(np.sin(1.0) ** args.dims)
-    table = stats.curse_benchmark(integrand, args.dims, truth, budgets=budgets, n_seeds=args.seeds)
+    rows = stats.curse_benchmark(integrand, args.dims, truth, budgets=budgets, n_seeds=args.seeds)
     print(f"integrand prod(cos(x_i)) on the {args.dims}-cube, integral {truth:.6f}")
-    for line in table.lines():
-        print(line)
-    mc = [(r.evaluations, r.error) for r in table.by_method("mc")]
-    slope = stats.loglog_slope(mc)
+    print(f"{'method':<10} {'evals':>10} {'error':>14}")
+    for row in rows:
+        print(f"{row.method:<10} {row.evaluations:>10} {row.error:>14.6e}")
+    slope = stats.loglog_slope([(row.evaluations, row.error) for row in rows if row.method == "mc"])
     print(f"mc log-error slope: {slope:.3f} (dimension-free -1/2 expected)")
     if args.records:
         with open(args.records, "w", encoding="utf-8") as fh:
-            for row in table.rows:
+            for row in rows:
                 fh.write(json.dumps(row.record()) + "\n")
             fh.write(json.dumps({"mc_slope": slope}) + "\n")
     return 0

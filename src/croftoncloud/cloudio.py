@@ -204,14 +204,14 @@ def read_ply(path: str):
     return data[:, :3], data[:, 3:] if width == 6 else None, _meta(comments)
 
 
-def write_cloud(path: str, positions, normals=None, meta=None, fmt: str = "auto", binary: bool = False) -> None:
-    """Dispatch on *fmt* or the path extension ('.xyz' / '.ply')."""
+def write_cloud(path: str, positions, normals=None, meta=None, fmt: str = "auto") -> None:
+    """Write in *fmt*: 'xyz', 'ply' (ASCII), 'ply-binary', or 'auto' ('ply' for a '.ply' path, else 'xyz')."""
     if fmt == "auto":
         fmt = "ply" if path.lower().endswith(".ply") else "xyz"
     if fmt == "xyz":
         write_xyz(path, positions, normals, meta)
-    elif fmt == "ply":
-        write_ply(path, positions, normals, meta, binary=binary)
+    elif fmt in ("ply", "ply-binary"):
+        write_ply(path, positions, normals, meta, binary=fmt == "ply-binary")
     else:
         raise ValueError(f"unknown cloud format {fmt!r}")
 

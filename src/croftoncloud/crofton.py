@@ -159,6 +159,9 @@ def _resolve(surface, clip_radius):
     cloud on a small mesh from drawing far past its target.  Chunk sizes
     bound work and memory only; seeded output ignores them.
     """
+    # written so that nan fails too, and before any warning about the clip
+    if clip_radius is not None and not 0.0 < clip_radius < np.inf:
+        raise ValueError(f"clip radius must be positive and finite, got {clip_radius}")
     if isinstance(surface, ImplicitSurface):
         # the scan runs over chords of the surface's own clip ball, so an explicit clip replaces it
         surface = surface if clip_radius is None else replace(surface, clip_radius=float(clip_radius))
@@ -187,6 +190,8 @@ def _resolve(surface, clip_radius):
 
 def _gather(surface, src, lines, clip_radius, want_points):
     """``(clip, counts, line_ids, points)`` for *lines* kinematic lines; see samplers._line_hits."""
+    if lines < 1:
+        raise ValueError(f"need at least one line, got {lines}")
     hits, clip, chunk, _ = _resolve(surface, clip_radius)
     counts, ids, _, pts, _ = samplers._line_hits(src, clip, hits, lambda done, _: min(chunk, lines - done), want_points)
     return clip, counts, ids, pts
@@ -225,8 +230,6 @@ def estimate_area(surface, src: ScalarSource, lines: int, clip_radius: float | N
     tests on the candidate pairs their BVH leaves; charts go through their
     grid triangulation.
     """
-    if lines < 1:
-        raise ValueError("need at least one line")
     clip, counts, _, _ = _gather(surface, src, lines, clip_radius, want_points=False)
     return _finish(counts.astype(np.float64), _normalization(3, clip), counts)
 
@@ -240,8 +243,6 @@ def estimate_surface_integral(
     reduces to the area estimator.  Raises FloatingPointError where *fn* is
     not finite.
     """
-    if lines < 1:
-        raise ValueError("need at least one line")
     clip, counts, ids, pts = _gather(surface, src, lines, clip_radius, want_points=True)
     values = _integrand(fn, pts) if len(pts) else np.empty(0)
     sums = np.bincount(ids, weights=values, minlength=lines)
@@ -259,31 +260,17 @@ def estimate_double_integral(
     ``(m, 3), (m, 3) -> (m,)`` and finite (else FloatingPointError).
     Normalization is the square of the single-integral constant.
     """
-    if line_pairs < 1:
-        raise ValueError("need at least one line pair")
     clip, counts, ids, pts = _gather(surface, src, 2 * line_pairs, clip_radius, want_points=True)
 
     pair_stat = np.zeros(line_pairs)
-    if len(pts):
-        pair_of_line = ids // 2
-        first = ids % 2 == 0
-        # hits of each pair member, grouped by pair
-        order_a = np.argsort(pair_of_line[first], kind="stable")
-        order_b = np.argsort(pair_of_line[~first], kind="stable")
-        pts_a, pair_a = pts[first][order_a], pair_of_line[first][order_a]
-        pts_b, pair_b = pts[~first][order_b], pair_of_line[~first][order_b]
-        cnt_a = np.bincount(pair_a, minlength=line_pairs)
-        cnt_b = np.bincount(pair_b, minlength=line_pairs)
-        if (cnt_a * cnt_b).any():
-            # cross product of hits within each pair: repeat every a-hit by
-            # its pair's b-count and pair it with that block of b-hits
-            off_b = np.concatenate([[0], np.cumsum(cnt_b)])
-            lengths = cnt_b[pair_a]
-            idx_a = np.repeat(np.arange(len(pts_a)), lengths)
-            ends = np.cumsum(lengths)
-            within = np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)
-            idx_b = np.repeat(off_b[pair_a], lengths) + within
-            pair_id = np.repeat(pair_a, lengths)
-            vals = _integrand(fn2, pts_a[idx_a], pts_b[idx_b])
-            pair_stat = np.bincount(pair_id, weights=vals, minlength=line_pairs)
+    if (counts[0::2] * counts[1::2]).any():
+        # hits come in (line, t) order, so pair j's are line 2j's block, then line 2j + 1's: repeat
+        # every a-hit by its pair's b-count and pair it with that block of b-hits, a-major
+        a = np.flatnonzero(ids % 2 == 0)
+        reps = counts[ids[a] + 1]
+        ends = np.cumsum(reps)
+        idx_a = np.repeat(a, reps)
+        idx_b = np.arange(ends[-1]) + np.repeat(np.cumsum(counts)[ids[a]] - ends + reps, reps)
+        vals = _integrand(fn2, pts[idx_a], pts[idx_b])
+        pair_stat = np.bincount(ids[idx_a] // 2, weights=vals, minlength=line_pairs)
     return _finish(pair_stat, _normalization(3, clip) ** 2, counts)

@@ -42,10 +42,21 @@ _MIX_2 = np.uint64(0x94D049BB133111EB)
 
 
 class ScalarSource:
-    """Base class for deterministic streams of scalars in [0, 1)."""
+    """Base class for deterministic streams of scalars in [0, 1).
+
+    :meth:`take` keeps the one count of values drawn and asks the source
+    for the next values j (from 1, an int64 array) as ``_at(j)``.
+    """
+
+    _drawn = 0
 
     def take(self, count: int) -> np.ndarray:
         """Return the next *count* values as a float64 array."""
+        j = np.arange(self._drawn + 1, self._drawn + count + 1, dtype=np.int64)
+        self._drawn += int(count)
+        return self._at(j)
+
+    def _at(self, j: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -58,16 +69,13 @@ class Pseudo(ScalarSource):
 
     def __init__(self, seed: int):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self._drawn = 0
 
     def __repr__(self):
         return f"Pseudo(seed={self.seed})"
 
-    def take(self, count: int) -> np.ndarray:
-        idx = np.arange(self._drawn + 1, self._drawn + count + 1, dtype=np.uint64)
-        self._drawn += int(count)
+    def _at(self, j: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
-            z = np.uint64(self.seed) + idx * _GOLDEN
+            z = np.uint64(self.seed) + j.astype(np.uint64) * _GOLDEN
             z = (z ^ (z >> np.uint64(30))) * _MIX_1
             z = (z ^ (z >> np.uint64(27))) * _MIX_2
             z ^= z >> np.uint64(31)
@@ -85,14 +93,11 @@ class VanDerCorput(ScalarSource):
         if radix < 2:
             raise ValueError(f"radix must be >= 2, got {radix}")
         self.radix = int(radix)
-        self._drawn = 0
 
     def __repr__(self):
         return f"VanDerCorput(radix={self.radix})"
 
-    def take(self, count: int) -> np.ndarray:
-        n = np.arange(self._drawn + 1, self._drawn + count + 1, dtype=np.int64)
-        self._drawn += int(count)
+    def _at(self, n: np.ndarray) -> np.ndarray:
         out = np.zeros(len(n), dtype=np.float64)
         denom = 1.0
         while n.any():
@@ -112,15 +117,10 @@ class VanDerCorputRearranged(ScalarSource):
 
     radix = 2
 
-    def __init__(self):
-        self._drawn = 0
-
     def __repr__(self):
         return "VanDerCorputRearranged()"
 
-    def take(self, count: int) -> np.ndarray:
-        j = np.arange(self._drawn + 1, self._drawn + count + 1, dtype=np.int64)
-        self._drawn += int(count)
+    def _at(self, j: np.ndarray) -> np.ndarray:
         # block b holds indices 2**(b-1) .. 2**b - 1; frexp is exact here
         block = np.frexp(j.astype(np.float64))[1].astype(np.int64)
         offset = j - np.left_shift(np.int64(1), block - 1)

@@ -11,12 +11,12 @@ when it has one) is scanned for sign changes of the field and each bracket
 refined by bisection; a mesh, or a chart through its grid triangulation, is
 cut by exact line-triangle tests.
 
-Triangulated surfaces: pick a triangle through the cumulative-area table,
-then place a point by barycentric coordinates folded into the simplex.
-
-Parametric surfaces: same selection over the grid triangulation, but the
-simplex point is pushed through the chart applied to the parameter-space
-triangle, so outputs lie exactly on the surface rather than on the
+Triangle clouds make one area-weighted draw: pick a triangle through the
+cumulative-area table, fold a point into the simplex, and take its
+barycentric combination of a per-triangle corner table.  A triangulated
+surface passes its own triangles.  A parametric surface passes the
+parameter triangles of its grid triangulation and maps the point by the
+chart, so outputs lie exactly on the surface rather than on the
 piecewise-linear proxy (the selection weights still come from the proxy, a
 bias that shrinks like the squared grid step).
 
@@ -372,28 +372,32 @@ def _select_triangles(src: ScalarSource, cumulative: np.ndarray, count: int) -> 
     return np.searchsorted(cumulative, xs, side="right")
 
 
-def _simplex_points(src: ScalarSource, count: int):
-    """(u, v) uniform on the 2-simplex from scalars 2i, 2i + 1; pairs above u + v = 1 fold to (1 - u, 1 - v)."""
+def _area_weighted(src: ScalarSource, mesh: TriangulatedSurface, corners: np.ndarray, count: int):
+    """``(chosen, points)``: *count* area-weighted triangles of *mesh* and a uniform point in each.
+
+    Point i scales scalar i to the cumulative-area table to pick its
+    triangle; scalars count + 2i and count + 2i + 1 give (u, v) on the
+    2-simplex, pairs above u + v = 1 folded to (1 - u, 1 - v).  The point
+    combines the triangle's row of *corners* ``(n, 3, d)`` by (u, v, 1 - u - v).
+    """
+    if count < 1:
+        raise ValueError("target point count must be at least 1")
+    chosen = _select_triangles(src, mesh.cumulative_areas, count)
     u, v = src.take(2 * count).reshape(count, 2).T
     above = u + v > 1.0
-    return np.where(above, 1.0 - u, u), np.where(above, 1.0 - v, v)
+    u, v = np.where(above, 1.0 - u, u), np.where(above, 1.0 - v, v)
+    tri = corners[chosen]
+    return chosen, u[:, None] * tri[:, 0] + v[:, None] * tri[:, 1] + (1.0 - u - v)[:, None] * tri[:, 2]
 
 
 def cloud_triangulated(surface: TriangulatedSurface, src: ScalarSource, n_points: int) -> PointCloud:
     """Cloud of exactly *n_points* area-weighted points on the triangle list.
 
-    Point i scales scalar i to the cumulative-area table to pick its
-    triangle; scalars n_points + 2i and n_points + 2i + 1 then give its
-    barycentric coordinates.  Normals are the mesh's cached flat
-    per-triangle normals, oriented by vertex order.
+    Points are drawn by :func:`_area_weighted` on the triangles
+    themselves.  Normals are the mesh's cached flat per-triangle normals,
+    oriented by vertex order.
     """
-    if n_points < 1:
-        raise ValueError("target point count must be at least 1")
-    cum = surface.cumulative_areas
-    chosen = _select_triangles(src, cum, n_points)
-    u, v = _simplex_points(src, n_points)
-    tris = surface.triangles[chosen]
-    pts = u[:, None] * tris[:, 0] + v[:, None] * tris[:, 1] + (1.0 - u - v)[:, None] * tris[:, 2]
+    chosen, pts = _area_weighted(src, surface, surface.triangles, n_points)
     return PointCloud(positions=pts, normals=surface.normals[chosen], triangle_index=chosen)
 
 
@@ -415,14 +419,10 @@ def cloud_parametric(surface: ParametricSurface, src: ScalarSource, n_points: in
     combination of the parameter triangle) and mapped by the chart, so every
     output satisfies the surface equation exactly.
     """
-    if n_points < 1:
-        raise ValueError("target point count must be at least 1")
     mesh, params = triangulate_parametric(surface)
-    chosen = _select_triangles(src, mesh.cumulative_areas, n_points)
-    u, v = _simplex_points(src, n_points)
-    ptri = params[chosen]
-    pu = u * ptri[:, 0, 0] + v * ptri[:, 1, 0] + (1.0 - u - v) * ptri[:, 2, 0]
-    pv = u * ptri[:, 0, 1] + v * ptri[:, 1, 1] + (1.0 - u - v) * ptri[:, 2, 1]
+    chosen, uv = _area_weighted(src, mesh, params, n_points)
+    # contiguous parameter arrays, as the chart and its four difference calls read them
+    pu, pv = np.ascontiguousarray(uv.T)
     pts = np.asarray(surface.chart(pu, pv), dtype=np.float64)
     return PointCloud(
         positions=pts,

@@ -14,7 +14,7 @@ of evaluation budget.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,7 +32,6 @@ __all__ = [
     "DensityResult",
     "density_variation",
     "BenchRow",
-    "BenchTable",
     "curse_benchmark",
     "loglog_slope",
     "sphere_region_tests",
@@ -139,7 +138,8 @@ def ktuple_test(values: np.ndarray, k: int, grid: int) -> KTupleResult:
     if cells > MAX_KTUPLE_CELLS:
         raise ValueError(f"grid^k = {cells} exceeds the {MAX_KTUPLE_CELLS} cell budget")
     values = np.asarray(values, dtype=np.float64)
-    if values.min() < 0.0 or values.max() >= 1.0:
+    # written so that nan fails too
+    if not ((values >= 0.0) & (values < 1.0)).all():
         raise ValueError("values must lie in [0, 1)")
     if len(values) < k:
         raise ValueError("sequence shorter than the window")
@@ -220,20 +220,6 @@ class BenchRow:
         return asdict(self)
 
 
-@dataclass
-class BenchTable:
-    rows: list[BenchRow] = field(default_factory=list)
-
-    def by_method(self, method: str) -> list[BenchRow]:
-        return [r for r in self.rows if r.method == method]
-
-    def lines(self) -> list[str]:
-        out = [f"{'method':<10} {'evals':>10} {'error':>14}"]
-        for r in self.rows:
-            out.append(f"{r.method:<10} {r.evaluations:>10} {r.error:>14.6e}")
-        return out
-
-
 def midpoint_rule(fn, n_dims: int, cells_per_axis: int) -> float:
     """Midpoint quadrature of *fn* over the unit cube on a k^n grid."""
     mids = (np.arange(cells_per_axis) + 0.5) / cells_per_axis
@@ -257,30 +243,30 @@ def curse_benchmark(
     budgets: Sequence[int] = (100, 1_000, 10_000, 100_000, 1_000_000),
     n_seeds: int = 32,
     base_seed: int = 1000,
-) -> BenchTable:
-    """Error-versus-budget table for midpoint quadrature and Monte Carlo.
+) -> list[BenchRow]:
+    """Error-versus-budget rows for Monte Carlo, then midpoint quadrature.
 
     *fn* is a vectorized integrand on the unit cube with known integral
-    *truth* (benchmark fixtures only).  The Monte Carlo column reports, per
-    budget, the RMS error over *n_seeds* independent streams; the midpoint
-    column uses the largest axis resolution whose grid fits the budget.
+    *truth* (benchmark fixtures only).  The ``"mc"`` rows report, per budget
+    in increasing order, the RMS error over *n_seeds* independent streams;
+    the ``"riemann"`` rows use the largest axis resolution whose grid fits
+    the budget.  Raises ValueError without budgets, for a budget below 1 or
+    for fewer than one seed.
     """
     budgets = sorted(int(b) for b in budgets)
-    table = BenchTable()
+    if not budgets or budgets[0] < 1 or n_seeds < 1:
+        raise ValueError(f"need budgets of at least 1 and at least one seed, got budgets {budgets} and {n_seeds} seeds")
     errs = np.empty((n_seeds, len(budgets)))
     for i in range(n_seeds):
         est = monte_carlo_prefix_estimates(fn, n_dims, budgets, Pseudo(base_seed + i))
         errs[i] = est - truth
     rms = np.sqrt((errs**2).mean(axis=0))
-    for budget, err in zip(budgets, rms):
-        table.rows.append(BenchRow("mc", budget, float(err)))
+    rows = [BenchRow("mc", budget, float(err)) for budget, err in zip(budgets, rms)]
     for budget in budgets:
         k = int(budget ** (1.0 / n_dims) + 1e-9)
-        if k < 1:
-            continue
         estimate = midpoint_rule(fn, n_dims, k)
-        table.rows.append(BenchRow("riemann", k**n_dims, abs(estimate - truth)))
-    return table
+        rows.append(BenchRow("riemann", k**n_dims, abs(estimate - truth)))
+    return rows
 
 
 def loglog_slope(pairs: Sequence[tuple[float, float]]) -> float:

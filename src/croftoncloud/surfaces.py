@@ -6,15 +6,16 @@
   box that confines the chord scan.
 * :class:`ParametricSurface` -- a chart over a rectangle, plus the grid
   resolution used to triangulate it.
-* :class:`TriangulatedSurface` -- a plain list of triangles with lazily
-  built per-triangle tables: the cumulative areas that drive area-weighted
+* :class:`TriangulatedSurface` -- a plain list of triangles with cached
+  per-triangle tables: the cumulative areas that drive area-weighted
   sampling, the normals, and the edge table and bounding-volume hierarchy
   that line intersection reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -83,8 +84,8 @@ class ImplicitSurface:
     bounds: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.clip_radius <= 0.0:
-            raise ValueError(f"clip radius must be positive, got {self.clip_radius}")
+        if not 0.0 < self.clip_radius < np.inf:
+            raise ValueError(f"clip radius must be positive and finite, got {self.clip_radius}")
         if self.bounds is not None:
             try:
                 lo, hi = (np.asarray(corner, dtype=np.float64) for corner in self.bounds)
@@ -115,8 +116,8 @@ class ParametricSurface:
 
     The chart must accept equal-shape arrays ``u, v`` and return an
     ``(..., 3)`` array.  ``u_res`` and ``v_res`` count grid points per axis
-    (so there are ``u_res - 1`` by ``v_res - 1`` cells).  Frozen, so the
-    triangulation cached on it stays valid.
+    (so there are ``u_res - 1`` by ``v_res - 1`` cells).  Frozen, so its
+    cached :attr:`triangulation` stays valid.
     """
 
     chart: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -124,7 +125,6 @@ class ParametricSurface:
     u_res: int
     v_res: int
     name: str = ""
-    _triangulation: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.domain.dim != 2:
@@ -132,15 +132,21 @@ class ParametricSurface:
         if self.u_res < 2 or self.v_res < 2:
             raise ValueError("grid resolutions must be at least 2")
 
+    @cached_property
+    def triangulation(self) -> tuple:
+        """``(mesh, parameter_triangles)`` of :func:`triangulate_parametric`, built on first use."""
+        return _triangulate_grid(self)
+
 
 class TriangulatedSurface:
     """Ordered triangle list with per-triangle tables built on first use.
 
-    The cached tables are the cumulative areas, the unit normals, the edge
-    table the line kernel reads, the bounding radius and the
-    bounding-volume hierarchy; ``triangles`` must not change after any of
-    them is built.  Degenerate (zero-area) triangles are kept; they occupy
-    zero-width intervals of the cumulative table and are never selected.
+    The areas, cumulative areas, unit normals, edge table the line kernel
+    reads, bounding radius and bounding-volume hierarchy are cached
+    properties (``functools.cached_property``); ``triangles`` must not
+    change after any of them is built.  Degenerate (zero-area) triangles are
+    kept; they occupy zero-width intervals of the cumulative table and are
+    never selected.
     """
 
     def __init__(self, triangles, name: str = ""):
@@ -149,57 +155,47 @@ class TriangulatedSurface:
             raise ValueError(f"expected (n, 3, 3) triangle array, got {tris.shape}")
         self.triangles = tris
         self.name = name
-        self._cumulative: Optional[np.ndarray] = None
-        self._normals: Optional[np.ndarray] = None
-        self._edge_table: Optional[np.ndarray] = None
-        self._radius: Optional[float] = None
-        self._bvh: Optional[tuple] = None
 
     def __len__(self) -> int:
         return len(self.triangles)
 
-    @property
+    @cached_property
     def areas(self) -> np.ndarray:
         return triangle_area(self.triangles)
 
-    @property
+    @cached_property
     def cumulative_areas(self) -> np.ndarray:
-        if self._cumulative is None:
-            cum = np.cumsum(self.areas)
-            if not cum.size or cum[-1] <= 0.0:
-                raise ValueError("surface has zero total area")
-            self._cumulative = cum
-        return self._cumulative
+        cum = np.cumsum(self.areas)
+        if not cum.size or cum[-1] <= 0.0:
+            raise ValueError("surface has zero total area")
+        return cum
 
     @property
     def total_area(self) -> float:
         return float(self.cumulative_areas[-1])
 
-    @property
+    @cached_property
     def normals(self) -> np.ndarray:
-        """:func:`triangle_normal` of every triangle, built on first use."""
-        if self._normals is None:
-            self._normals = triangle_normal(self.triangles)
-        return self._normals
+        """:func:`triangle_normal` of every triangle."""
+        return triangle_normal(self.triangles)
 
-    @property
+    @cached_property
     def edge_table(self) -> np.ndarray:
-        """Rows ``(v0, v1 - v0, v2 - v0)`` per triangle, shape ``(n, 3, 3)``, built on first use."""
-        if self._edge_table is None:
-            v0 = self.triangles[:, 0]
-            self._edge_table = np.stack([v0, self.triangles[:, 1] - v0, self.triangles[:, 2] - v0], axis=1)
-        return self._edge_table
+        """Rows ``(v0, v1 - v0, v2 - v0)`` per triangle, shape ``(n, 3, 3)``."""
+        v0 = self.triangles[:, 0]
+        return np.stack([v0, self.triangles[:, 1] - v0, self.triangles[:, 2] - v0], axis=1)
 
-    @property
+    @cached_property
     def bvh(self) -> tuple:
-        """``(lo, hi, leaves)`` of :func:`_build_bvh`, built on first use."""
-        if self._bvh is None:
-            self._bvh = _build_bvh(self.triangles)
-        return self._bvh
+        """``(lo, hi, leaves)`` of :func:`_build_bvh`."""
+        return _build_bvh(self.triangles)
+
+    @cached_property
+    def _radius(self) -> float:
+        return float(np.linalg.norm(self.triangles.reshape(-1, 3), axis=1).max())
 
     def bounding_radius(self) -> float:
-        if self._radius is None:
-            self._radius = float(np.linalg.norm(self.triangles.reshape(-1, 3), axis=1).max())
+        """Largest vertex distance from the origin."""
         return self._radius
 
 
@@ -266,12 +262,11 @@ def triangulate_parametric(surface: ParametricSurface):
     Returns ``(mesh, parameter_triangles)`` where ``parameter_triangles`` has
     shape ``(n, 3, 2)`` and row i holds the (u, v) vertices whose chart
     images are the vertices of mesh triangle i.  Every mesh vertex is the
-    chart image of a grid point, so it lies exactly on the surface.  Built
-    on first use and cached on the surface, like the mesh's BVH; read-only.
+    chart image of a grid point, so it lies exactly on the surface.  This is
+    the surface's cached :attr:`ParametricSurface.triangulation`, built on
+    first use like the mesh's BVH; read-only.
     """
-    if surface._triangulation is None:
-        object.__setattr__(surface, "_triangulation", _triangulate_grid(surface))
-    return surface._triangulation
+    return surface.triangulation
 
 
 def _triangulate_grid(surface: ParametricSurface):
@@ -452,14 +447,13 @@ class CatalogEntry:
     implicit: Optional[Callable[..., ImplicitSurface]]
     chart: Optional[Callable[..., ParametricSurface]]
     mesh: Optional[Callable[[], TriangulatedSurface]]
-    area: Optional[float]
 
 
 CATALOG: dict[str, CatalogEntry] = {
-    "sphere": CatalogEntry(sphere_implicit, sphere_chart, None, 4.0 * np.pi),
-    "torus": CatalogEntry(torus_implicit, torus_chart, None, 4.0 * np.pi**2),
-    "ellipsoid": CatalogEntry(ellipsoid_implicit, ellipsoid_chart, None, None),
-    "plane": CatalogEntry(plane_implicit, plane_patch_chart, None, None),
-    "tetrahedron": CatalogEntry(None, None, tetrahedron_mesh, 8.0 * np.sqrt(3.0)),
-    "pyramid": CatalogEntry(corner_pyramid_implicit, None, corner_pyramid_mesh, (3.0 + np.sqrt(3.0)) / 2.0),
+    "sphere": CatalogEntry(sphere_implicit, sphere_chart, None),
+    "torus": CatalogEntry(torus_implicit, torus_chart, None),
+    "ellipsoid": CatalogEntry(ellipsoid_implicit, ellipsoid_chart, None),
+    "plane": CatalogEntry(plane_implicit, plane_patch_chart, None),
+    "tetrahedron": CatalogEntry(None, None, tetrahedron_mesh),
+    "pyramid": CatalogEntry(corner_pyramid_implicit, None, corner_pyramid_mesh),
 }

@@ -7,7 +7,8 @@ import pytest
 
 import croftoncloud
 from croftoncloud import cli, cloudio, samplers
-from croftoncloud.surfaces import tetrahedron_mesh
+from croftoncloud.rng import Pseudo
+from croftoncloud.surfaces import sphere_implicit, tetrahedron_mesh
 
 
 @pytest.fixture
@@ -36,6 +37,20 @@ class TestGenerateAndAudit:
         lines = records.read_text().splitlines()
         assert lines
         assert all(isinstance(json.loads(line), dict) for line in lines)
+
+    def test_nonfinite_cloud_fails_without_surface_tests(self, tmp_path, capsys):
+        cloud = samplers.cloud_implicit(sphere_implicit(), Pseudo(1), 5000)
+        positions = cloud.positions.copy()
+        positions[3] = np.nan
+        path = str(tmp_path / "nan.xyz")
+        cloudio.write_cloud(path, positions, cloud.normals, fmt="xyz")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["audit", "--cloud", path, "--surface", "sphere"]) == cli.AUDIT_FAILURE
+        captured = capsys.readouterr()
+        assert "finite coordinates: FAIL" in captured.out and "skipped (non-finite coordinates)" in captured.out
+        assert "region" not in captured.out and "audit: FAIL" in captured.out
+        assert not caught and not captured.err
 
     def test_axis_aligned_cloud_fails_density_audit(self, tmp_path, capsys):
         # axis-parallel lines give density proportional to |n_x| + |n_y| + |n_z|
@@ -228,6 +243,17 @@ class TestEstimates:
         value, se = _estimate(capsys.readouterr().out)
         assert abs(value - 8.0 * math.pi / 3.0) < 3.0 * se
 
+    @pytest.mark.parametrize("surface", ["tetrahedron", "sphere"])
+    @pytest.mark.parametrize("radius", ["-1", "0", "nan", "inf"])
+    def test_bad_clip_is_one_error_and_no_warning(self, capsys, surface, radius):
+        # a mesh's clip is refused before the warning that it may truncate the surface
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["area", "--surface", surface, "--m", "10", "--r", radius]) == cli.USAGE_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == f"error: clip radius must be positive and finite, got {float(radius)}\n"
+        assert not caught and not captured.out
+
     def test_area_of_expression_sphere(self, capsys):
         assert cli.main(["area", "--surface", "x^2+y^2+z^2-1", "--m", "20000", "--seed", "5"]) == 0
         value, se = _estimate(capsys.readouterr().out)
@@ -240,3 +266,14 @@ class TestBench:
         args = ["bench", "--dims", "2", "--budgets", "100,1000", "--seeds", "4", "--records", str(records)]
         assert cli.main(args) == 0
         assert all(isinstance(json.loads(line), dict) for line in records.read_text().splitlines())
+
+    @pytest.mark.parametrize(
+        "option, value", [("--budgets", ","), ("--budgets", "0"), ("--seeds", "0")], ids=["no-budgets", "zero-budget", "no-seeds"]
+    )
+    def test_bad_input_is_one_error_and_no_warning(self, capsys, option, value):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["bench", "--dims", "2", "--budgets", "10,100", option, value]) == cli.USAGE_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert not caught and not captured.out

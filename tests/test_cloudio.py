@@ -209,6 +209,17 @@ class TestDispatch:
             got_p, _, _ = read_cloud(path)
             assert np.array_equal(got_p, positions)
 
+    @pytest.mark.parametrize("fmt, head", [("xyz", b"# seed=7"), ("ply", b"format ascii"), ("ply-binary", b"format binary")])
+    def test_cli_format_names(self, cloud, tmp_path, fmt, head):
+        # write_cloud takes the names of generate's --format choices as they are
+        positions, normals = cloud
+        path = str(tmp_path / ("c.xyz" if fmt == "xyz" else "c.ply"))
+        write_cloud(path, positions, normals, META, fmt=fmt)
+        with open(path, "rb") as fh:
+            assert head in fh.read(64)
+        got_p, got_n, _ = read_cloud(path)
+        assert np.array_equal(got_p, positions) and np.array_equal(got_n, normals)
+
     def test_unknown_format(self, cloud, tmp_path):
         positions, _ = cloud
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from croftoncloud import surfaces
+from croftoncloud import crofton, surfaces
 from croftoncloud.crofton import (
     _bvh_pairs,
     _mesh_hits,
@@ -200,6 +200,55 @@ class TestDoubleIntegral:
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError, match=r"integrand not finite at .*\) and \(.*: inf"):
                 estimate_double_integral(sphere_implicit(clip=2.0), lambda p, q: 1.0 / (p - p)[:, 0], Pseudo(33), 1000)
+
+
+def _double_integral_oracle(surface, fn2, seed, line_pairs):
+    """``(estimate, counts)``: the double integral by a naive loop over each pair's hits, on the estimator's lines."""
+    hits, clip, _, _ = crofton._resolve(surface, None)
+    dirs, feet = sample_line_batch(Pseudo(seed), 3, clip, 2 * line_pairs)
+    counts, line_ids, ts, _, _ = hits(dirs, feet, True)
+    points = feet[line_ids] + ts[:, None] * dirs[line_ids]
+    stat = np.zeros(line_pairs)
+    for j in range(line_pairs):
+        total = 0.0
+        for p in points[line_ids == 2 * j]:
+            for q in points[line_ids == 2 * j + 1]:
+                total += fn2(p[None], q[None])[0]
+        stat[j] = total
+    return crofton._finish(stat, crofton._normalization(3, clip) ** 2, counts), counts
+
+
+class TestDoubleIntegralOracle:
+    # products and sums only, so one point pair gives the same bits alone as in a batch
+    @staticmethod
+    def fn2(p, q):
+        return p[:, 0] * q[:, 1] - p[:, 2] * q[:, 2] + 1.0
+
+    @pytest.mark.parametrize(
+        "make, seed, pairs",
+        [(sphere_implicit, 7, 2000), (tetrahedron_mesh, 8, 2000), (lambda: sphere_implicit(0.5, 2.0), 14, 1)]
+        + [(lambda: sphere_implicit(0.5, 2.0), 18, 1)],
+        ids=["sphere", "tetrahedron", "first-line-only", "second-line-only"],
+    )
+    def test_matches_naive_pair_loop(self, make, seed, pairs):
+        want, counts = _double_integral_oracle(make(), self.fn2, seed, pairs)
+        calls = []
+
+        def fn2(p, q):
+            calls.append(len(p))
+            return self.fn2(p, q)
+
+        got = estimate_double_integral(make(), fn2, Pseudo(seed), pairs)
+        assert got.value.hex() == want.value.hex()
+        assert got.standard_error.hex() == want.standard_error.hex()
+        assert got.hit_histogram == want.hit_histogram
+        both = counts[0::2] * counts[1::2]
+        if pairs == 1:
+            # one line of the pair hits and the other misses: the integrand is never called
+            assert counts.sum() > 0 and not both.any() and calls == [] and got.value == 0.0
+        else:
+            # a closed convex surface: every line hits twice or not at all; one call takes every combination
+            assert set(counts.tolist()) == {0, 2} and both.any() and calls == [int(both.sum())]
 
 
 class TestMeshIntersections:

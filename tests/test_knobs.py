@@ -5,6 +5,7 @@ seeded output takes one in ``tests/test_seeded.py``.
 """
 
 import argparse
+import importlib
 import inspect
 
 import pytest
@@ -46,6 +47,20 @@ def test_options(command):
     assert [option for action in parser._actions for option in action.option_strings] == OPTIONS[command]
 
 
+#: functions reached through their module, named ``module.function``
+MODULE_PARAMETERS = {
+    "cloudio.write_cloud": ["path", "positions", "normals", "meta", "fmt"],
+    "stats.curse_benchmark": ["fn", "n_dims", "truth", "budgets", "n_seeds", "base_seed"],
+}
+
+
 @pytest.mark.parametrize("name", list(PARAMETERS))
 def test_parameters(name):
     assert list(inspect.signature(getattr(croftoncloud, name)).parameters) == PARAMETERS[name]
+
+
+@pytest.mark.parametrize("name", list(MODULE_PARAMETERS))
+def test_module_parameters(name):
+    module, function = name.split(".")
+    function = getattr(importlib.import_module(f"croftoncloud.{module}"), function)
+    assert list(inspect.signature(function).parameters) == MODULE_PARAMETERS[name]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,13 @@ class TestKTupleTest:
         with pytest.raises(ValueError):
             ktuple_test(np.array([0.5, 1.0]), k=1, grid=4)
 
+    def test_nonfinite_values_refused(self):
+        # nan passes a min/max range test; it must be refused before the cast to grid digits, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"values must lie in \[0, 1\)"):
+                ktuple_test(np.array([0.25, np.nan, 0.75]), k=1, grid=4)
+
 
 class TestStarDiscrepancy:
     def test_single_point(self):
@@ -144,8 +152,8 @@ class TestCurseBenchmark:
         return np.cos(pts).prod(axis=-1)
 
     def test_constant_integrand_exact(self):
-        table = curse_benchmark(lambda p: np.full(len(p), 2.5), 3, 2.5, budgets=(100, 1000), n_seeds=4)
-        assert all(row.error < 1e-12 for row in table.rows)
+        rows = curse_benchmark(lambda p: np.full(len(p), 2.5), 3, 2.5, budgets=(100, 1000), n_seeds=4)
+        assert all(row.error < 1e-12 for row in rows)
 
     def test_midpoint_second_order(self):
         truth = math.sin(1.0) ** 6
@@ -165,19 +173,26 @@ class TestCurseBenchmark:
 
     def test_mc_error_scaling_short(self):
         truth = math.sin(1.0) ** 4
-        table = curse_benchmark(self.integrand, 4, truth, budgets=(100, 1000, 10_000, 100_000), n_seeds=16)
-        slope = loglog_slope([(r.evaluations, r.error) for r in table.by_method("mc")])
+        rows = curse_benchmark(self.integrand, 4, truth, budgets=(100, 1000, 10_000, 100_000), n_seeds=16)
+        slope = loglog_slope([(r.evaluations, r.error) for r in rows if r.method == "mc"])
         assert -0.75 < slope < -0.25
 
     def test_riemann_budget_rounding(self):
-        table = curse_benchmark(self.integrand, 3, math.sin(1.0) ** 3, budgets=(100,), n_seeds=2)
-        (row,) = table.by_method("riemann")
+        rows = curse_benchmark(self.integrand, 3, math.sin(1.0) ** 3, budgets=(100,), n_seeds=2)
+        (row,) = [r for r in rows if r.method == "riemann"]
         assert row.evaluations == 4**3  # largest k with k^3 <= 100
 
     def test_table_formats(self):
-        table = curse_benchmark(self.integrand, 2, math.sin(1.0) ** 2, budgets=(100,), n_seeds=2)
-        assert any("mc" in line for line in table.lines())
-        assert table.rows[0].record()["method"] == "mc"
+        rows = curse_benchmark(self.integrand, 2, math.sin(1.0) ** 2, budgets=(100,), n_seeds=2)
+        assert [row.method for row in rows] == ["mc", "riemann"]
+        assert rows[0].record()["method"] == "mc"
+
+    @pytest.mark.parametrize("budgets, seeds", [((), 2), ((0, 100), 2), ((100,), 0)], ids=["empty", "zero", "no-seeds"])
+    def test_bad_input_is_refused(self, budgets, seeds):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="need budgets of at least 1 and at least one seed"):
+                curse_benchmark(self.integrand, 2, 0.0, budgets=budgets, n_seeds=seeds)
 
 
 class TestSurfaceSuites:
