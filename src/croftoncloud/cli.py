@@ -15,7 +15,8 @@ mesh read from a file clip alike.  The line samplers (crofton,
 axis-aligned) take every surface the estimators take, preferring its
 implicit form, then its mesh, then its chart.  ``generate`` has one --r
 rule: --r clips only an implicit surface, so a surface that resolves to a
-mesh or a chart refuses it.
+mesh or a chart refuses it.  Likewise --res sets only a chart's grid, so
+every subcommand refuses it for a surface not read through its chart.
 
 ``generate`` draws from the one stream of --seed, so a file depends on the
 seed and the configuration only.
@@ -125,6 +126,7 @@ def _resolve_surface(spec: str, clip: float | None, res: int | None, forms: tupl
     meshes.
     """
     entry = surfaces.CATALOG.get(spec)
+    charted = ()  # the forms built from a chart, which alone take --res
     if entry is not None:
         clip_kw = {} if clip is None else {"clip": clip}
         res_kw = {} if res is None else {"u_res": res, "v_res": res}
@@ -134,6 +136,7 @@ def _resolve_surface(spec: str, clip: float | None, res: int | None, forms: tupl
             "mesh": entry.mesh or (chart and (lambda: surfaces.triangulate_parametric(chart())[0])),
             "chart": chart,
         }
+        charted = ("chart",) if entry.mesh else ("chart", "mesh")
     elif spec.lower().endswith((".off", ".stl")):
         if not os.path.exists(spec):
             raise UsageError(f"mesh file not found: {spec}")
@@ -148,6 +151,11 @@ def _resolve_surface(spec: str, clip: float | None, res: int | None, forms: tupl
         builders = {"implicit": lambda: surfaces.ImplicitSurface(field, 2.0 if clip is None else clip, name=spec)}
     for form in forms:
         if builders.get(form):
+            if res is not None and form not in charted:
+                kind = "an implicit surface" if form == "implicit" else "a mesh"
+                raise UsageError(
+                    f"--res sets only a chart's grid; {spec!r} is read here as {kind}, not through a chart, so it takes no --res"
+                )
             return builders[form]()
     usable = ", ".join(
         f"--sampler {name}" for name, accepted in _SAMPLER_FORMS.items() if any(builders.get(f) for f in accepted)
@@ -319,6 +327,8 @@ def cmd_audit(args) -> int:
 
 def cmd_bench(args) -> int:
     budgets = [int(b) for b in args.budgets.split(",") if b]
+    if len(set(budgets)) < 2:
+        raise UsageError(f"--budgets needs at least two distinct budgets to fit the error slope, got {args.budgets!r}")
 
     def integrand(pts):
         return np.cos(pts).prod(axis=-1)

@@ -1,26 +1,27 @@
 """Point cloud file formats: XYZ text and PLY (ascii / binary little endian).
 
-Positions and normals are written as float64.  XYZ and ASCII PLY share one
-numpy text codec: :func:`_write_rows` prints a row block with 17
-significant digits, which round-trips doubles exactly, in one format
-operation, and :func:`_read_rows` parses it with ``np.loadtxt``.  So a
-write/read/write cycle is byte-identical in every format.  Run metadata
-(seed, surface, sampler, ...) travels in '#' comment lines (XYZ) or
-'comment' header lines (PLY).
+Positions and normals are written as float64.  :func:`_write_rows` prints
+a row block with 17 significant digits, which round-trips doubles exactly,
+in one format operation.  :func:`_load_rows` is the one reader of text rows
+(XYZ, ASCII PLY and, through ``meshio``, ASCII STL): it streams them to
+``np.loadtxt``, so no reader holds a whole file.  So a write/read/write
+cycle is byte-identical in every format.  Run metadata (seed, surface,
+sampler, ...) travels in '#' comment lines (XYZ) or 'comment' header lines
+(PLY); a key or value that would not read back is refused.
 """
 
 from __future__ import annotations
 
-import re
-from itertools import chain
+import os
+from contextlib import contextmanager
+from itertools import accumulate, chain
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
 
 __all__ = ["write_xyz", "read_xyz", "write_ply", "read_ply", "write_cloud", "read_cloud"]
 
-#: an XYZ comment line, from the newline before it, capturing the text after its first '#'
-_XYZ_COMMENT = re.compile(r"\n[^\S\n]*#(.*)")
 #: rows per format operation; bounds the writer's temporary strings to a few MB
 _WRITE_BLOCK = 16384
 
@@ -29,6 +30,14 @@ def _meta(comments) -> dict:
     """The 'key=value' comment texts as a dict; comments without '=' carry none."""
     pairs = (comment.partition("=") for comment in comments)
     return {key.strip(): value.strip() for key, eq, value in pairs if eq}
+
+
+def _meta_texts(meta) -> list:
+    """'key=value' per item of *meta*; a line break in either, or '=' in a key, would not read back."""
+    texts = [f"{key}={value}" for key, value in (meta or {}).items()]
+    if any("=" in str(key) for key in meta or {}) or any("\n" in text or "\r" in text for text in texts):
+        raise ValueError(f"metadata {meta!r}: a key holds '=' or a key or value a line break")
+    return texts
 
 
 def _stack(positions, normals) -> np.ndarray:
@@ -44,76 +53,93 @@ def _write_rows(fh, data: np.ndarray) -> None:
         fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _read_rows(body: str, widths: tuple, where) -> np.ndarray:
-    """Whitespace-separated rows of *body* as an (m, w) float64 array, w in *widths*.
-
-    Blank lines are skipped; a body without rows gives ``(0, widths[0])``.
-    A rejected body raises naming ``where(line number, character offset)``
-    of its first row that numpy rejects alone or whose width does not fit.
-    """
-    if not body or body.isspace():
-        return np.empty((0, widths[0]))
-    lines = body.splitlines()
+@contextmanager
+def _open_text(path: str):
+    """*path* open as UTF-8 text; text that is not UTF-8 raises a ValueError naming the file."""
     try:
-        data = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 text ({err.reason})") from None
+
+
+def _blocks(read):
+    """The text of ``read(size)`` calls, up to one that returns '', in blocks that end at a newline but the last."""
+    # 64 KB reads: the text in hand stays a small fraction of any large file
+    tail = ""
+    for chunk in iter(lambda: read(1 << 16), ""):
+        tail += chunk
+        cut = tail.rfind("\n") + 1
+        if cut:
+            yield tail[:cut]
+            tail = tail[cut:]
+    if tail:
+        yield tail
+
+
+def _load_rows(rows, widths: tuple, where) -> np.ndarray:
+    """The rows of ``rows()`` as an (m, w) float64 array, w in *widths*.
+
+    ``rows()`` starts a fresh iterator of ``(position, text)`` over an open
+    file.  The texts stream to ``np.loadtxt``, which skips blank ones.  Only
+    rows numpy rejects, or of a width not in *widths*, are read again by
+    :func:`_read_rows`, to name the first bad one after ``where(position)``.
+    """
+    texts = map(itemgetter(1), rows())
+    first = next(filter(str.strip, texts), None)  # numpy warns when every row is blank
+    if first is None:
+        return np.empty((0, widths[0]))
+    try:
+        data = np.loadtxt(chain([first], texts), dtype=np.float64, comments=None, ndmin=2)
         if data.shape[1] in widths:
             return data
     except ValueError:
         pass
-    offset, width = 0, None
-    for lineno, line in enumerate(lines, start=1):
-        parts = line.split()
-        if parts:
-            width = width or len(parts)
-            try:
-                if len(parts) != width or width not in widths:
-                    raise ValueError
-                np.loadtxt([line], dtype=np.float64, comments=None)
-            except ValueError:
-                raise ValueError(f"{where(lineno, offset)}: malformed row {line.strip()!r}") from None
-        offset += len(line) + 1
-    raise ValueError(f"{where(lineno, offset)}: malformed rows")
+    _read_rows(rows, widths, where)
+
+
+def _read_rows(rows, widths: tuple, where) -> None:
+    """Raise, after ``where(position)``, at the first row that numpy rejects alone or whose width differs
+    from the first row's or is not in *widths*."""
+    width = None
+    for position, text in rows():
+        parts = text.split()
+        if not parts:
+            continue
+        width = width or len(parts)
+        try:
+            if len(parts) != width or width not in widths:
+                raise ValueError
+            np.loadtxt([text], dtype=np.float64, comments=None)
+        except ValueError:
+            raise ValueError(f"{where(position)} {text.strip()!r}") from None
+    raise ValueError(f"{where(position)}: numpy rejects the rows up to here together")
 
 
 def write_xyz(path: str, positions: np.ndarray, normals: Optional[np.ndarray] = None, meta: Optional[dict] = None) -> None:
     """One 'x y z [nx ny nz]' line per point, after '# key=value' headers."""
     data = _stack(positions, normals)
+    texts = _meta_texts(meta)
     with open(path, "w", encoding="utf-8") as fh:
-        for key, value in (meta or {}).items():
-            fh.write(f"# {key}={value}\n")
+        fh.writelines(f"# {text}\n" for text in texts)
         _write_rows(fh, data)
 
 
 def read_xyz(path: str):
-    """Returns (positions, normals or None, meta dict).
-
-    The file's lines stream to ``np.loadtxt``, so its text is never held
-    whole.  Only a file numpy rejects is read again, by the line scan of
-    :func:`_read_rows`, to name its first bad row as ``path:line``.
-    """
+    """Returns (positions, normals or None, meta dict); a line whose first non-blank character is '#' is a comment."""
     comments = []
+    with _open_text(path) as fh:
 
-    def rows(fh):
-        for line in fh:
-            head = line.lstrip()
-            if head.startswith("#"):
-                comments.append(head[1:])
-            elif head:
-                yield line
+        def rows():
+            fh.seek(0)
+            for row in enumerate(fh, start=1):
+                line = row[1]
+                if "#" in line and line.lstrip().startswith("#"):  # the cheap test first: most lines are rows
+                    comments.append(line.lstrip()[1:])
+                else:
+                    yield row
 
-    with open(path, "r", encoding="utf-8") as fh:
-        body = rows(fh)
-        first = next(body, None)
-        try:
-            data = np.loadtxt(chain([first], body), comments=None, ndmin=2) if first else np.empty((0, 3))
-        except ValueError:
-            data = None
-    if data is None or data.shape[1] not in (3, 6):
-        with open(path, "r", encoding="utf-8") as fh:
-            text = "\n" + fh.read()
-        comments = _XYZ_COMMENT.findall(text)
-        # blanking the comment lines keeps the line numbers
-        data = _read_rows(_XYZ_COMMENT.sub("\n", text)[1:], (3, 6), lambda lineno, _: f"{path}:{lineno}")
+        data = _load_rows(rows, (3, 6), lambda lineno: f"{path}:{lineno}: malformed row")
     meta = _meta(comment.lstrip("#") for comment in comments)
     return data[:, :3], data[:, 3:] if data.shape[1] == 6 else None, meta
 
@@ -133,74 +159,87 @@ def write_ply(
     data = _stack(positions, normals)
     props = _PLY_PROPS_PLAIN if normals is None else _PLY_PROPS_NORMAL
     header = ["ply", f"format {'binary_little_endian' if binary else 'ascii'} 1.0"]
-    header += [f"comment {key}={value}" for key, value in (meta or {}).items()]
+    header += [f"comment {text}" for text in _meta_texts(meta)]
     header.append(f"element vertex {len(data)}")
     header += [f"property double {name}" for name in props]
-    header.append("end_header")
+    head = "\n".join(header + ["end_header"]) + "\n"
+    if not head.isascii():
+        raise ValueError(f"{path}: a PLY header is ASCII text, so it cannot hold the metadata {meta!r}")
     if binary:
         with open(path, "wb") as fh:
-            fh.write(("\n".join(header) + "\n").encode("ascii"))
+            fh.write(head.encode("ascii"))
             fh.write(data.astype("<f8").tobytes())
     else:
         with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(header) + "\n")
+            fh.write(head)
             _write_rows(fh, data)
 
 
 def read_ply(path: str):
-    """Returns (positions, normals or None, meta dict); raises on truncation."""
+    """Returns (positions, normals or None, meta dict); raises on truncation.  The header ends at the line end_header."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    end = raw.find(b"end_header\n")
-    if end < 0:
-        raise ValueError(f"{path}: missing end_header")
-    body_offset = end + len(b"end_header\n")
-    header_lines = raw[:end].decode("ascii", errors="replace").splitlines()
-    if not header_lines or header_lines[0].strip() != "ply":
-        raise ValueError(f"{path}: not a PLY file")
-    fmt = None
-    count = None
-    props: list[str] = []
-    for line in header_lines[1:]:
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "format":
-            fmt = parts[1]
-        elif parts[0] == "element":
-            if parts[1] != "vertex":
-                raise ValueError(f"{path}: unsupported element {parts[1]!r}")
-            count = int(parts[2])
-        elif parts[0] == "property":
-            if parts[1] != "double":
-                raise ValueError(f"{path}: unsupported property type {parts[1]!r}")
-            props.append(parts[2])
-    if fmt not in ("ascii", "binary_little_endian"):
-        raise ValueError(f"{path}: unsupported format {fmt!r}")
-    if count is None:
-        raise ValueError(f"{path}: missing vertex element")
-    if props not in (_PLY_PROPS_PLAIN, _PLY_PROPS_NORMAL):
-        raise ValueError(f"{path}: unsupported property list {props}")
-    width = len(props)
-    if fmt == "binary_little_endian":
-        expected = count * width * 8
-        available = len(raw) - body_offset
-        if available < expected:
-            raise ValueError(
-                f"{path}: truncated at byte offset {len(raw)}; "
-                f"expected {expected} payload bytes after offset {body_offset}, found {available}"
+        header = []
+        for line in iter(fh.readline, b""):
+            header += line.decode("ascii", errors="replace").splitlines()
+            if header[0].strip() != "ply":
+                raise ValueError(f"{path}: not a PLY file")
+            if line.endswith(b"end_header\n") and header[-1].strip() == "end_header":
+                break
+        else:
+            raise ValueError(f"{path}: missing end_header")
+        fmt, elements, props, comments = None, [], [], []
+        for text in header[1:-1]:
+            words = text.split() or [""]
+            try:
+                if words[0] == "comment":
+                    comments.append(text.split(None, 1)[-1])
+                elif words[0] == "format":
+                    fmt = words[1]
+                elif words[0] == "element":
+                    elements.append((words[1], int(words[2])))
+                elif words[0] == "property":
+                    props.append((words[1], words[2]))
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}: malformed header line {text.strip()!r}") from None
+        if fmt not in ("ascii", "binary_little_endian"):
+            raise ValueError(f"{path}: unsupported format {fmt!r}")
+        if not elements or {name for name, _ in elements} != {"vertex"} or elements[-1][1] < 0:
+            raise ValueError(f"{path}: unsupported elements {elements}; expected one 'element vertex <count>'")
+        n_vertices = elements[-1][1]
+        names = [name for _, name in props]
+        if {kind for kind, _ in props} != {"double"} or names not in (_PLY_PROPS_PLAIN, _PLY_PROPS_NORMAL):
+            raise ValueError(f"{path}: unsupported property list {props}")
+        width = len(props)
+        body_offset = fh.tell()
+        if fmt == "binary_little_endian":
+            expected = n_vertices * width * 8
+            available = os.fstat(fh.fileno()).st_size - body_offset
+            if available < expected:
+                raise ValueError(
+                    f"{path}: truncated at byte offset {body_offset + available}; "
+                    f"expected {expected} payload bytes after offset {body_offset}, found {available}"
+                )
+            data = np.empty((n_vertices, width), dtype="<f8")
+            fh.readinto(data)
+            data = data.astype(np.float64, copy=False)
+        else:
+
+            def blocks():
+                # each line of the body after its byte offset; ASCII decoding keeps one character per byte
+                fh.seek(body_offset)
+                offset = body_offset
+                for block in _blocks(lambda size: fh.read(size).decode("ascii", errors="replace")):
+                    lines = block.splitlines(keepends=True)
+                    yield zip(accumulate(map(len, lines), initial=offset), lines)
+                    offset += len(block)
+
+            data = _load_rows(
+                lambda: chain.from_iterable(blocks()), (width,), lambda offset: f"{path}: byte offset {offset}: malformed row"
             )
-        data = np.frombuffer(raw, dtype="<f8", count=count * width, offset=body_offset)
-        data = data.reshape(count, width).astype(np.float64)
-    else:
-        body = raw[body_offset:].decode("ascii", errors="replace")
-        data = _read_rows(body, (width,), lambda _, offset: f"{path}: byte offset {body_offset + offset}")
-        if len(data) != count:
-            raise ValueError(
-                f"{path}: truncated at byte offset {len(raw)}; "
-                f"header promised {count} vertices, found {len(data)}"
-            )
-    comments = (line.split(None, 1)[-1] for line in header_lines if line.split()[:1] == ["comment"])
+            if len(data) != n_vertices:
+                raise ValueError(
+                    f"{path}: truncated at byte offset {fh.tell()}; header promised {n_vertices} vertices, found {len(data)}"
+                )
     return data[:, :3], data[:, 3:] if width == 6 else None, _meta(comments)
 
 

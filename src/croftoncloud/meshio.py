@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import re
+from itertools import chain
 
 import numpy as np
 
+from .cloudio import _blocks, _load_rows, _open_text
 from .surfaces import TriangulatedSurface
 
 __all__ = ["read_off", "read_stl", "load_mesh"]
@@ -90,46 +92,54 @@ def read_off(path: str) -> TriangulatedSurface:
     return TriangulatedSurface(coords.reshape(-1, 3)[tris], name=path)
 
 
-#: an ASCII STL vertex record, capturing the rest of its line: a line whose first token is 'vertex'
-_STL_VERTEX = re.compile(r"^[^\S\n]*vertex(?!\S)([^\n]*)", re.M)
+#: an ASCII STL vertex record, a line whose first token is 'vertex', capturing the rest of the line from its next token
+_STL_VERTEX = re.compile(r"^[^\S\n]*vertex(?!\S)[^\S\n]*([^\n]*)", re.M)
 
 
 def read_stl(path: str) -> TriangulatedSurface:
     """Minimal ASCII STL: the 'vertex x y z' records, three per facet, in file order.
 
-    One regex pass collects the vertex records and one ``np.loadtxt`` converts
-    them.  Errors name ``path:line``.
+    A regex pass over each block of whole lines finds the vertex records, and
+    the text after 'vertex' on each is a row of ``cloudio._load_rows``, the
+    reader of XYZ and ASCII PLY rows too.  Errors name ``path:line``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with _open_text(path) as fh:
+        if not fh.readline().lstrip().startswith("solid"):
+            raise ValueError(f"{path}:1: not an ASCII STL (missing 'solid' header)")
 
-    def where(pos: int) -> str:
-        line = text.count("\n", 0, pos) + 1
-        return f"{path}:{line}"
+        def blocks():
+            # each block of whole lines after the number of the line it starts on
+            fh.seek(0)
+            line = 1
+            for block in _blocks(fh.read):
+                yield line, block
+                line += block.count("\n")
 
-    if not text.partition("\n")[0].lstrip().startswith("solid"):
-        raise ValueError(f"{where(0)}: not an ASCII STL (missing 'solid' header)")
-    rows = _STL_VERTEX.findall(text)
-    if not rows:
-        raise ValueError(f"{where(len(text.rstrip()))}: no facets found")
-    try:
-        # loadtxt skips blank records, and warns when all are: a blank first one goes to the error path
-        vertices = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2) if rows[0].strip() else None
-    except ValueError:
-        vertices = None
-    if vertices is None or vertices.shape != (len(rows), 3):
-        # error path: name the first vertex record that is not three numbers
-        for match in _STL_VERTEX.finditer(text):
-            try:
-                if len(match[1].split()) != 3:
-                    raise ValueError
-                np.loadtxt([match[1]], dtype=np.float64, comments=None)
-            except ValueError:
-                raise ValueError(f"{where(match.start())}: malformed vertex line {match[0].strip()!r}") from None
-        raise ValueError(f"{path}: malformed vertex lines")
-    if len(rows) % 3:
-        *_, last = _STL_VERTEX.finditer(text)
-        raise ValueError(f"{where(last.start())}: vertex count {len(rows)} is not a multiple of 3")
+        def texts():
+            for _, block in blocks():
+                found = _STL_VERTEX.findall(block)
+                # a bare 'vertex' is a bad row, not a blank one for numpy to skip
+                yield [text or "vertex" for text in found] if "" in found else found
+
+        def where(rank: int) -> str:
+            # the line of the vertex record of that rank, read again from the start: only an error
+            # follows, so the rows iterator whose file position this moves is not read any further
+            for line, block in blocks():
+                records = list(_STL_VERTEX.finditer(block))
+                if rank < len(records):
+                    line += block.count("\n", 0, records[rank].start())
+                    return f"{path}:{line}"
+                rank -= len(records)
+
+        vertices = _load_rows(
+            lambda: enumerate(chain.from_iterable(texts())), (3,), lambda rank: f"{where(rank)}: malformed vertex line"
+        )
+        if not len(vertices):
+            fh.seek(0)
+            last = max(lineno for lineno, line in enumerate(fh, start=1) if line.strip())
+            raise ValueError(f"{path}:{last}: no facets found")
+        if len(vertices) % 3:
+            raise ValueError(f"{where(len(vertices) - 1)}: vertex count {len(vertices)} is not a multiple of 3")
     return TriangulatedSurface(vertices.reshape(-1, 3, 3), name=path)
 
 

@@ -97,6 +97,30 @@ class TestGenerateAndAudit:
         assert "--r clips only an implicit surface" in err and f"'torus' as a {kind}" in err
         assert not output.exists()
 
+    @pytest.mark.parametrize(
+        "args, kind",
+        [
+            (["area", "--surface", "torus", "--res", "1", "--m", "10"], "an implicit surface"),
+            (["area", "--surface", "tetrahedron", "--res", "5", "--m", "10"], "a mesh"),
+            (["integrate", "--surface", "torus", "--res", "5", "--m", "10", "--f", "x"], "an implicit surface"),
+            (["area", "--surface", "x^2+y^2+z^2-1", "--res", "5", "--m", "10"], "an implicit surface"),
+            (["generate", "--surface", "torus", "--sampler", "crofton", "--res", "24", "--n", "10"], "an implicit surface"),
+            (["generate", "--surface", "tetrahedron", "--sampler", "triangulated", "--res", "24", "--n", "10"], "a mesh"),
+            (["generate", "--surface", "MESH", "--sampler", "axis-aligned", "--res", "24", "--n", "10"], "a mesh"),
+        ],
+        ids=["area-torus", "area-tetrahedron", "integrate-torus", "area-expression", "crofton-torus", "mesh-catalog", "mesh-file"],
+    )
+    def test_res_is_refused_without_a_chart(self, tmp_path, tetra_off, capsys, args, kind):
+        output = tmp_path / "c.xyz"
+        args = [tetra_off if arg == "MESH" else arg for arg in args]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(args + (["-o", str(output)] if args[0] == "generate" else [])) == cli.USAGE_ERROR
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: --res sets only a chart's grid") and f"read here as {kind}" in line
+        assert not caught and not captured.out and not output.exists()
+
     def test_surface_not_found_is_a_numeric_failure(self, tmp_path, capsys, monkeypatch):
         # x^2 + y^2 + z^2 + 1 has no zero set: every line misses
         monkeypatch.setattr(samplers, "MAX_EMPTY_LINES", 20_000)
@@ -268,7 +292,9 @@ class TestBench:
         assert all(isinstance(json.loads(line), dict) for line in records.read_text().splitlines())
 
     @pytest.mark.parametrize(
-        "option, value", [("--budgets", ","), ("--budgets", "0"), ("--seeds", "0")], ids=["no-budgets", "zero-budget", "no-seeds"]
+        "option, value",
+        [("--budgets", ","), ("--budgets", "0"), ("--seeds", "0"), ("--budgets", "1"), ("--budgets", "100,100")],
+        ids=["no-budgets", "zero-budget", "no-seeds", "one-budget", "one-distinct-budget"],
     )
     def test_bad_input_is_one_error_and_no_warning(self, capsys, option, value):
         with warnings.catch_warnings(record=True) as caught:

@@ -1,3 +1,6 @@
+import os
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,6 +8,7 @@ import pytest
 
 from croftoncloud import cloudio
 from croftoncloud.cloudio import read_cloud, read_ply, read_xyz, write_cloud, write_ply, write_xyz
+from croftoncloud.meshio import read_stl
 from croftoncloud.rng import Pseudo
 
 
@@ -224,3 +228,179 @@ class TestDispatch:
         positions, _ = cloud
         with pytest.raises(ValueError):
             write_cloud(str(tmp_path / "c.xyz"), positions, fmt="obj")
+
+
+class TestMeta:
+    @pytest.mark.parametrize("fmt", ["xyz", "ply", "ply-binary"])
+    def test_header_words_in_values_round_trip(self, cloud, tmp_path, fmt):
+        # the PLY header ends at the line 'end_header', not at those bytes anywhere
+        positions, normals = cloud
+        path = str(tmp_path / ("c.xyz" if fmt == "xyz" else "c.ply"))
+        meta = {"note": "end_header", "seed": "# 7", "comment": "element vertex 0", "x": "a = b"}
+        write_cloud(path, positions, normals, meta, fmt=fmt)
+        got_p, got_n, got_meta = read_cloud(path)
+        assert got_p.tobytes() == positions.tobytes() and got_n.tobytes() == normals.tobytes()
+        assert got_meta == meta
+
+    @pytest.mark.parametrize("fmt", ["xyz", "ply", "ply-binary"])
+    @pytest.mark.parametrize(
+        "meta", [{"note": "a\nb"}, {"note": "a\rb"}, {"a\nb": 1}, {"a=b": 1}], ids=["lf-value", "cr-value", "lf-key", "eq-key"]
+    )
+    def test_unreadable_meta_is_refused_before_the_file_opens(self, cloud, tmp_path, fmt, meta):
+        positions, _ = cloud
+        path = tmp_path / ("c.xyz" if fmt == "xyz" else "c.ply")
+        with pytest.raises(ValueError, match="line break"):
+            write_cloud(str(path), positions, None, meta, fmt=fmt)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_non_ascii_ply_meta_is_refused_before_the_file_opens(self, cloud, tmp_path, binary):
+        positions, _ = cloud
+        path = tmp_path / "c.ply"
+        with pytest.raises(ValueError, match=r"c\.ply: a PLY header is ASCII"):
+            write_ply(str(path), positions, meta={"note": "é"}, binary=binary)
+        assert not path.exists()
+
+
+def _rows_text(gen, n_rows, width):
+    return "".join(" ".join(repr(v) for v in row) + "\n" for row in gen.standard_normal((n_rows, width)).tolist())
+
+
+@pytest.mark.parametrize("fmt", ["xyz", "ply", "stl"])
+def test_reading_holds_less_than_the_file(tmp_path, fmt):
+    # 60,000 vertex rows: more than one of np.loadtxt's 50,000-row chunks
+    gen = np.random.default_rng(11)
+    if fmt == "stl":
+        read = read_stl
+        facet = "facet normal 0 0 1\n outer loop\n  vertex {} {} {}\n  vertex {} {} {}\n  vertex {} {} {}\n endloop\nendfacet\n"
+        text = "solid big\n" + "".join(facet.format(*map(repr, row)) for row in gen.standard_normal((20_000, 9)).tolist())
+        text += "endsolid big\n"
+    elif fmt == "xyz":
+        read, text = read_xyz, "# seed=1\n" + _rows_text(gen, 60_000, 6)
+    else:
+        header = "ply\nformat ascii 1.0\nelement vertex 60000\n" + "".join(f"property double {p}\n" for p in "x y z nx ny nz".split())
+        read, text = read_ply, header + "end_header\n" + _rows_text(gen, 60_000, 6)
+    path = tmp_path / f"big.{fmt}"
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        read(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
+
+
+def _xyz_per_line(path):
+    """Reference XYZ parse: one line at a time, one ``float`` per value."""
+    rows, meta = [], {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            head = line.strip()
+            if head.startswith("#"):
+                key, eq, value = head.lstrip("#").partition("=")
+                if eq:
+                    meta[key.strip()] = value.strip()
+            elif head:
+                rows.append([float(v) for v in head.split()])
+    widths = {len(row) for row in rows} or {3}
+    if len(widths) > 1 or widths - {3, 6}:
+        raise ValueError("bad row width")
+    data = np.array(rows, dtype=np.float64).reshape(-1, widths.pop())
+    return data[:, :3], data[:, 3:] if data.shape[1] == 6 else None, meta
+
+
+def _ply_per_line(path):
+    """Reference ASCII PLY parse: header lines up to 'end_header', then one ``float`` per value."""
+    with open(path, "rb") as fh:
+        lines = iter(fh)
+        if next(lines, b"").decode("ascii", "replace").strip() != "ply":
+            raise ValueError("not a PLY file")
+        fmt, count, props, meta = None, None, [], {}
+        for line in lines:
+            if line.lstrip() == b"end_header\n":
+                break
+            words = line.decode("ascii", "replace").split()
+            if words[:1] == ["comment"]:
+                key, eq, value = line.decode("ascii", "replace").split(None, 1)[-1].partition("=")
+                if eq:
+                    meta[key.strip()] = value.strip()
+            elif words[:1] == ["format"]:
+                fmt = words[1]
+            elif words[:1] == ["element"]:
+                if words[1] != "vertex":
+                    raise ValueError("unsupported element")
+                count = int(words[2])
+            elif words[:1] == ["property"]:
+                if words[1] != "double":
+                    raise ValueError("unsupported property type")
+                props.append(words[2])
+        else:
+            raise ValueError("missing end_header")
+        body = fh.read().decode("ascii", "replace")
+    if fmt != "ascii" or props not in (["x", "y", "z"], ["x", "y", "z", "nx", "ny", "nz"]):
+        raise ValueError("unsupported header")
+    rows = [[float(v) for v in line.split()] for line in body.splitlines() if line.strip()]
+    if len(rows) != count or any(len(row) != len(props) for row in rows):
+        raise ValueError("bad rows")
+    data = np.array(rows, dtype=np.float64).reshape(-1, len(props))
+    return data[:, :3], data[:, 3:] if len(props) == 6 else None, meta
+
+
+def mutate(data: bytes, gen) -> bytes:
+    """*data* after one or two of: truncation, a dropped, inserted or non-numeric token, CRLF, no final newline, a non-ASCII byte."""
+    for _ in range(int(gen.integers(1, 3))):
+        kind = int(gen.integers(7))
+        tokens = [(m.start(), m.end()) for m in re.finditer(rb"\S+", data)]
+        if kind == 0:
+            data = data[: int(gen.integers(len(data) + 1))]
+        elif kind in (1, 2, 3) and tokens:
+            start, end = tokens[int(gen.integers(len(tokens)))]
+            if kind == 1:
+                data = data[:start] + data[end:]
+            elif kind == 2:
+                word = [b"1", b"-2.5e-3", b"inf", b"x", b"#", b"vertex"][int(gen.integers(6))]
+                data = data[:end] + b" " + word + data[end:]
+            else:
+                data = data[:start] + [b"abc", b"1.2.3", b"--1", b"0x10"][int(gen.integers(4))] + data[end:]
+        elif kind == 4:
+            data = data.replace(b"\n", b"\r\n")
+        elif kind == 5:
+            data = data.rstrip(b"\n")
+        elif kind == 6:
+            at = int(gen.integers(len(data) + 1))
+            data = data[:at] + [b"\xff", b"\xc3\xa9", b"\xc2\xa0"][int(gen.integers(3))] + data[at:]
+    return data
+
+
+def check_against_reference(path, read, reference):
+    """*read* returns what *reference* returns, bit for bit, or raises a ValueError naming *path* where *reference* fails."""
+    try:
+        got = read(path)
+    except ValueError as err:
+        assert os.path.basename(path) in str(err)
+        with pytest.raises((ValueError, IndexError)):
+            reference(path)
+        return False
+    expected = reference(path)
+    assert [None if a is None else a.tobytes() for a in got[:2]] == [None if a is None else a.tobytes() for a in expected[:2]]
+    assert got[2] == expected[2]
+    return True
+
+
+@pytest.mark.parametrize("fmt", ["xyz", "ply"])
+def test_mutated_files_match_the_per_line_reference(tmp_path, fmt):
+    gen = np.random.default_rng(5)
+    write, read, reference = (write_xyz, read_xyz, _xyz_per_line) if fmt == "xyz" else (write_ply, read_ply, _ply_per_line)
+    accepted = 0
+    for case in range(300):
+        rows = gen.standard_normal((int(gen.integers(1, 40)), 6)) * 10.0 ** gen.integers(-300, 300, size=(1, 6))
+        path = str(tmp_path / f"case{case}.{fmt}")
+        write(path, rows[:, :3], rows[:, 3:] if case % 2 else None, {"seed": case})
+        if case % 10:
+            with open(path, "rb") as fh:
+                data = mutate(fh.read(), gen)
+            with open(path, "wb") as fh:
+                fh.write(data)
+        accepted += check_against_reference(path, read, reference)
+    assert 30 <= accepted < 300

@@ -229,6 +229,32 @@ class TestReadSTL:
         assert str(fault.value).startswith(f"{bad + 1}:")
 
 
+def test_mutated_files_match_the_per_line_parse(tmp_path):
+    # truncation, dropped, inserted and non-numeric tokens, CRLF, no final newline and non-ASCII bytes:
+    # read_stl returns the per-line parse bit for bit or raises a ValueError naming the file
+    from test_cloudio import mutate
+
+    gen = np.random.default_rng(8)
+    accepted = 0
+    for case in range(300):
+        coords = gen.standard_normal((int(gen.integers(1, 20)), 3, 3)) * 10.0 ** gen.integers(-300, 300, size=(1, 1, 3))
+        lines = ["solid corpus"]
+        for facet in coords.tolist():
+            lines += ["facet normal 0 0 1", "outer loop"] + [f"vertex {x!r} {y!r} {z!r}" for x, y, z in facet]
+            lines += ["endloop", "endfacet"]
+        data = ("\n".join(lines + ["endsolid corpus"]) + "\n").encode()
+        path = tmp_path / f"case{case}.stl"
+        path.write_bytes(mutate(data, gen) if case % 10 else data)
+        try:
+            mesh = read_stl(str(path))
+        except ValueError as err:
+            assert f"case{case}.stl" in str(err)
+            continue
+        assert mesh.triangles.tobytes() == _stl_per_line(str(path)).tobytes()
+        accepted += 1
+    assert 30 <= accepted < 300
+
+
 class TestLoadMesh:
     @pytest.mark.parametrize("name", ["m.off", "M.OFF"])
     def test_off_by_extension(self, tmp_path, name):
