@@ -12,8 +12,8 @@ input error, 2 numeric failure, 3 audit failure.
 The default clip (--r) is the surface's own ball: a catalog surface's, 2 for
 an expression, and a mesh's bounding radius, so a catalog mesh and the same
 mesh read from a file clip alike.  The line samplers (crofton,
-axis-aligned) take every surface the estimators take, preferring its
-implicit form, then its mesh, then its chart.  ``generate`` has one --r
+axis-aligned) take every surface the estimators take: its implicit form,
+else its mesh (a chart's grid triangulation).  ``generate`` has one --r
 rule: --r clips only an implicit surface, so a surface that resolves to a
 mesh or a chart refuses it.  Likewise --res sets only a chart's grid, so
 every subcommand refuses it for a surface not read through its chart.
@@ -52,6 +52,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+#: the forms the line samplers and the estimators accept, the exact one first (a catalog chart is also a mesh)
+_LINE_FORMS = ("implicit", "mesh")
+#: each cloud sampler: its cloud function and the surface forms it consumes, in order of preference
+_SAMPLERS = {
+    "crofton": (samplers.cloud_implicit, _LINE_FORMS),
+    "triangulated": (samplers.cloud_triangulated, ("mesh",)),
+    "parametric": (samplers.cloud_parametric, ("chart",)),
+    "axis-aligned": (samplers.cloud_axis_aligned, _LINE_FORMS),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="croftoncloud", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -69,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if need_sampler:
             p.add_argument(
                 "--sampler",
-                choices=["crofton", "triangulated", "parametric", "axis-aligned"],
+                choices=list(_SAMPLERS),
                 default="crofton",
                 help="cloud generator (default crofton; crofton and axis-aligned take every surface)",
             )
@@ -109,12 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seeds", type=int, default=32, help="independent streams per budget (default 32)")
     bench.add_argument("--records", default=None, help="write line-delimited JSON records here")
     return parser
-
-
-#: the forms the line samplers and the estimators accept, the exact one first
-_LINE_FORMS = ("implicit", "mesh", "chart")
-#: the surface forms each cloud sampler consumes, in order of preference
-_SAMPLER_FORMS = {"crofton": _LINE_FORMS, "axis-aligned": _LINE_FORMS, "triangulated": ("mesh",), "parametric": ("chart",)}
 
 
 def _resolve_surface(spec: str, clip: float | None, res: int | None, forms: tuple):
@@ -158,28 +163,22 @@ def _resolve_surface(spec: str, clip: float | None, res: int | None, forms: tupl
                 )
             return builders[form]()
     usable = ", ".join(
-        f"--sampler {name}" for name, accepted in _SAMPLER_FORMS.items() if any(builders.get(f) for f in accepted)
+        f"--sampler {name}" for name, (_, accepted) in _SAMPLERS.items() if any(builders.get(f) for f in accepted)
     )
     raise UsageError(f"surface {spec!r} has no {' or '.join(forms)} form; it works with {usable}")
 
 
 def _generate_cloud(args) -> PointCloud:
-    surface = _resolve_surface(args.surface, args.r, args.res, _SAMPLER_FORMS[args.sampler])
+    sample, forms = _SAMPLERS[args.sampler]
+    surface = _resolve_surface(args.surface, args.r, args.res, forms)
     if args.r is not None and not isinstance(surface, surfaces.ImplicitSurface):
         kind = "chart" if isinstance(surface, surfaces.ParametricSurface) else "mesh"
-        clippers = " and ".join(f"--sampler {name}" for name, forms in _SAMPLER_FORMS.items() if "implicit" in forms)
+        clippers = " and ".join(f"--sampler {name}" for name, (_, accepted) in _SAMPLERS.items() if "implicit" in accepted)
         raise UsageError(
             f"--r clips only an implicit surface (with {clippers}); "
             f"--sampler {args.sampler} reads {args.surface!r} as a {kind}, so it takes no --r"
         )
-    src = Pseudo(args.seed)
-    if args.sampler == "crofton":
-        return samplers.cloud_implicit(surface, src, args.n)
-    if args.sampler == "axis-aligned":
-        return samplers.cloud_axis_aligned(surface, src, args.n)
-    if args.sampler == "triangulated":
-        return samplers.cloud_triangulated(surface, src, args.n)
-    return samplers.cloud_parametric(surface, src, args.n)
+    return sample(surface, Pseudo(args.seed), args.n)
 
 
 def cmd_generate(args) -> int:

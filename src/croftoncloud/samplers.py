@@ -6,10 +6,11 @@ Because the expected number of hits a line makes with any region is
 proportional to that region's area, the appended sequence is equidistributed
 on the surface.  The clouds read a surface through ``crofton._resolve``, as
 the estimators do, so a cloud and an estimate are one line statistic.  An
-implicit surface's chord inside the clip ball (and inside its bounding box,
-when it has one) is scanned for sign changes of the field and each bracket
-refined by bisection; a mesh, or a chart through its grid triangulation, is
-cut by exact line-triangle tests.
+implicit surface's chord inside the clip ball and its bounding box (no box
+is the infinite box) is scanned into one list of brackets, each refined by
+bisection, and a located bracket that turns out to be a pole is dropped; a
+mesh, or a chart through its grid triangulation, is cut by exact
+line-triangle tests.
 
 Triangle clouds make one area-weighted draw: pick a triangle through the
 cumulative-area table, fold a point into the simplex, and take its
@@ -151,17 +152,13 @@ def _scan_runs(surface: ImplicitSurface, dirs, feet):
 
     Line ``ids[i]`` scans nodes ``first[i] .. first[i] + width[i]`` of the
     ball grid ``half[i] * linspace(-1, 1, SCAN_STEPS + 1)``, *half* its ball
-    chord's half-length.  Without a box that is every node.  With one it is
-    every cell that meets the box's part of the chord plus one on each
-    side, so the cells left out hold no zero of the field and a box changes
-    no hit.
+    chord's half-length: every cell that meets the box's part of the chord
+    plus one on each side, so the cells left out hold no zero of the field
+    and a box changes no hit.  No box is the infinite box, whose run is
+    every node of the chord.
     """
     half = _chord_half_lengths(feet, surface.clip_radius)
-    if surface.bounds is None:
-        ids = np.nonzero(half > 0.0)[0]
-        first = np.zeros(len(ids), dtype=np.intp)
-        return ids, half[ids], first, first + SCAN_STEPS
-    lo, hi = surface.bounds
+    lo, hi = surface.bounds or ((-np.inf,) * 3, (np.inf,) * 3)
     with np.errstate(divide="ignore"):
         inv = 1.0 / dirs
     t0, t1 = geometry.slab_chord(lo, hi, np.signbit(dirs), inv, feet, half)
@@ -180,17 +177,18 @@ def _scan_lines(surface: ImplicitSurface, dirs, feet, want_points: bool):
     Returns ``(counts, line_ids, ts, boundary_hits)``: per-line hit counts,
     flat hit arrays in (line, t) order when ``want_points`` is true, and the
     number of hits falling in the first or last cell of the ball scan (a
-    cheap proxy for hits at the clip boundary).  Brackets are strict sign
-    changes; an exact zero at an interior grid node counts once when its
-    neighbors straddle zero, and tangential touches are dropped.  Every
-    node is a ball scan node, so a bounding box changes no output bit.
+    cheap proxy for hits at the clip boundary).  A bracket is a strict sign
+    change across a cell, or the zero-width bracket of an exact zero at an
+    interior node between opposite signs (never a boundary hit); tangential
+    touches are dropped.  Locating hits drops poles from every output: the
+    brackets with |field| at the refined point above |field| at both ends.
+    Every node is a ball scan node, so a bounding box changes no output bit.
     """
     counts = np.zeros(len(dirs), dtype=np.int64)
     scan_ids, scan_half, scan_first, scan_width = _scan_runs(surface, dirs, feet)
     nodes = np.linspace(-1.0, 1.0, SCAN_STEPS + 1)
-    # one empty entry each, so the concatenations below hold when no line is scanned
-    no_ids, no_ts = np.empty(0, dtype=np.intp), np.empty(0)
-    brackets, zeros = [(no_ids, no_ts, no_ts, no_ts, no_ids)], [(no_ids, no_ts)]
+    # one empty entry, so the concatenation below holds when no line is scanned
+    brackets = [tuple(np.empty(0, dtype) for dtype in (np.intp, float, float, float, float, np.intp))]
     start, width = 0, -1
     # a tile's first row, its widest, sets its width
     while start < len(scan_ids):
@@ -208,29 +206,29 @@ def _scan_lines(surface: ImplicitSurface, dirs, feet, want_points: bool):
         g = _field_on_grid(surface, dirs[ids], feet[ids], t_grid)
 
         bracket = g[:, :-1] * g[:, 1:] < 0.0
-        zero_nodes = g[:, 1:-1] == 0.0
-        if zero_nodes.any():
-            crossing = g[:, :-2] * g[:, 2:] < 0.0
-            zero_nodes &= crossing
-        else:
-            zero_nodes = None
-
+        # an exact zero at an interior node between opposite signs brackets the cell to its right; zeros are rare,
+        # so only a tile that holds one pays for the neighbors' product
+        zero = g[:, 1:-1] == 0.0
+        if zero.any():
+            bracket[:, 1:] |= zero & (g[:, :-2] * g[:, 2:] < 0.0)
+        counts[ids] = bracket.sum(axis=1)
         row, col = np.nonzero(bracket)
-        tile_counts = bracket.sum(axis=1)
-        if zero_nodes is not None:
-            tile_counts += zero_nodes.sum(axis=1)
-            zrow, zcol = np.nonzero(zero_nodes)
-            zeros.append((ids[zrow], t_grid[zrow, zcol + 1]))
-        counts[ids] = tile_counts
-        brackets.append((ids[row], t_grid[row, col], t_grid[row, col + 1], g[row, col], first[row] + col))
+        g_lo = g[row, col]
+        # a zero node's bracket ends where it starts
+        end = col + (g_lo != 0.0)
+        brackets.append((ids[row], t_grid[row, col], t_grid[row, end], g_lo, g[row, end], first[row] + col))
 
-    line_ids, t_lo, t_hi, g_lo, cells = (np.concatenate(part) for part in zip(*brackets))
-    boundary = int(np.count_nonzero((cells == 0) | (cells == SCAN_STEPS - 1)))
+    line_ids, t_lo, t_hi, g_lo, g_hi, cells = (np.concatenate(part) for part in zip(*brackets))
+    ts = t_lo
+    if want_points and len(ts):
+        ts = _refine_bisection(surface, dirs[line_ids], feet[line_ids], t_lo, t_hi, g_lo)
+        # a pole: the field changes sign through infinity, so it grows toward the refined point
+        pole = abs(surface.field(feet[line_ids] + ts[:, None] * dirs[line_ids])) > np.maximum(abs(g_lo), abs(g_hi))
+        np.subtract.at(counts, line_ids[pole], 1)
+        line_ids, ts, g_lo, cells = (part[~pole] for part in (line_ids, ts, g_lo, cells))
+    boundary = int(np.count_nonzero(((cells == 0) | (cells == SCAN_STEPS - 1)) & (g_lo != 0.0)))
     if not want_points:
         return counts, None, None, boundary
-    ts = _refine_bisection(surface, dirs[line_ids], feet[line_ids], t_lo, t_hi, g_lo) if len(line_ids) else t_lo
-    zero_ids, zero_ts = (np.concatenate(part) for part in zip(*zeros))
-    line_ids, ts = np.concatenate([line_ids, zero_ids]), np.concatenate([ts, zero_ts])
     order = np.lexsort((ts, line_ids))
     return counts, line_ids[order], ts[order], boundary
 

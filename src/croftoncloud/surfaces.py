@@ -70,11 +70,11 @@ class ImplicitSurface:
 
     ``bounds``, when supplied, is an axis-aligned box ``(lo, hi)`` of two
     3-vectors, kept as float tuples, that must contain the whole level set
-    inside the clip ball.
-    The chord scan then evaluates only the scan cells of each line that meet
-    the box, plus one on each side, and finds the same hits, bit for bit, as
-    without it.  Nothing checks the contract: a box that is too small drops
-    the hits outside it silently.
+    inside the clip ball; None is read as the infinite box.  The chord scan
+    evaluates only the scan cells of each line that meet the box, plus one
+    on each side, and finds the same hits, bit for bit, as without it.
+    Nothing checks the contract: a box that is too small drops the hits
+    outside it silently.
     """
 
     field: Callable[[np.ndarray], np.ndarray]
@@ -313,11 +313,11 @@ def sphere_implicit(radius: float = 1.0, clip: float = 2.0) -> ImplicitSurface:
 
 
 def sphere_chart(radius: float = 1.0, u_res: int = 128, v_res: int = 256) -> ParametricSurface:
-    """Latitude/longitude chart of the full sphere."""
+    """Latitude/longitude chart of the full sphere; longitude runs clockwise seen from +z, so du x dv points out."""
 
     def chart(u, v):
         return np.stack(
-            [radius * np.cos(u) * np.cos(v), radius * np.cos(u) * np.sin(v), radius * np.sin(u)],
+            [radius * np.cos(u) * np.cos(v), -radius * np.cos(u) * np.sin(v), radius * np.sin(u)],
             axis=-1,
         )
 
@@ -342,11 +342,11 @@ def torus_implicit(ring_radius: float = 2.0, tube_radius: float = 0.5, clip: flo
 def torus_chart(
     ring_radius: float = 2.0, tube_radius: float = 0.5, u_res: int = 128, v_res: int = 256
 ) -> ParametricSurface:
-    """u runs around the tube, v around the ring."""
+    """u runs around the tube, v clockwise around the ring seen from +z, so du x dv points out."""
 
     def chart(u, v):
         w = ring_radius + tube_radius * np.cos(u)
-        return np.stack([w * np.cos(v), w * np.sin(v), tube_radius * np.sin(u) * np.ones_like(v)], axis=-1)
+        return np.stack([w * np.cos(v), -w * np.sin(v), tube_radius * np.sin(u) * np.ones_like(v)], axis=-1)
 
     dom = BoxDomain((0.0, 0.0), (2.0 * np.pi, 2.0 * np.pi))
     return ParametricSurface(chart, dom, u_res, v_res, name="torus")
@@ -367,8 +367,10 @@ def ellipsoid_implicit(a: float = 1.5, b: float = 1.0, c: float = 0.5, clip: flo
 def ellipsoid_chart(
     a: float = 1.5, b: float = 1.0, c: float = 0.5, u_res: int = 128, v_res: int = 128
 ) -> ParametricSurface:
+    """u is the longitude, clockwise seen from +z, and v the colatitude, so du x dv points out."""
+
     def chart(u, v):
-        return np.stack([a * np.cos(u) * np.sin(v), b * np.sin(u) * np.sin(v), c * np.cos(v) * np.ones_like(u)], axis=-1)
+        return np.stack([a * np.cos(u) * np.sin(v), -b * np.sin(u) * np.sin(v), c * np.cos(v) * np.ones_like(u)], axis=-1)
 
     dom = BoxDomain((0.0, 0.0), (2.0 * np.pi, np.pi))
     return ParametricSurface(chart, dom, u_res, v_res, name="ellipsoid")

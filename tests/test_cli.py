@@ -139,6 +139,14 @@ class TestGenerateAndAudit:
         assert "field not finite at (x, y, z) = (" in err and "t = " in err
         assert "RuntimeWarning" not in err and not caught
 
+    def test_a_pole_is_not_a_crossing(self, capsys):
+        # 1/x changes sign through its pole at x = 0 but has no zero set
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["integrate", "--surface", "1/x", "--f", "1", "--m", "2000", "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        assert _estimate(out) == (0.0, 0.0) and "hits histogram  0:2000" in out and not caught
+
     def test_nonfinite_integrand_is_one_error_and_no_warning(self, capsys):
         # x^0.5 is nan on the half of the sphere where x < 0
         with warnings.catch_warnings(record=True) as caught:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from croftoncloud import samplers
-from croftoncloud.crofton import estimate_area
+from croftoncloud.crofton import estimate_area, estimate_surface_integral
 from croftoncloud.expr import compile_field
 from croftoncloud.geometry import sample_line_batch
 from croftoncloud.rng import Pseudo
@@ -214,6 +214,33 @@ class TestTruncationWarning:
         boxed = samplers._scan_lines(surface, dirs, feet, want_points)[3]
         ball = samplers._scan_lines(replace(surface, bounds=None), dirs, feet, want_points)[3]
         assert boxed == ball > 20
+
+
+class TestPoles:
+    """A field that changes sign through infinity has a pole there, not a crossing; locating a hit drops it."""
+
+    def test_plane_beside_a_pole(self):
+        # 1/x - 1 = 0 is the plane x = 1, a disk of radius sqrt(3) in the clip ball; the sign also changes at x = 0
+        surface = ImplicitSurface(compile_field("1/x - 1"), 2.0)
+        with pytest.warns(UserWarning, match="truncate"):
+            cloud = cloud_implicit(surface, Pseudo(0), 2000)
+            est = estimate_surface_integral(surface, lambda p: np.ones(len(p)), Pseudo(0), 20_000)
+        assert np.abs(cloud.positions[:, 0] - 1.0).max() < 1e-9
+        assert cloud.per_line_counts.sum() == len(cloud) >= 2000
+        assert abs(est.value - 3.0 * math.pi) < 3.0 * est.standard_error
+
+    @pytest.mark.parametrize("name", [name for name, entry in CATALOG.items() if entry.implicit] + ["torus-expr"])
+    def test_located_counts_are_the_count_only_counts(self, name):
+        # no catalog surface has a pole, so locating drops no bracket
+        if name == "torus-expr":
+            surface = ImplicitSurface(compile_field(TORUS_EXPR), 3.0)
+        else:
+            surface = CATALOG[name].implicit()
+        dirs, feet = sample_line_batch(Pseudo(23), 3, surface.clip_radius, 8192)
+        counts, _, _, boundary = samplers._scan_lines(surface, dirs, feet, want_points=False)
+        located, _, ts, located_boundary = samplers._scan_lines(surface, dirs, feet, want_points=True)
+        assert np.array_equal(counts, located) and boundary == located_boundary
+        assert located.sum() == len(ts) > 500
 
 
 class TestScanMemory:
@@ -425,6 +452,18 @@ class TestCloudParametric:
         radial = cloud.positions
         align = np.abs((cloud.normals * radial).sum(axis=1))
         assert align.min() > 1.0 - 1e-6
+
+
+class TestChartOrientation:
+    """Every sampler's normals on a catalog chart point the way its implicit form's gradient does: out of a closed one."""
+
+    @pytest.mark.parametrize("name", ["sphere", "torus", "ellipsoid", "plane"])
+    def test_normals_follow_the_implicit_gradient(self, name):
+        chart, implicit = CATALOG[name].chart(), CATALOG[name].implicit()
+        mesh, _ = triangulate_parametric(chart)
+        for sample, surface in [(cloud_parametric, chart), (cloud_triangulated, mesh), (cloud_implicit, mesh)]:
+            cloud = sample(surface, Pseudo(1), 2000)
+            assert ((cloud.normals * implicit.gradient_at(cloud.positions)).sum(axis=1) > 0.0).all(), sample.__name__
 
 
 class TestCloudAxisAligned:
