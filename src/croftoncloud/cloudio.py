@@ -33,11 +33,13 @@ def _meta(comments) -> dict:
 
 
 def _meta_texts(meta) -> list:
-    """'key=value' per item of *meta*; a line break in either, or '=' in a key, would not read back."""
-    texts = [f"{key}={value}" for key, value in (meta or {}).items()]
-    if any("=" in str(key) for key in meta or {}) or any("\n" in text or "\r" in text for text in texts):
-        raise ValueError(f"metadata {meta!r}: a key holds '=' or a key or value a line break")
-    return texts
+    """'key=value' per item of *meta*; a line break in either, blanks at either end of either, or '=' in a key would
+    not read back."""
+    items = [(str(key), str(value)) for key, value in (meta or {}).items()]
+    for key, value in items:
+        if "=" in key or any(text != text.strip() or "\n" in text or "\r" in text for text in (key, value)):
+            raise ValueError(f"metadata {meta!r}: a key holds '=', or a key or value a line break or blanks at an end")
+    return [f"{key}={value}" for key, value in items]
 
 
 def _stack(positions, normals) -> np.ndarray:

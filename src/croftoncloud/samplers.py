@@ -14,7 +14,11 @@ line-triangle tests.
 
 Triangle clouds make one area-weighted draw: pick a triangle through the
 cumulative-area table, fold a point into the simplex, and take its
-barycentric combination of a per-triangle corner table.  A triangulated
+barycentric combination of a per-triangle corner table.  A pick starts
+from a guide table (Chen & Asau 1974) of one bucket per table entry, so it
+costs O(1) expected steps rather than a binary search, and it returns the
+binary search's index bit for bit.  A chart's normals come from its
+analytic ``partials`` when it has them.  A triangulated
 surface passes its own triangles.  A parametric surface passes the
 parameter triangles of its grid triangulation and maps the point by the
 chart, so outputs lie exactly on the surface rather than on the
@@ -364,10 +368,37 @@ def cloud_axis_aligned(surface, src: ScalarSource, n_points: int) -> PointCloud:
 _CLAMP = 1.0 - 2.0**-52
 
 
+#: forward steps a pick may take from its guide-table entry before the rest go to a binary search
+_GUIDE_STEPS = 4
+
+
 def _select_triangles(src: ScalarSource, cumulative: np.ndarray, count: int) -> np.ndarray:
-    """Smallest j with ``x < cumulative[j]`` for each of *count* x uniform in [0, cumulative[-1])."""
-    xs = src.take(count) * cumulative[-1] * _CLAMP
-    return np.searchsorted(cumulative, xs, side="right")
+    """Smallest j with ``x < cumulative[j]`` for each of *count* x uniform in [0, cumulative[-1]).
+
+    The indices of ``np.searchsorted(cumulative, xs, side="right")``, found
+    through a guide table (Chen & Asau 1974): the m table entries get m
+    buckets, and ``guide[b]`` is the first entry whose own bucket is at
+    least b.  Buckets come from one monotone map, so an x in bucket b
+    never selects below ``guide[b]`` and a pick only walks forward.  The
+    first :data:`_GUIDE_STEPS` steps are vectorised passes over the picks
+    still short of their entry; the few left over (many entries crowded
+    into one bucket) take the binary search.
+    """
+    total, m = cumulative[-1], len(cumulative)
+    xs = src.take(count) * total * _CLAMP
+
+    def bucket(x):
+        return np.minimum((x / total * m).astype(np.intp), m - 1)
+
+    picks = np.searchsorted(bucket(cumulative), np.arange(m))[bucket(xs)]
+    short = np.flatnonzero(cumulative[picks] <= xs)
+    for _ in range(_GUIDE_STEPS):
+        if not short.size:
+            return picks
+        picks[short] += 1
+        short = short[cumulative[picks[short]] <= xs[short]]
+    picks[short] = np.searchsorted(cumulative, xs[short], side="right")
+    return picks
 
 
 def _area_weighted(src: ScalarSource, mesh: TriangulatedSurface, corners: np.ndarray, count: int):
@@ -384,8 +415,14 @@ def _area_weighted(src: ScalarSource, mesh: TriangulatedSurface, corners: np.nda
     u, v = src.take(2 * count).reshape(count, 2).T
     above = u + v > 1.0
     u, v = np.where(above, 1.0 - u, u), np.where(above, 1.0 - v, v)
-    tri = corners[chosen]
-    return chosen, u[:, None] * tri[:, 0] + v[:, None] * tri[:, 1] + (1.0 - u - v)[:, None] * tri[:, 2]
+    # (u a + v b) + w c in place, one corner's rows gathered at a time: the bits of the one-expression form
+    points = corners[:, 0].take(chosen, axis=0)
+    points *= u[:, None]
+    for k, weight in ((1, v), (2, 1.0 - u - v)):
+        term = corners[:, k].take(chosen, axis=0)
+        term *= weight[:, None]
+        points += term
+    return chosen, points
 
 
 def cloud_triangulated(surface: TriangulatedSurface, src: ScalarSource, n_points: int) -> PointCloud:
@@ -400,10 +437,14 @@ def cloud_triangulated(surface: TriangulatedSurface, src: ScalarSource, n_points
 
 
 def _chart_normals(surface: ParametricSurface, pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
-    hu = 1e-6 * (surface.domain.highs[0] - surface.domain.lows[0])
-    hv = 1e-6 * (surface.domain.highs[1] - surface.domain.lows[1])
-    du = (np.asarray(surface.chart(pu + hu, pv)) - np.asarray(surface.chart(pu - hu, pv))) / (2 * hu)
-    dv = (np.asarray(surface.chart(pu, pv + hv)) - np.asarray(surface.chart(pu, pv - hv))) / (2 * hv)
+    """Unit du x dv from the chart's own partials, else central differences; NaN where the cross is 0."""
+    if surface.partials is not None:
+        du, dv = map(np.asarray, surface.partials(pu, pv))
+    else:
+        hu = 1e-6 * (surface.domain.highs[0] - surface.domain.lows[0])
+        hv = 1e-6 * (surface.domain.highs[1] - surface.domain.lows[1])
+        du = (np.asarray(surface.chart(pu + hu, pv)) - np.asarray(surface.chart(pu - hu, pv))) / (2 * hu)
+        dv = (np.asarray(surface.chart(pu, pv + hv)) - np.asarray(surface.chart(pu, pv - hv))) / (2 * hv)
     cross = geometry._cross(du, dv)
     norms = np.linalg.norm(cross, axis=-1, keepdims=True)
     with np.errstate(invalid="ignore"):
@@ -415,11 +456,20 @@ def cloud_parametric(surface: ParametricSurface, src: ScalarSource, n_points: in
 
     The sampled simplex point is formed in parameter space (barycentric
     combination of the parameter triangle) and mapped by the chart, so every
-    output satisfies the surface equation exactly.
+    output satisfies the surface equation exactly.  Normals are the chart's
+    unit du x dv, from its ``partials`` when it has them.
+
+    Triangles are weighted by the area of the flat grid proxy, not of the
+    surface patch they map to, so a coarse grid biases the cloud.  On the
+    torus chart (R = 2, r = 0.5) the expected share of points farther than
+    R from the axis falls short of its exact 0.5796 by 0.0049 at
+    ``u_res = v_res = 8``, 0.00089 at 16, 0.00021 at 32 and 0.000015 at the
+    default 128 x 256: 14, 2.6, 0.6 and 0.04 standard errors of a
+    2,000,000-point cloud.
     """
     mesh, params = triangulate_parametric(surface)
     chosen, uv = _area_weighted(src, mesh, params, n_points)
-    # contiguous parameter arrays, as the chart and its four difference calls read them
+    # contiguous parameter arrays, as the chart and its partials read them
     pu, pv = np.ascontiguousarray(uv.T)
     pts = np.asarray(surface.chart(pu, pv), dtype=np.float64)
     return PointCloud(

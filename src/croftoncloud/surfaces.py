@@ -118,6 +118,12 @@ class ParametricSurface:
     ``(..., 3)`` array.  ``u_res`` and ``v_res`` count grid points per axis
     (so there are ``u_res - 1`` by ``v_res - 1`` cells).  Frozen, so its
     cached :attr:`triangulation` stays valid.
+
+    ``partials``, when supplied, maps the same ``u, v`` to the pair
+    ``(du, dv)`` of the chart's partial derivatives, each an ``(..., 3)``
+    array; a chart cloud's normal is du x dv, normalised.  It is optional:
+    without it the partials are central differences of the chart, at a
+    step of 1e-6 of the domain's width per axis.
     """
 
     chart: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -125,6 +131,7 @@ class ParametricSurface:
     u_res: int
     v_res: int
     name: str = ""
+    partials: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
 
     def __post_init__(self):
         if self.domain.dim != 2:
@@ -321,8 +328,14 @@ def sphere_chart(radius: float = 1.0, u_res: int = 128, v_res: int = 256) -> Par
             axis=-1,
         )
 
+    def partials(u, v):
+        cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
+        du = np.stack([-radius * su * cv, radius * su * sv, radius * cu], axis=-1)
+        dv = np.stack([-radius * cu * sv, -radius * cu * cv, np.zeros_like(cu)], axis=-1)
+        return du, dv
+
     dom = BoxDomain((-np.pi / 2.0, 0.0), (np.pi / 2.0, 2.0 * np.pi))
-    return ParametricSurface(chart, dom, u_res, v_res, name="sphere")
+    return ParametricSurface(chart, dom, u_res, v_res, name="sphere", partials=partials)
 
 
 def torus_implicit(ring_radius: float = 2.0, tube_radius: float = 0.5, clip: float = 3.0) -> ImplicitSurface:
@@ -348,8 +361,15 @@ def torus_chart(
         w = ring_radius + tube_radius * np.cos(u)
         return np.stack([w * np.cos(v), -w * np.sin(v), tube_radius * np.sin(u) * np.ones_like(v)], axis=-1)
 
+    def partials(u, v):
+        cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
+        w = ring_radius + tube_radius * cu
+        du = np.stack([-tube_radius * su * cv, tube_radius * su * sv, tube_radius * cu], axis=-1)
+        dv = np.stack([-w * sv, -w * cv, np.zeros_like(w)], axis=-1)
+        return du, dv
+
     dom = BoxDomain((0.0, 0.0), (2.0 * np.pi, 2.0 * np.pi))
-    return ParametricSurface(chart, dom, u_res, v_res, name="torus")
+    return ParametricSurface(chart, dom, u_res, v_res, name="torus", partials=partials)
 
 
 def ellipsoid_implicit(a: float = 1.5, b: float = 1.0, c: float = 0.5, clip: float = 2.0) -> ImplicitSurface:
@@ -372,8 +392,14 @@ def ellipsoid_chart(
     def chart(u, v):
         return np.stack([a * np.cos(u) * np.sin(v), -b * np.sin(u) * np.sin(v), c * np.cos(v) * np.ones_like(u)], axis=-1)
 
+    def partials(u, v):
+        cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
+        du = np.stack([-a * su * sv, -b * cu * sv, np.zeros_like(cu)], axis=-1)
+        dv = np.stack([a * cu * cv, -b * su * cv, -c * sv], axis=-1)
+        return du, dv
+
     dom = BoxDomain((0.0, 0.0), (2.0 * np.pi, np.pi))
-    return ParametricSurface(chart, dom, u_res, v_res, name="ellipsoid")
+    return ParametricSurface(chart, dom, u_res, v_res, name="ellipsoid", partials=partials)
 
 
 def plane_implicit(clip: float = 2.0) -> ImplicitSurface:
@@ -396,8 +422,12 @@ def plane_patch_chart(side: float = 1.0, u_res: int = 2, v_res: int = 2) -> Para
     def chart(u, v):
         return np.stack([u, v, np.zeros_like(u)], axis=-1)
 
+    def partials(u, v):
+        one, zero = np.ones_like(u), np.zeros_like(u)
+        return np.stack([one, zero, zero], axis=-1), np.stack([zero, one, zero], axis=-1)
+
     h = side / 2.0
-    return ParametricSurface(chart, BoxDomain((-h, -h), (h, h)), u_res, v_res, name="plane")
+    return ParametricSurface(chart, BoxDomain((-h, -h), (h, h)), u_res, v_res, name="plane", partials=partials)
 
 
 def tetrahedron_mesh() -> TriangulatedSurface:

@@ -183,6 +183,13 @@ class TestGenerateAndAudit:
         assert set(meta) == {"generator", "surface", "sampler", "seed", "n", "r"}
         assert (meta["sampler"], meta["seed"], meta["n"], meta["r"]) == ("crofton", "2", "200", "1.5")
 
+    def test_padded_surface_spec_is_stored_stripped(self, tmp_path):
+        # the expression means the same without its blanks, and metadata refuses blanks at either end of a value
+        path = tmp_path / "s.xyz"
+        assert cli.main(["generate", "--surface", " x^2+y^2+z^2-1 ", "--n", "100", "-o", str(path)]) == 0
+        assert "# surface=x^2+y^2+z^2-1\n" in path.read_text()
+        assert cloudio.read_cloud(str(path))[2]["surface"] == "x^2+y^2+z^2-1"
+
     def test_triangulated_pyramid_cloud_passes_audit(self, tmp_path):
         # fixed seed; the audit's region, k=2 and density gates fail about 1% of seeds on a uniform cloud
         cloud = str(tmp_path / "p.ply")

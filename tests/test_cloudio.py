@@ -244,7 +244,9 @@ class TestMeta:
 
     @pytest.mark.parametrize("fmt", ["xyz", "ply", "ply-binary"])
     @pytest.mark.parametrize(
-        "meta", [{"note": "a\nb"}, {"note": "a\rb"}, {"a\nb": 1}, {"a=b": 1}], ids=["lf-value", "cr-value", "lf-key", "eq-key"]
+        "meta",
+        [{"note": "a\nb"}, {"note": "a\rb"}, {"a\nb": 1}, {"a=b": 1}, {"note": " padded "}, {" k": "v"}, {"k": "v\t"}],
+        ids=["lf-value", "cr-value", "lf-key", "eq-key", "padded-value", "padded-key", "tab-value"],
     )
     def test_unreadable_meta_is_refused_before_the_file_opens(self, cloud, tmp_path, fmt, meta):
         positions, _ = cloud

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from croftoncloud import samplers
@@ -260,6 +260,16 @@ def _select(cumulative, scalars):
     return samplers._select_triangles(ScriptedSource(scalars), np.asarray(cumulative), len(scalars)).tolist()
 
 
+def _first_scalar_reaching(x, total):
+    """The smallest scalar that _select_triangles scales to x or above."""
+    u = x / total
+    while u > 0.0 and u * total * samplers._CLAMP >= x:
+        u = np.nextafter(u, 0.0)
+    while u * total * samplers._CLAMP < x:
+        u = np.nextafter(u, 1.0)
+    return u
+
+
 def _scalar_at(x, total):
     """The smallest scalar that _select_triangles scales to exactly *x*."""
     u = x / total
@@ -294,6 +304,41 @@ class TestFindInterval:
         x = frac * cum[-1] * samplers._CLAMP
         expected = next(j for j, c in enumerate(cum) if x < c)
         assert _select(cum, [frac]) == [expected]
+
+    @given(
+        st.lists(st.sampled_from([0.0, 0.0, 1.0]) | st.floats(0.01, 10.0), min_size=1, max_size=80),
+        st.integers(0, 79),
+        st.booleans(),
+        st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40),
+    )
+    @example([2.5], 0, False, [])
+    @example([1.0] * 30, 0, True, [])
+    @example([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 3.0, 0.0], 7, True, [0.5])
+    @settings(max_examples=300, deadline=None)
+    def test_guide_table_is_the_binary_search(self, weights, heavy, crowd, fracs):
+        # zero-weight runs (degenerate triangles), one weight 1e6 times the rest (every small entry crowded into
+        # a few buckets), and scalars whose x falls just below each cumulative value and at it (about nine in ten
+        # land exactly on it) or just above
+        w = np.array(weights)
+        if crowd:
+            w[heavy % len(w)] = 1e6 * max(w.sum(), 1.0)
+        assume(w.sum() > 0.0)
+        cum = np.cumsum(w)
+        scalars = [*fracs, 0.0, np.nextafter(1.0, 0.0)]
+        for c in np.unique(cum[cum < cum[-1]]):
+            first = _first_scalar_reaching(c, cum[-1])
+            scalars += [first, np.nextafter(first, 0.0)]
+        picks = _select(cum, scalars)
+        xs = np.array(scalars) * cum[-1] * samplers._CLAMP
+        assert picks == np.searchsorted(cum, xs, side="right").tolist()
+        assert (w[picks] > 0.0).all()
+
+    def test_chart_table_picks_are_the_binary_search(self):
+        cum = triangulate_parametric(torus_chart())[0].cumulative_areas
+        assert len(cum) == 64_770
+        picks = samplers._select_triangles(Pseudo(22), cum, 200_000)
+        xs = Pseudo(22).take(200_000) * cum[-1] * samplers._CLAMP
+        assert np.array_equal(picks, np.searchsorted(cum, xs, side="right"))
 
 
 @pytest.fixture(scope="module")
@@ -445,6 +490,15 @@ class TestCloudParametric:
         count = int((cloud.positions[:, 2] > 0.5).sum())
         # proxy-weight bias is O(res^-2), far below the binomial band
         assert abs(count - 0.25 * n) < 3.0 * binomial_sigma(n, 0.25)
+
+    @pytest.mark.parametrize("name", ["sphere", "torus", "ellipsoid", "plane"])
+    def test_partials_give_the_central_difference_cloud(self, name):
+        chart = CATALOG[name].chart(u_res=33, v_res=65)
+        a = cloud_parametric(chart, Pseudo(64), 5000)
+        b = cloud_parametric(replace(chart, partials=None), Pseudo(64), 5000)
+        assert np.array_equal(a.positions, b.positions)
+        assert np.array_equal(a.triangle_index, b.triangle_index)
+        np.testing.assert_allclose(a.normals, b.normals, rtol=0.0, atol=1e-9)
 
     def test_normals_radial_on_sphere(self):
         surface = sphere_chart(u_res=64, v_res=64)

@@ -275,6 +275,21 @@ class TestCatalog:
             if entry.mesh is not None:
                 assert len(entry.mesh()) > 0
 
+    @pytest.mark.parametrize("name", [name for name, entry in surfaces.CATALOG.items() if entry.chart is not None])
+    def test_partials_are_the_charts_derivatives(self, name):
+        # central differences of the chart's own map, whose error is near 1e-10 of the chart's scale
+        chart = surfaces.CATALOG[name].chart()
+        assert chart.partials is not None
+        (u0, v0), (u1, v1) = chart.domain.lows, chart.domain.highs
+        rng = np.random.default_rng(22)
+        u, v = u0 + (u1 - u0) * rng.random(1000), v0 + (v1 - v0) * rng.random(1000)
+        du, dv = chart.partials(u, v)
+        for got, step in ((du, (1e-6 * (u1 - u0), 0.0)), (dv, (0.0, 1e-6 * (v1 - v0)))):
+            h = max(step)
+            ahead, behind = chart.chart(u + step[0], v + step[1]), chart.chart(u - step[0], v - step[1])
+            assert got.shape == (1000, 3)
+            np.testing.assert_allclose(got, (ahead - behind) / (2 * h), rtol=1e-7, atol=1e-7 * np.abs(got).max())
+
     def test_degenerate_triangles_kept_with_zero_weight(self):
         mesh = TriangulatedSurface(
             [
