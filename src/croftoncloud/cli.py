@@ -136,8 +136,10 @@ def _resolve_surface(spec: str, clip: float | None, res: int | None, forms: tupl
     forms: an ordered subset of ('implicit', 'mesh', 'chart').  Catalog
     entries support the forms they define, and a chart also gives a mesh
     through its grid triangulation; expressions are implicit; paths are
-    meshes.
+    meshes.  Blanks at either end of *spec* are dropped, as ``generate``
+    drops them from the spec it stores in a cloud's metadata.
     """
+    spec = spec.strip()
     entry = surfaces.CATALOG.get(spec)
     charted = ()  # the forms built from a chart, which alone take --res
     if entry is not None:

@@ -64,7 +64,9 @@ class ImplicitSurface:
     ``field`` must be vectorized: it maps an ``(..., 3)`` array of points to
     an ``(...)`` array of values.  The chord scan calls it on ``(rows,
     nodes, 3)`` tiles of at most ``samplers.SCAN_TILE`` points whose last
-    axis may be strided; the field must not write into its argument.
+    axis may be strided, and refinement on ``(m, 3)`` points, one row per
+    bracket still being refined; the field must not write into its
+    argument.
     ``gradient``, when supplied, maps ``(..., 3)`` to ``(..., 3)``;
     otherwise gradients fall back to central finite differences.
 

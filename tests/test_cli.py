@@ -190,6 +190,15 @@ class TestGenerateAndAudit:
         assert "# surface=x^2+y^2+z^2-1\n" in path.read_text()
         assert cloudio.read_cloud(str(path))[2]["surface"] == "x^2+y^2+z^2-1"
 
+    def test_padded_catalog_name_is_the_catalog_surface(self, tmp_path):
+        clouds = []
+        for spec in (" torus ", "torus"):
+            path = str(tmp_path / f"{len(spec)}.xyz")
+            assert cli.main(["generate", "--surface", spec, "--n", "300", "--seed", "4", "-o", path]) == 0
+            clouds.append(cloudio.read_cloud(path))
+        (padded, _, meta), (plain, _, _) = clouds
+        assert meta["surface"] == "torus" and padded.tobytes() == plain.tobytes()
+
     def test_triangulated_pyramid_cloud_passes_audit(self, tmp_path):
         # fixed seed; the audit's region, k=2 and density gates fail about 1% of seeds on a uniform cloud
         cloud = str(tmp_path / "p.ply")
@@ -255,6 +264,12 @@ class TestEstimates:
         assert cli.main(["area", "--surface", tetra_off, "--m", "20000", "--seed", "3"]) == 0
         assert capsys.readouterr().out == catalog
         assert catalog.startswith("area  13.688575 +- 0.128197\n")
+
+    def test_padded_catalog_name_is_the_catalog_surface(self, capsys):
+        assert cli.main(["area", "--surface", " torus ", "--m", "2000", "--seed", "5"]) == 0
+        padded = capsys.readouterr().out
+        assert cli.main(["area", "--surface", "torus", "--m", "2000", "--seed", "5"]) == 0
+        assert capsys.readouterr().out == padded and padded.startswith("area  ")
 
     def test_area_of_off_tetrahedron(self, tetra_off, capsys):
         assert cli.main(["area", "--surface", tetra_off, "--m", "20000", "--seed", "3"]) == 0

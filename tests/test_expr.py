@@ -1,9 +1,14 @@
+import ast
+import itertools
 import sys
 
 import numpy as np
 import pytest
 
+from croftoncloud import expr
 from croftoncloud.expr import ExpressionError, compile_field
+
+from conftest import TORUS_EXPR
 
 PTS = np.array([[0.5, -1.0, 2.0], [1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
 X, Y, Z = PTS[:, 0], PTS[:, 1], PTS[:, 2]
@@ -152,3 +157,108 @@ def test_random_trees_match_direct_numpy_bit_for_bit():
         assert got.tobytes() == want.tobytes(), text
         seen |= _kinds(tree)
     assert seen == {*_OPS, *_FUNCS, *_LEAVES, "neg"}
+
+
+# ---------------------------------------------------------------------------
+# the register program against the evaluator it replaced: a postfix stack loop with np.power for every ^
+
+
+def _reference_postfix(node, source):
+    ops = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply, ast.Div: np.divide, ast.Pow: np.power}
+    if isinstance(node, ast.BinOp):
+        return _reference_postfix(node.left, source) + _reference_postfix(node.right, source) + [ops[type(node.op)]]
+    if isinstance(node, ast.UnaryOp):
+        return _reference_postfix(node.operand, source) + [np.negative]
+    if isinstance(node, ast.Call):
+        return _reference_postfix(node.args[0], source) + [{"sin": np.sin, "cos": np.cos, "exp": np.exp}[node.func.id]]
+    if isinstance(node, ast.Name):
+        return ["xyz".index(node.id)]
+    return [float(ast.get_source_segment(source, node))]
+
+
+def _reference_field(text):
+    source = " ".join(text.split()).replace("^", "**")
+    program = _reference_postfix(ast.parse(source, mode="eval").body, source)
+
+    def field(points):
+        points = np.asarray(points, dtype=np.float64)
+        stack = []
+        for op in program:
+            if not isinstance(op, np.ufunc):
+                stack.append(points[..., op] if type(op) is int else op)
+            elif op.nin == 1:
+                stack[-1] = op(stack[-1])
+            else:
+                stack[-1] = op(stack.pop(-2), stack[-1])
+        return np.broadcast_to(np.asarray(stack[0], dtype=np.float64), points.shape[:-1])
+
+    return field
+
+
+#: repeated subtrees, ^2 and ^2. (np.square), ^3 (np.power), unary minus, functions, a bare constant and variable
+CORPUS = [
+    TORUS_EXPR,
+    "z^2",
+    "x",
+    "3",
+    "2^2+x",
+    "(x^2+y^2)^2.-(x^2+y^2)+x^2.",
+    "x^3-x^2*x+(x*x)^2",
+    "-x^2+-(y^2)-(-z)^2",
+    "-(-x)",
+    "sin(x^2)+cos(x^2)*exp(-x^2)",
+    "exp(sin(y)*cos(y))-sin(y)*cos(y)/(1+sin(y)^2)",
+    "(x+y)*(x+y)-(x+y)/(z+1)+(x+y)",
+    "((x-1)^2+(y-1)^2)^0.5-((x-1)^2+(y-1)^2)",
+    "x/y/z-x/(y/z)",
+]
+
+
+def _special_points():
+    """Random points over 300 decades, then every triple of signed zeros, infinities, nan, subnormals and extremes."""
+    rng = np.random.default_rng(23)
+    wide = rng.normal(size=(400, 3)) * 10.0 ** rng.uniform(-150.0, 150.0, size=(400, 3))
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308, 1.3e154, 1.5, -2.25]
+    return np.vstack([wide, np.array(list(itertools.product(special, repeat=3)))])
+
+
+@pytest.mark.parametrize("text", CORPUS)
+def test_program_matches_the_postfix_loop_bit_for_bit(text):
+    points = _special_points()
+    with np.errstate(all="ignore"):
+        got = compile_field(text)(points)
+        want = _reference_field(text)(points)
+        grid = np.random.default_rng(5).normal(size=(4, 5, 3))
+        got_grid, want_grid = compile_field(text)(grid), _reference_field(text)(grid)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert got_grid.shape == (4, 5) and got_grid.tobytes() == want_grid.tobytes()
+
+
+def test_field_runs_on_read_only_points_and_writes_no_points():
+    points = np.random.default_rng(6).normal(size=(50, 3)) * 3.0
+    points.setflags(write=False)
+    writable = points.copy()
+    for text in CORPUS:
+        want = _reference_field(text)(points)
+        assert compile_field(text)(points).tobytes() == want.tobytes()
+        assert compile_field(text)(writable).tobytes() == want.tobytes()
+    assert writable.tobytes() == points.tobytes()
+
+
+def test_shared_subtrees_are_computed_once():
+    # x^2, y^2 and x^2+y^2 appear twice in the torus quartic: 9 ufunc steps, where the postfix loop applied 12
+    _, _, steps, _ = expr._program(TORUS_EXPR)
+    assert [step[0] for step in steps].count(np.square) == 4
+    assert len(steps) == 9
+
+
+@pytest.mark.parametrize("text", CORPUS)
+def test_temporaries_are_dropped_at_their_last_read(text):
+    _, constants, steps, result = expr._program(text)
+    outputs = {out for _, _, out, _, _ in steps}
+    dropped = [reg for *_, dead in steps for reg in dead]
+    assert sorted(dropped) == sorted(outputs - {result})
+    for i, (_, inputs, _, reuse, dead) in enumerate(steps):
+        assert all(reg in inputs and all(reg not in later[1] for later in steps[i + 1 :]) for reg in dead)
+        # only a temporary is written over, never an axis of the points or a constant
+        assert reuse is None or reuse in dead

@@ -38,6 +38,9 @@ from croftoncloud.surfaces import (
 from conftest import TORUS_EXPR, ScriptedSource, binomial_sigma
 
 
+IMPLICIT = [name for name, entry in CATALOG.items() if entry.implicit]
+
+
 def _one_line(surface, direction, through):
     """Hits of the single line with unit *direction* through *through*: ``(ts, points)``."""
     d = np.array([direction], dtype=np.float64)
@@ -69,6 +72,17 @@ class TestIntersectLineImplicit:
         assert ts[0] == 0.0
         assert np.allclose(pts[0], [0.3, 0.4, 0.0])
 
+    def test_exact_zero_beside_the_last_node_is_no_boundary_hit(self):
+        # the zero-width bracket of an interior zero in the ball's last cell is not a hit at the clip sphere, whether
+        # the scan reads boundary hits off its last column (count only) or off its brackets' cells (located)
+        dirs, feet = np.array([[0.0, 0.0, 1.0]]), np.array([[0.3, 0.4, 0.0]])
+        level = np.linspace(-1.0, 1.0, samplers.SCAN_STEPS + 1)[-2] * samplers._chord_half_lengths(feet, 2.0)[0]
+        surface = ImplicitSurface(lambda p: p[..., 2] - level, 2.0)
+        for want_points in (False, True):
+            counts, _, ts, boundary = samplers._scan_lines(surface, dirs, feet, want_points)
+            assert counts.tolist() == [1] and boundary == 0
+        assert ts.tolist() == [level]
+
     def test_line_inside_surface_dropped(self):
         # a line lying in the plane meets it non-transversally: no hits
         ts, _ = _one_line(plane_implicit(), [1.0, 0.0, 0.0], [0.0, 0.5, 0.0])
@@ -89,9 +103,9 @@ class TestIntersectLineImplicit:
         surface = sphere_implicit()
         dirs, feet = np.tile([1.0, 0.0, 0.0], (2, 1)), np.array([[0.0, 0.1, 0.0], [0.0, 0.2, 0.0]])
         t_lo, t_hi = np.array([0.99, 0.9]), np.array([1.0, 1.0])
-        g_lo = surface.field(feet + t_lo[:, None] * dirs)
-        both = samplers._refine_bisection(surface, dirs, feet, t_lo, t_hi, g_lo)
-        alone = samplers._refine_bisection(surface, dirs[:1], feet[:1], t_lo[:1], t_hi[:1], g_lo[:1])
+        g_lo, g_hi = (surface.field(feet + t[:, None] * dirs) for t in (t_lo, t_hi))
+        both = samplers._refine_bisection(surface, dirs, feet, t_lo, t_hi, g_lo, g_hi)
+        alone = samplers._refine_bisection(surface, dirs[:1], feet[:1], t_lo[:1], t_hi[:1], g_lo[:1], g_hi[:1])
         assert both[0] == alone[0] and abs(alone[0] - math.sqrt(0.99)) < 1e-10
 
     def test_nonfinite_field_raises(self):
@@ -229,18 +243,95 @@ class TestPoles:
         assert cloud.per_line_counts.sum() == len(cloud) >= 2000
         assert abs(est.value - 3.0 * math.pi) < 3.0 * est.standard_error
 
-    @pytest.mark.parametrize("name", [name for name, entry in CATALOG.items() if entry.implicit] + ["torus-expr"])
-    def test_located_counts_are_the_count_only_counts(self, name):
-        # no catalog surface has a pole, so locating drops no bracket
+    @pytest.mark.parametrize("name", [*IMPLICIT, *(f"{name}-unboxed" for name in IMPLICIT), "torus-expr"])
+    def test_located_counts_are_the_count_only_counts(self, monkeypatch, name):
+        # no catalog surface has a pole, so locating drops no bracket; a count-only scan reads its boundary hits off
+        # the tile's end columns, a located one off its brackets' cells, and the plane's hits reach both end cells
         if name == "torus-expr":
             surface = ImplicitSurface(compile_field(TORUS_EXPR), 3.0)
         else:
-            surface = CATALOG[name].implicit()
+            surface = CATALOG[name.removesuffix("-unboxed")].implicit()
+            surface = replace(surface, bounds=None) if name.endswith("-unboxed") else surface
         dirs, feet = sample_line_batch(Pseudo(23), 3, surface.clip_radius, 8192)
-        counts, _, _, boundary = samplers._scan_lines(surface, dirs, feet, want_points=False)
-        located, _, ts, located_boundary = samplers._scan_lines(surface, dirs, feet, want_points=True)
-        assert np.array_equal(counts, located) and boundary == located_boundary
-        assert located.sum() == len(ts) > 500
+        # then one tile per row, on fewer lines
+        for tile, lines in ((samplers.SCAN_TILE, 8192), (1, 2048)):
+            monkeypatch.setattr(samplers, "SCAN_TILE", tile)
+            counts, _, _, boundary = samplers._scan_lines(surface, dirs[:lines], feet[:lines], want_points=False)
+            located, _, ts, located_boundary = samplers._scan_lines(surface, dirs[:lines], feet[:lines], want_points=True)
+            assert np.array_equal(counts, located) and boundary == located_boundary
+            assert located.sum() == len(ts) > lines // 16
+            assert (boundary > 0) == name.startswith("plane")
+
+
+def _sum_of_squares(points):
+    return (points * points).sum(axis=-1) - 1.0
+
+
+def _height(points):
+    return points[..., 2]
+
+
+class TestScaledFields:
+    """Sides come from the field's signs, never from products of its values, which underflow or overflow."""
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    @pytest.mark.parametrize("field", [_sum_of_squares, _height], ids=["sphere", "plane"])
+    def test_scan_is_the_unscaled_scan(self, field, scale):
+        plain, scaled = ImplicitSurface(field, 2.0), ImplicitSurface(lambda p: scale * field(p), 2.0)
+        dirs, feet = sample_line_batch(Pseudo(1), 3, 2.0, 4000)
+        for want_points in (False, True):
+            counts, ids, ts, boundary = samplers._scan_lines(plain, dirs, feet, want_points)
+            got_counts, got_ids, got_ts, got_boundary = samplers._scan_lines(scaled, dirs, feet, want_points)
+            assert np.array_equal(got_counts, counts) and got_boundary == boundary
+        assert np.array_equal(got_ids, ids) and np.abs(got_ts - ts).max() <= 2.0 * samplers.ROOT_TOL
+        assert len(ts) > 1000 and (boundary > 0) == (field is _height)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_estimate_and_cloud(self, scale):
+        plain, scaled = ImplicitSurface(_sum_of_squares, 2.0), ImplicitSurface(lambda p: scale * _sum_of_squares(p), 2.0)
+        area, scaled_area = (estimate_area(surface, Pseudo(1), 4000) for surface in (plain, scaled))
+        assert (scaled_area.value, scaled_area.hit_histogram) == (area.value, area.hit_histogram)
+        # the finite-difference gradients of the scaled field have squares that underflow or overflow
+        cloud, scaled_cloud = (cloud_implicit(surface, Pseudo(1), 1000) for surface in (plain, scaled))
+        assert np.array_equal(scaled_cloud.line_index, cloud.line_index)
+        assert np.abs(scaled_cloud.normals - cloud.normals).max() < 1e-6
+
+
+class TestRefinement:
+    """Illinois steps: each refined t is within ROOT_TOL of a sign change or an exact zero, in few field points."""
+
+    @pytest.mark.parametrize("name", [*IMPLICIT, "torus-expr", "waves"])
+    def test_sign_change_within_root_tol(self, name):
+        if name in CATALOG:
+            surface = CATALOG[name].implicit()
+        else:
+            text = TORUS_EXPR if name == "torus-expr" else "sin(4*x)*cos(3*y)+z^2-0.3"
+            surface = ImplicitSurface(compile_field(text), 3.0 if name == "torus-expr" else 2.0)
+        dirs, feet = sample_line_batch(Pseudo(24), 3, surface.clip_radius, 4096)
+        _, ids, ts, _ = samplers._scan_lines(surface, dirs, feet, want_points=True)
+        below, at, above = (
+            surface.field(feet[ids] + (ts + step * samplers.ROOT_TOL)[:, None] * dirs[ids]) for step in (-1.0, 0.0, 1.0)
+        )
+        assert len(ts) > 200
+        assert ((at == 0.0) | (below == 0.0) | (above == 0.0) | ((below < 0.0) != (above < 0.0))).all()
+
+    def test_field_points_against_bisection(self, monkeypatch):
+        # bisection took 27 rounds on each of this chunk's 5,824 brackets: 157,248 field points; Illinois steps take
+        # 8 rounds here, 57 without the ROOT_TOL margin inside the bracket and 14 without halving a staying end
+        surface, calls = torus_implicit(), []
+        counted = replace(surface, field=lambda p: calls.append(p.size // 3) or surface.field(p))
+        refine, spent = samplers._refine_bisection, []
+
+        def recorded(*args):
+            calls.clear()
+            ts = refine(*args)
+            spent.append(list(calls))
+            return ts
+
+        monkeypatch.setattr(samplers, "_refine_bisection", recorded)
+        dirs, feet = sample_line_batch(Pseudo(0), 3, surface.clip_radius, 8192)
+        _, _, ts, _ = samplers._scan_lines(counted, dirs, feet, want_points=True)
+        assert len(ts) == 5824 and sum(spent[0]) <= 0.3 * 157_248 and len(spent[0]) <= 10
 
 
 class TestScanMemory:
