@@ -20,6 +20,9 @@ every subcommand refuses it for a surface not read through its chart.
 
 ``generate`` draws from the one stream of --seed, so a file depends on the
 seed and the configuration only.
+
+``audit`` only prints each result, writes its record and sets the exit code:
+each surface's suite and every pass/fail gate live in ``stats.catalog_audit``.
 """
 
 from __future__ import annotations
@@ -242,44 +245,6 @@ def cmd_integrate(args) -> int:
     return 0
 
 
-def _audit_suites(name: str, positions: np.ndarray):
-    """Region tests, uniform scalar, and density bins for a catalog surface."""
-    if name == "sphere":
-        tests = stats.sphere_region_tests()
-        scalar = stats.sphere_unit_scalar(positions)
-        # small caps around axis and diagonal directions expose the legacy
-        # axis-aligned density defect; equal cap areas
-        centers = []
-        for sx in (1, -1):
-            centers += [np.array([sx, 0.0, 0.0]), np.array([0.0, sx, 0.0]), np.array([0.0, 0.0, sx])]
-        for sx in (1, -1):
-            for sy in (1, -1):
-                for sz in (1, -1):
-                    centers.append(np.array([sx, sy, sz]) / np.sqrt(3.0))
-        centers = np.array(centers)
-        cosines = positions / np.linalg.norm(positions, axis=1, keepdims=True) @ centers.T
-        best = np.argmax(cosines, axis=1)
-        labels = np.where(cosines[np.arange(len(best)), best] > 0.95, best, -1)
-        areas = np.full(len(centers), 1.0)
-        return tests, scalar, labels, areas
-    if name == "torus":
-        tests = stats.torus_region_tests()
-        scalar = stats.torus_angle_scalar(positions)
-        angles = (np.arctan2(positions[:, 1], positions[:, 0]) / (2 * np.pi)) % 1.0
-        labels = np.minimum((angles * 8).astype(int), 7)
-        return tests, scalar, labels, np.full(8, 1.0)
-    entry = surfaces.CATALOG.get(name)
-    if entry is not None and entry.mesh is not None:
-        mesh = entry.mesh()
-        labels = stats.mesh_nearest_face(mesh, positions)
-        scalar = stats.mesh_cumulative_scalar(positions, labels, mesh)
-        return stats.mesh_face_region_tests(mesh), scalar, labels, mesh.areas
-    raise UsageError(f"no audit suite for surface {name!r}; supported: sphere, torus, mesh catalog entries")
-
-
-DENSITY_RATIO_GATE = 1.15
-
-
 def cmd_audit(args) -> int:
     positions, normals, meta = cloudio.read_cloud(args.cloud)
     records: list[dict] = []
@@ -300,31 +265,10 @@ def cmd_audit(args) -> int:
     if args.surface is not None and not finite:
         lines.append("surface tests: skipped (non-finite coordinates)")
     elif args.surface is not None:
-        tests, scalar, labels, areas = _audit_suites(args.surface, positions)
-        for result in stats.region_test(positions, tests):
-            lines.append(result.line())
-            records.append(result.record())
-            failed |= not result.passed
-        ktuple = stats.ktuple_test(scalar, k=2, grid=8)
-        lines.append(ktuple.line())
-        records.append(ktuple.record())
-        failed |= not ktuple.passed
-        share = areas / areas.sum()
-        labeled = int((labels >= 0).sum())
-        if labeled * share.min() < 100:
-            lines.append("density: skipped (fewer than 100 expected points per bin; generate more points)")
-        else:
-            try:
-                density = stats.density_variation(labels, areas)
-            except ValueError as err:
-                lines.append(f"density: FAIL ({err})")
-                failed = True
-            else:
-                # fail only on a ratio both large and statistically solid
-                ok = density.ratio - 3.0 * density.ratio_stderr <= DENSITY_RATIO_GATE
-                lines.append(density.line() + ("  [pass]" if ok else "  [FAIL]"))
-                records.append(density.record())
-                failed |= not ok
+        for line, record, passed in stats.catalog_audit(args.surface, positions):
+            lines.append(line)
+            records += [record] if record else []
+            failed |= not passed
     print("\n".join(lines))
     if args.records:
         with open(args.records, "w", encoding="utf-8") as fh:

@@ -170,7 +170,7 @@ def write_ply(
     if binary:
         with open(path, "wb") as fh:
             fh.write(head.encode("ascii"))
-            fh.write(data.astype("<f8").tobytes())
+            np.ascontiguousarray(data, dtype="<f8").tofile(fh)
     else:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(head)

@@ -55,7 +55,7 @@ def read_off(path: str) -> TriangulatedSurface:
     OFF is a token stream: '#' comments run to the end of their line and
     records may break across lines anywhere.  Errors name the file and the first record at fault.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         tokens = re.sub(r"#.*", "", fh.read()).split()
     if tokens[:1] != ["OFF"]:
         raise _missing(path, tokens, 0, "the OFF header")

@@ -347,7 +347,7 @@ def _line_hits(src: ScalarSource, clip: float, hits, next_count, want_points: bo
     as the hits of ``crofton._resolve`` do.  The stop rule
     ``next_count(lines_done, hits_done)`` returns the size of the next
     chunk, 0 to stop.  Returns ``(counts, line_ids, ts, points, tri_ids)``
-    over all lines drawn, with line ids counted from the first chunk; the
+    over all lines drawn, hits in line order, with line ids counted from the first chunk; the
     last four are None unless *want_points*, and ``tri_ids`` is None for an
     implicit surface.  Warns when any hit lies at the clip boundary.
     """
@@ -392,16 +392,16 @@ def _cloud_from_lines(surface, src: ScalarSource, n_points: int, draw) -> PointC
         return chunk
 
     counts, line_ids, ts, positions, tri_ids = _line_hits(src, clip, hits, next_count, draw=draw)
-    # keep whole lines up to and including the one reaching the target
+    # keep whole lines up to and including the one reaching the target: hits come in line order, so a prefix
     lines_used = int(np.searchsorted(np.cumsum(counts), n_points)) + 1
-    keep = line_ids < lines_used
-    positions = positions[keep]
-    tri_ids = None if tri_ids is None else tri_ids[keep]
+    kept = int(counts[:lines_used].sum())
+    positions = positions[:kept]
+    tri_ids = None if tri_ids is None else tri_ids[:kept]
     return PointCloud(
         positions=positions,
         normals=normals(positions, tri_ids),
-        line_index=line_ids[keep],
-        line_t=ts[keep],
+        line_index=line_ids[:kept],
+        line_t=ts[:kept],
         triangle_index=tri_ids,
         lines_used=lines_used,
         per_line_counts=counts[:lines_used],

@@ -10,11 +10,15 @@ into a grid of product boxes and apply a chi-square gate.
 density (the defect of axis-aligned line sampling), and ``curse_benchmark``
 tabulates midpoint-rule versus Monte Carlo integration error as a function
 of evaluation budget.
+
+``catalog_suite`` picks each catalog surface's audit, and ``catalog_audit``
+runs it; every result applies its own gate, so the CLI only reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -22,6 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.stats import chi2 as _chi2
 
 from .rng import BoxDomain, Pseudo, ScalarSource, sample_box
+from .surfaces import CATALOG
 
 __all__ = [
     "RegionTest",
@@ -41,11 +46,15 @@ __all__ = [
     "sphere_unit_scalar",
     "torus_angle_scalar",
     "mesh_cumulative_scalar",
+    "catalog_suite",
+    "catalog_audit",
 ]
 
 Z_THRESHOLD = 3.0
 KTUPLE_PERCENTILE = 0.999
 MAX_KTUPLE_CELLS = 1_000_000
+DENSITY_RATIO_GATE = 1.15  # a ratio fails only when large and statistically solid: ratio - 3 SE above this
+DENSITY_MIN_EXPECTED = 100  # fewer expected points in the smallest density bin skip the density test
 
 
 @dataclass(frozen=True)
@@ -162,6 +171,10 @@ class DensityResult:
     densities: np.ndarray
     counts: np.ndarray
 
+    @property
+    def passed(self) -> bool:
+        return self.ratio - 3.0 * self.ratio_stderr <= DENSITY_RATIO_GATE
+
     def record(self) -> dict:
         return {
             "test": "density",
@@ -172,9 +185,10 @@ class DensityResult:
         }
 
     def line(self) -> str:
+        status = "pass" if self.passed else "FAIL"
         return (
             f"density max/min ratio = {self.ratio:.4f} +- {self.ratio_stderr:.4f} "
-            f"over {len(self.densities)} bins"
+            f"over {len(self.densities)} bins  [{status}]"
         )
 
 
@@ -285,15 +299,13 @@ def loglog_slope(pairs: Sequence[tuple[float, float]]) -> float:
 def sphere_region_tests(radius: float = 1.0) -> list[RegionTest]:
     """Octants, the z > r/2 cap, and the |z| < r/2 band on a sphere."""
     tests = []
-    for sx in (1, -1):
-        for sy in (1, -1):
-            for sz in (1, -1):
-                name = f"octant{'+' if sx > 0 else '-'}{'+' if sy > 0 else '-'}{'+' if sz > 0 else '-'}"
+    for sx, sy, sz in product((1, -1), repeat=3):
+        name = f"octant{'+' if sx > 0 else '-'}{'+' if sy > 0 else '-'}{'+' if sz > 0 else '-'}"
 
-                def ind(pts, sx=sx, sy=sy, sz=sz):
-                    return (sx * pts[:, 0] > 0) & (sy * pts[:, 1] > 0) & (sz * pts[:, 2] > 0)
+        def ind(pts, sx=sx, sy=sy, sz=sz):
+            return (sx * pts[:, 0] > 0) & (sy * pts[:, 1] > 0) & (sz * pts[:, 2] > 0)
 
-                tests.append(RegionTest(name, ind, 0.125))
+        tests.append(RegionTest(name, ind, 0.125))
     # spherical cap z > h has area fraction (1 - h/r) / 2
     tests.append(RegionTest("cap z>r/2", lambda p: p[:, 2] > radius / 2.0, 0.25))
     tests.append(RegionTest("band |z|<r/2", lambda p: np.abs(p[:, 2]) < radius / 2.0, 0.5))
@@ -392,3 +404,44 @@ def mesh_cumulative_scalar(positions: np.ndarray, triangle_index: np.ndarray, me
     starts = cum[triangle_index] - mesh.areas[triangle_index]
     scalar = (starts + mesh.areas[triangle_index] * inner) / cum[-1]
     return np.clip(scalar, 0.0, np.nextafter(1.0, 0.0))
+
+
+def catalog_suite(name: str, positions: np.ndarray):
+    """``(region tests, k-tuple scalar, density labels, bin areas)`` of the audit of catalog surface *name*.
+
+    Density bins: the sphere's 14 equal caps about the axis and diagonal directions, which expose the
+    axis-aligned density defect (-1 outside them); the torus's 8 ring sectors; a mesh's faces.
+    """
+    if name == "sphere":
+        centers = np.vstack([np.eye(3), -np.eye(3), np.array(list(product((1.0, -1.0), repeat=3))) / np.sqrt(3.0)])
+        cosines = positions / np.linalg.norm(positions, axis=1, keepdims=True) @ centers.T
+        labels = np.where(cosines.max(axis=1) > 0.95, cosines.argmax(axis=1), -1)
+        return sphere_region_tests(), sphere_unit_scalar(positions), labels, np.ones(len(centers))
+    if name == "torus":
+        scalar = torus_angle_scalar(positions)
+        return torus_region_tests(), scalar, np.minimum((scalar * 8).astype(int), 7), np.ones(8)
+    entry = CATALOG.get(name)
+    if entry is not None and entry.mesh is not None:
+        mesh = entry.mesh()
+        labels = mesh_nearest_face(mesh, positions)
+        return mesh_face_region_tests(mesh), mesh_cumulative_scalar(positions, labels, mesh), labels, mesh.areas
+    raise ValueError(f"no audit suite for surface {name!r}; supported: sphere, torus, mesh catalog entries")
+
+
+def catalog_audit(name: str, positions: np.ndarray) -> list[tuple]:
+    """``(line, record or None, passed)`` of each region test, the k=2 k-tuple test and the density test.
+
+    The density test has no record when skipped (it passes: its smallest bin expects fewer than
+    ``DENSITY_MIN_EXPECTED`` of the binned points) or when a bin is empty (it fails).
+    """
+    tests, scalar, labels, areas = catalog_suite(name, positions)
+    results = [*region_test(positions, tests), ktuple_test(scalar, k=2, grid=8)]
+    outcomes = [(r.line(), r.record(), r.passed) for r in results]
+    if int((labels >= 0).sum()) * (areas / areas.sum()).min() < DENSITY_MIN_EXPECTED:
+        skipped = f"density: skipped (fewer than {DENSITY_MIN_EXPECTED} expected points per bin; generate more points)"
+        return outcomes + [(skipped, None, True)]
+    try:
+        density = density_variation(labels, areas)
+    except ValueError as err:
+        return outcomes + [(f"density: FAIL ({err})", None, False)]
+    return outcomes + [(density.line(), density.record(), density.passed)]

@@ -144,6 +144,22 @@ class TestPLY:
         write_ply(str(second), got_p, got_n, meta, binary=binary)
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("layout", ["strided", "float32", "strided-normals"])
+    def test_binary_payload_is_the_little_endian_rows(self, cloud, tmp_path, layout):
+        # the payload is the float64 little-endian rows whatever the input's dtype and strides
+        positions, normals = cloud
+        positions, normals = {
+            "strided": (positions[::2], None),
+            "float32": (positions.astype(np.float32), normals.astype(np.float32)),
+            "strided-normals": (positions[::2], normals[::2]),
+        }[layout]
+        path = tmp_path / "b.ply"
+        write_ply(str(path), positions, normals, META, binary=True)
+        rows = positions if normals is None else np.hstack([positions, normals])
+        payload = rows.astype("<f8").tobytes()
+        data = path.read_bytes()
+        assert data.endswith(b"end_header\n" + payload) and data.index(b"end_header\n") + 11 == len(data) - len(payload)
+
     def test_truncated_binary_names_byte_offset(self, cloud, tmp_path):
         positions, normals = cloud
         path = tmp_path / "trunc.ply"

@@ -255,6 +255,62 @@ def test_mutated_files_match_the_per_line_parse(tmp_path):
     assert 30 <= accepted < 300
 
 
+def _off_token_walk(path):
+    """Reference OFF parse: strip each line's comment, then walk the tokens one record at a time with ``int``/``float``."""
+    with open(path, encoding="utf-8") as fh:
+        tokens = [token for line in fh for token in line.split("#")[0].split()]
+    if tokens[:1] != ["OFF"]:
+        raise ValueError("no OFF header")
+    n_vertices, n_faces, _ = (int(token) for token in tokens[1:4])
+    if n_vertices < 0 or n_faces < 1:
+        raise ValueError("bad counts")
+    at = 4 + 3 * n_vertices
+    vertices = [[float(token) for token in tokens[i : i + 3]] for i in range(4, at, 3)]
+    triangles = []
+    for _ in range(n_faces):
+        arity = int(tokens[at])
+        face = [int(token) for token in tokens[at + 1 : at + 1 + arity]]
+        if arity < 3 or len(face) < arity or not all(0 <= v < n_vertices for v in face):
+            raise ValueError("bad face")
+        triangles += [[vertices[face[0]], vertices[face[j]], vertices[face[j + 1]]] for j in range(1, arity - 1)]
+        at += 1 + arity
+    return np.array(triangles, dtype=np.float64).reshape(-1, 3, 3)
+
+
+def test_mutated_off_files_match_the_token_walk(tmp_path):
+    # the OFF twin of the STL test above: read_off returns the token walk's triangles bit for bit,
+    # or raises a ValueError naming the file, also for bytes that are not UTF-8
+    from test_cloudio import mutate
+
+    gen = np.random.default_rng(9)
+    accepted = 0
+    for case in range(300):
+        verts = gen.standard_normal((int(gen.integers(5, 12)), 3)) * 10.0 ** gen.integers(-300, 300, size=(1, 3))
+        faces = [gen.choice(len(verts), size=int(gen.integers(3, 6)), replace=False) for _ in range(gen.integers(1, 8))]
+        lines = ["OFF", "# corpus", f"{len(verts)} {len(faces)} 0"] + [f"{x!r} {y!r} {z!r}" for x, y, z in verts.tolist()]
+        lines += [" ".join(str(v) for v in [len(face), *face.tolist()]) + " # face" * int(gen.integers(2)) for face in faces]
+        data = ("\n".join(lines) + "\n").encode()
+        path = tmp_path / f"case{case}.off"
+        path.write_bytes(mutate(data, gen) if case % 10 else data)
+        try:
+            mesh = read_off(str(path))
+        except ValueError as err:
+            assert f"case{case}.off" in str(err)
+            with pytest.raises((ValueError, IndexError)):
+                _off_token_walk(str(path))
+            continue
+        assert mesh.triangles.tobytes() == _off_token_walk(str(path)).tobytes()
+        accepted += 1
+    assert 30 <= accepted < 300
+
+
+def test_off_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "bad.off"
+    path.write_bytes(b"OFF\n# caf\xe9 mesh\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+    with pytest.raises(ValueError, match=r"bad\.off: not UTF-8 text"):
+        read_off(str(path))
+
+
 class TestLoadMesh:
     @pytest.mark.parametrize("name", ["m.off", "M.OFF"])
     def test_off_by_extension(self, tmp_path, name):

@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 from croftoncloud.rng import Pseudo, VanDerCorput, VanDerCorputRearranged
-from croftoncloud.samplers import cloud_triangulated
+from croftoncloud.samplers import cloud_implicit, cloud_triangulated
 from croftoncloud.stats import (
+    DENSITY_RATIO_GATE,
+    DensityResult,
     RegionTest,
+    catalog_audit,
+    catalog_suite,
     curse_benchmark,
     density_variation,
     ktuple_test,
@@ -20,7 +24,13 @@ from croftoncloud.stats import (
     sphere_region_tests,
     torus_region_tests,
 )
-from croftoncloud.surfaces import TriangulatedSurface, corner_pyramid_mesh, tetrahedron_mesh
+from croftoncloud.surfaces import (
+    TriangulatedSurface,
+    corner_pyramid_mesh,
+    sphere_implicit,
+    tetrahedron_mesh,
+    torus_implicit,
+)
 
 
 def brute_star_discrepancy(values):
@@ -144,6 +154,108 @@ class TestDensityVariation:
         a = density_variation(labels, np.ones(3), seed=7)
         b = density_variation(labels, np.ones(3), seed=7)
         assert a.ratio == b.ratio and a.ratio_stderr == b.ratio_stderr
+
+
+class TestDensityGate:
+    @staticmethod
+    def result(ratio, stderr):
+        return DensityResult(ratio, stderr, np.array([1.0, ratio]), np.array([10, 20]))
+
+    @pytest.mark.parametrize(
+        "ratio, stderr, passed",
+        [
+            (DENSITY_RATIO_GATE, 0.0, True),
+            (math.nextafter(DENSITY_RATIO_GATE, 2.0), 0.0, False),
+            (1.25, 0.0625, True),  # 1.25 - 3 * 0.0625 = 1.0625: large, but not solidly so
+            (1.25, 0.03125, False),  # 1.25 - 3 * 0.03125 = 1.15625
+        ],
+    )
+    def test_passes_up_to_the_gate(self, ratio, stderr, passed):
+        result = self.result(ratio, stderr)
+        assert result.passed is passed
+        assert result.line().endswith("  [pass]" if passed else "  [FAIL]")
+        assert "passed" not in result.record()
+
+
+def _sphere_labels_oracle(points):
+    # one point at a time: the nearest of the six axis and eight diagonal directions, if within cosine 0.95
+    s = 1.0 / math.sqrt(3.0)
+    centers = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
+    centers += [(a * s, b * s, c * s) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+    labels = []
+    for x, y, z in points.tolist():
+        norm = math.sqrt(x * x + y * y + z * z)
+        cosines = [(x * cx + y * cy + z * cz) / norm for cx, cy, cz in centers]
+        best = max(range(len(centers)), key=lambda i: cosines[i])
+        labels.append(best if cosines[best] > 0.95 else -1)
+    return labels
+
+
+def _torus_labels_oracle(points):
+    # one point at a time: the eighth of the ring angle, counted from +x towards +y
+    labels = []
+    for x, y, _ in points.tolist():
+        turn = (math.atan2(y, x) / (2.0 * math.pi)) % 1.0
+        labels.append(min(int(turn * 8), 7))
+    return labels
+
+
+class TestCatalogSuite:
+    def test_sphere_caps_match_a_per_point_oracle(self):
+        points = cloud_implicit(sphere_implicit(), Pseudo(21), 4_000).positions
+        s = 1.0 / math.sqrt(3.0)
+        centres = np.array([[0.0, 0.0, -1.0], [s, -s, s], [-s, -s, -s], [0.4, 0.0, 0.9]])
+        points = np.vstack([points, centres])
+        tests, scalar, labels, areas = catalog_suite("sphere", points)
+        assert labels.tolist() == _sphere_labels_oracle(points)
+        assert labels[-4:].tolist() == [5, 8, 13, -1]
+        assert set(labels.tolist()) == set(range(-1, 14))
+        assert areas.tolist() == [1.0] * 14
+        assert [t.name for t in tests] == [t.name for t in sphere_region_tests()]
+        assert np.array_equal(scalar, (points[:, 2] + 1.0) / 2.0)
+
+    def test_torus_sectors_match_a_per_point_oracle(self):
+        points = cloud_implicit(torus_implicit(), Pseudo(22), 4_000).positions
+        # the seam of the ring angle: just below and at zero, and both signs of zero on either side
+        seam = np.array(
+            [[2.5, -1e-300, 0.0], [2.5, -5e-324, 0.1], [2.5, -0.0, 0.0], [2.5, 0.0, 0.0], [-2.5, 0.0, 0.0], [-2.5, -0.0, 0.0]]
+        )
+        points = np.vstack([points, seam])
+        _, scalar, labels, areas = catalog_suite("torus", points)
+        assert labels.tolist() == _torus_labels_oracle(points)
+        assert labels[-6:].tolist() == [7, 0, 0, 0, 4, 4]  # atan2 of the subnormal underflows to -0.0
+        assert set(labels.tolist()) == set(range(8)) and areas.tolist() == [1.0] * 8
+        assert scalar.max() < 1.0
+
+    def test_a_mesh_is_binned_by_its_faces(self):
+        mesh = tetrahedron_mesh()
+        points = cloud_triangulated(mesh, Pseudo(23), 500).positions
+        _, _, labels, areas = catalog_suite("tetrahedron", points)
+        assert np.array_equal(labels, mesh_nearest_face(mesh, points)) and np.array_equal(areas, mesh.areas)
+
+    def test_unknown_surface(self):
+        with pytest.raises(ValueError, match="no audit suite for surface 'plane'; supported: sphere, torus"):
+            catalog_suite("plane", np.ones((10, 3)))
+
+
+class TestCatalogAudit:
+    def test_outcomes_in_order(self):
+        points = cloud_triangulated(tetrahedron_mesh(), Pseudo(24), 20_000).positions
+        outcomes = catalog_audit("tetrahedron", points)
+        assert [record["test"] for _, record, _ in outcomes] == ["region"] * 4 + ["ktuple", "density"]
+        assert all(passed for _, _, passed in outcomes)
+        assert all(line.endswith("  [pass]") for line, _, _ in outcomes)
+
+    def test_too_few_points_per_bin_skip_the_density_test(self):
+        # 14 caps that hold about a third of the points: 100 expected per cap needs about 4,200 points
+        points = cloud_implicit(sphere_implicit(), Pseudo(25), 2_000).positions
+        line = "density: skipped (fewer than 100 expected points per bin; generate more points)"
+        assert catalog_audit("sphere", points)[-1] == (line, None, True)
+
+    def test_an_empty_bin_fails(self):
+        points = cloud_implicit(sphere_implicit(), Pseudo(26), 20_000).positions
+        line, record, passed = catalog_audit("sphere", points[points[:, 2] > -0.5])[-1]
+        assert line.startswith("density: FAIL (empty density bins") and record is None and not passed
 
 
 class TestCurseBenchmark:
