@@ -166,7 +166,8 @@ def _resolve_surface(spec: str, clip: float | None, res: int | None, forms: tupl
             raise UsageError(
                 f"surface spec {spec!r} is neither a catalog name, a mesh path, nor a valid expression: {err}"
             )
-        builders = {"implicit": lambda: surfaces.ImplicitSurface(field, 2.0 if clip is None else clip, name=spec)}
+        clip = 2.0 if clip is None else clip
+        builders = {"implicit": lambda: surfaces.ImplicitSurface(field, clip, gradient=field.gradient, name=spec)}
     for form in forms:
         if builders.get(form):
             if res is not None and form not in charted:

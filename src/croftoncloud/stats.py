@@ -410,12 +410,12 @@ def catalog_suite(name: str, positions: np.ndarray):
     """``(region tests, k-tuple scalar, density labels, bin areas)`` of the audit of catalog surface *name*.
 
     Density bins: the sphere's 14 equal caps about the axis and diagonal directions, which expose the
-    axis-aligned density defect (-1 outside them); the torus's 8 ring sectors; a mesh's faces.
+    axis-aligned density defect (-1 outside them and at the origin); the torus's 8 ring sectors; a mesh's faces.
     """
     if name == "sphere":
         centers = np.vstack([np.eye(3), -np.eye(3), np.array(list(product((1.0, -1.0), repeat=3))) / np.sqrt(3.0)])
-        cosines = positions / np.linalg.norm(positions, axis=1, keepdims=True) @ centers.T
-        labels = np.where(cosines.max(axis=1) > 0.95, cosines.argmax(axis=1), -1)
+        dots = positions @ centers.T  # cosine > 0.95 without dividing, so the origin is in no cap
+        labels = np.where(dots.max(axis=1) > 0.95 * np.linalg.norm(positions, axis=1), dots.argmax(axis=1), -1)
         return sphere_region_tests(), sphere_unit_scalar(positions), labels, np.ones(len(centers))
     if name == "torus":
         scalar = torus_angle_scalar(positions)

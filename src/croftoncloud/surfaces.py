@@ -20,6 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .expr import compile_field
 from .geometry import _cross
 from .rng import BoxDomain
 
@@ -67,8 +68,9 @@ class ImplicitSurface:
     axis may be strided, and refinement on ``(m, 3)`` points, one row per
     bracket still being refined; the field must not write into its
     argument.
-    ``gradient``, when supplied, maps ``(..., 3)`` to ``(..., 3)``;
-    otherwise gradients fall back to central finite differences.
+    ``gradient``, when supplied, maps ``(..., 3)`` to ``(..., 3)``, as the
+    ``gradient`` of an :func:`expr.compile_field` field does (the catalog's
+    smooth surfaces pass theirs); otherwise gradients are central differences.
 
     ``bounds``, when supplied, is an axis-aligned box ``(lo, hi)`` of two
     3-vectors, kept as float tuples, that must contain the whole level set
@@ -304,6 +306,8 @@ def _triangulate_grid(surface: ParametricSurface):
 # ---------------------------------------------------------------------------
 # built-in catalog
 
+_num = np.format_float_positional  # constants enter the expressions positionally: the grammar refuses "1e-05"
+
 
 def _centred_box(half_widths) -> tuple:
     """``bounds`` of the box [-h, h] per axis, padded like the BVH's leaf boxes (relative 1e-9)."""
@@ -313,12 +317,8 @@ def _centred_box(half_widths) -> tuple:
 
 
 def sphere_implicit(radius: float = 1.0, clip: float = 2.0) -> ImplicitSurface:
-    r2 = radius * radius
-
-    def f(x):
-        return x[..., 0] ** 2 + x[..., 1] ** 2 + x[..., 2] ** 2 - r2
-
-    return ImplicitSurface(f, clip, gradient=lambda x: 2.0 * x, name="sphere", bounds=_centred_box([radius] * 3))
+    field = compile_field(f"x^2+y^2+z^2-{_num(radius * radius)}")
+    return ImplicitSurface(field, clip, gradient=field.gradient, name="sphere", bounds=_centred_box([radius] * 3))
 
 
 def sphere_chart(radius: float = 1.0, u_res: int = 128, v_res: int = 256) -> ParametricSurface:
@@ -341,17 +341,10 @@ def sphere_chart(radius: float = 1.0, u_res: int = 128, v_res: int = 256) -> Par
 
 
 def torus_implicit(ring_radius: float = 2.0, tube_radius: float = 0.5, clip: float = 3.0) -> ImplicitSurface:
-    def f(x):
-        s = np.sqrt(x[..., 0] ** 2 + x[..., 1] ** 2)
-        return (s - ring_radius) ** 2 + x[..., 2] ** 2 - tube_radius**2
-
-    def grad(x):
-        s = np.sqrt(x[..., 0] ** 2 + x[..., 1] ** 2)
-        factor = 2.0 * (s - ring_radius) / np.where(s > 0.0, s, np.inf)
-        return np.stack([factor * x[..., 0], factor * x[..., 1], 2.0 * x[..., 2]], axis=-1)
-
+    """The square-root form, not the quartic: a ring thinner than its tube then has no inner sheet."""
+    field = compile_field(f"(sqrt(x^2+y^2)-{_num(ring_radius)})^2+z^2-{_num(tube_radius**2)}")
     outer = abs(ring_radius) + abs(tube_radius)
-    return ImplicitSurface(f, clip, gradient=grad, name="torus", bounds=_centred_box([outer, outer, tube_radius]))
+    return ImplicitSurface(field, clip, gradient=field.gradient, name="torus", bounds=_centred_box([outer, outer, tube_radius]))
 
 
 def torus_chart(
@@ -375,15 +368,8 @@ def torus_chart(
 
 
 def ellipsoid_implicit(a: float = 1.5, b: float = 1.0, c: float = 0.5, clip: float = 2.0) -> ImplicitSurface:
-    def f(x):
-        return (x[..., 0] / a) ** 2 + (x[..., 1] / b) ** 2 + (x[..., 2] / c) ** 2 - 1.0
-
-    def grad(x):
-        return np.stack(
-            [2.0 * x[..., 0] / a**2, 2.0 * x[..., 1] / b**2, 2.0 * x[..., 2] / c**2], axis=-1
-        )
-
-    return ImplicitSurface(f, clip, gradient=grad, name="ellipsoid", bounds=_centred_box([a, b, c]))
+    field = compile_field(f"(x/{_num(a)})^2+(y/{_num(b)})^2+(z/{_num(c)})^2-1")
+    return ImplicitSurface(field, clip, gradient=field.gradient, name="ellipsoid", bounds=_centred_box([a, b, c]))
 
 
 def ellipsoid_chart(
@@ -406,16 +392,8 @@ def ellipsoid_chart(
 
 def plane_implicit(clip: float = 2.0) -> ImplicitSurface:
     """The plane z = 0; clipped to the ball it is a disk of area pi * clip^2."""
-
-    def f(x):
-        return x[..., 2]
-
-    def grad(x):
-        g = np.zeros_like(x)
-        g[..., 2] = 1.0
-        return g
-
-    return ImplicitSurface(f, clip, gradient=grad, name="plane")
+    field = compile_field("z")
+    return ImplicitSurface(field, clip, gradient=field.gradient, name="plane")
 
 
 def plane_patch_chart(side: float = 1.0, u_res: int = 2, v_res: int = 2) -> ParametricSurface:

@@ -262,3 +262,84 @@ def test_temporaries_are_dropped_at_their_last_read(text):
         assert all(reg in inputs and all(reg not in later[1] for later in steps[i + 1 :]) for reg in dead)
         # only a temporary is written over, never an axis of the points or a constant
         assert reuse is None or reuse in dead
+
+
+# ---------------------------------------------------------------------------
+# the compiled gradient against hand-written analytic gradients
+
+
+def _gradient_points():
+    """Seeded points with x in [0.5, 2] (powers, logs and square roots of x are real) and |y| >= 0.5 (division by y)."""
+    rng = np.random.default_rng(31)
+    x = rng.uniform(0.5, 2.0, 200)
+    y = rng.choice([-1.0, 1.0], 200) * rng.uniform(0.5, 2.0, 200)
+    return np.stack([x, y, rng.normal(size=200) * 2.0], axis=-1)
+
+
+#: every grammar op, each with its analytic gradient as a function of the columns x, y, z
+GRADIENTS = [
+    ("x+y+z", lambda x, y, z: (1.0 + 0 * x, 1.0 + 0 * x, 1.0 + 0 * x)),
+    ("x-y-z", lambda x, y, z: (1.0 + 0 * x, -1.0 + 0 * x, -1.0 + 0 * x)),
+    ("x*y*z", lambda x, y, z: (y * z, x * z, x * y)),
+    ("x/y+z/2", lambda x, y, z: (1.0 / y, -x / y**2, 0.5 + 0 * x)),
+    ("x^2+z^2", lambda x, y, z: (2.0 * x, 0 * x, 2.0 * z)),
+    ("x^3.5-y^3", lambda x, y, z: (3.5 * x**2.5, -3.0 * y**2, 0 * x)),
+    ("x^y", lambda x, y, z: (y * x ** (y - 1.0), x**y * np.log(x), 0 * x)),
+    ("2^z", lambda x, y, z: (0 * x, 0 * x, 2.0**z * np.log(2.0))),
+    ("-x*z", lambda x, y, z: (-z, 0 * x, -x)),
+    ("sin(x)*cos(y)", lambda x, y, z: (np.cos(x) * np.cos(y), -np.sin(x) * np.sin(y), 0 * x)),
+    ("exp(z/4)", lambda x, y, z: (0 * x, 0 * x, np.exp(z / 4.0) / 4.0)),
+    ("sqrt(x^2+y^2)", lambda x, y, z: (x / np.hypot(x, y), y / np.hypot(x, y), 0 * x)),
+    (TORUS_EXPR, lambda x, y, z: _quartic_torus_gradient(np.stack([x, y, z], axis=-1)).T),
+]
+
+
+def _quartic_torus_gradient(p):
+    """The exact gradient of TORUS_EXPR, (x^2+y^2+z^2+3.75)^2 - 16 (x^2+y^2)."""
+    s = (p**2).sum(axis=-1, keepdims=True) + 3.75
+    return 4.0 * s * p - 32.0 * p * np.array([1.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("text,want", GRADIENTS, ids=[text for text, _ in GRADIENTS])
+def test_gradient_matches_the_analytic_gradient(text, want):
+    points = _gradient_points()
+    got = compile_field(text).gradient(points)
+    exact = np.stack(want(*points.T), axis=-1)
+    assert got.shape == points.shape
+    assert (np.linalg.norm(got - exact, axis=-1) <= 1e-13 * np.linalg.norm(exact, axis=-1)).all()
+
+
+def test_gradient_shapes_for_single_points_and_strided_tiles():
+    field = compile_field("sin(x)*y+z^2")
+    tile = np.moveaxis(np.random.default_rng(32).normal(size=(3, 7, 9)), 0, -1)  # (rows, nodes, 3), last axis strided
+    assert field.gradient(tile).shape == (7, 9, 3)
+    assert field.gradient(tile).tobytes() == field.gradient(np.ascontiguousarray(tile)).tobytes()
+    single = field.gradient(tile[2, 3])
+    assert single.shape == (3,) and single.tobytes() == field.gradient(tile)[2, 3].tobytes()
+    # a constant or a bare axis still gives one writable gradient per point
+    assert compile_field("3").gradient(tile).tolist() == np.zeros((7, 9, 3)).tolist()
+    axis = compile_field("y").gradient(tile)
+    axis[0, 0] = 5.0
+    assert axis[1:].tolist() == np.broadcast_to([0.0, 1.0, 0.0], (6, 9, 3)).tolist()
+
+
+def test_gradient_reads_read_only_points_without_writing_them():
+    points = _gradient_points()
+    points.setflags(write=False)
+    for text, _ in GRADIENTS:
+        compile_field(text).gradient(points)
+    assert points.tobytes() == _gradient_points().tobytes()
+
+
+def test_expression_surface_normals_are_the_exact_gradient():
+    # the CLI's expression surface carries the compiled gradient, so normals need no central differences
+    from croftoncloud import cli
+    from croftoncloud.rng import Pseudo
+    from croftoncloud.samplers import cloud_implicit
+
+    surface = cli._resolve_surface(TORUS_EXPR, 3.0, None, ("implicit",))
+    assert surface.gradient is not None
+    cloud = cloud_implicit(surface, Pseudo(33), 20_000)
+    exact = _quartic_torus_gradient(cloud.positions)
+    exact /= np.linalg.norm(exact, axis=-1, keepdims=True)
+    assert np.abs(cloud.normals - exact).max() < 1e-14

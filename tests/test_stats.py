@@ -214,6 +214,15 @@ class TestCatalogSuite:
         assert [t.name for t in tests] == [t.name for t in sphere_region_tests()]
         assert np.array_equal(scalar, (points[:, 2] + 1.0) / 2.0)
 
+    def test_a_sphere_point_at_the_origin_is_unbinned_without_a_warning(self):
+        points = cloud_implicit(sphere_implicit(), Pseudo(27), 5_000).positions
+        points[0] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, labels, _ = catalog_suite("sphere", points)
+        assert labels[0] == -1
+        assert labels[1:].tolist() == _sphere_labels_oracle(points[1:])
+
     def test_torus_sectors_match_a_per_point_oracle(self):
         points = cloud_implicit(torus_implicit(), Pseudo(22), 4_000).positions
         # the seam of the ring angle: just below and at zero, and both signs of zero on either side
