@@ -4,7 +4,8 @@ Grammar (highest precedence first):
 
     ^  (right associative)  >  unary -  >  * /  >  + -
 
-with functions ``sin``, ``cos``, ``exp``, ``sqrt``, variables ``x``, ``y``, ``z``,
+with functions ``sin``, ``cos``, ``exp``, ``sqrt`` and the binary ``max`` (each
+function's argument count is its ufunc's ``nin``), variables ``x``, ``y``, ``z``,
 decimal literals (``5``, ``5.``, ``.5``, ``0.25``), and parentheses.  With
 ``^`` read as ``**`` (itself refused) this is a subset of Python's
 expressions, so :mod:`ast` parses it under a whitelist of node types into a
@@ -31,12 +32,14 @@ import numpy as np
 __all__ = ["compile_field", "ExpressionError"]
 
 _BINARY = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply, ast.Div: np.divide, ast.Pow: np.power}
-_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt, "max": np.maximum}
 _PARTIALS = {  # ufunc -> the partial derivative of its value v in each input, given v and the inputs; None for 1
     np.add: (None, None), np.subtract: (None, lambda v, a, b: -1.0),
     np.multiply: (lambda v, a, b: b, lambda v, a, b: a),
     np.divide: (lambda v, a, b: 1.0 / b, lambda v, a, b: -v / b),
-    np.power: (lambda v, a, b: b * np.power(a, b - 1.0), lambda v, a, b: v * np.log(a)),
+    # a real power of a <= 0 has an integer exponent, or is 0 at a = 0: it does not vary with the exponent there
+    np.power: (lambda v, a, b: b * np.power(a, b - 1.0), lambda v, a, b: v * np.log(a, out=np.zeros(np.shape(v)), where=a > 0)),
+    np.maximum: (lambda v, a, b: a >= b, lambda v, a, b: a < b),  # a tie takes the first argument
     np.square: (lambda v, a: 2.0 * a,), np.negative: (lambda v, a: -1.0,), np.exp: (lambda v, a: v,),
     np.sin: (lambda v, a: np.cos(a),), np.cos: (lambda v, a: -np.sin(a),),
     np.sqrt: (lambda v, a: np.divide(0.5, v, out=np.zeros(np.shape(v)), where=v != 0.0),),  # 0 at a cone point
@@ -70,8 +73,10 @@ def _walk(node, source: str, registers: dict) -> int:
             key = (_BINARY[type(node.op)], left, _walk(node.right, source, registers))
     elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         key = (np.negative, _walk(node.operand, source, registers))
-    elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in _FUNCTIONS and len(node.args) == 1 and not node.keywords:
-        key = (_FUNCTIONS[node.func.id], _walk(node.args[0], source, registers))
+    elif isinstance(node, ast.Call) and (ufunc := _FUNCTIONS.get(getattr(node.func, "id", None))) and not node.keywords:
+        if len(node.args) != ufunc.nin:
+            raise ExpressionError(f"{node.func.id} takes {ufunc.nin} argument(s), got {len(node.args)} in {source!r}")
+        key = (ufunc, *(_walk(arg, source, registers) for arg in node.args))
     elif isinstance(node, ast.Name):
         if node.id not in _AXES:
             raise ExpressionError(f"unknown name {node.id!r} (variables x, y, z; functions {', '.join(_FUNCTIONS)})")

@@ -54,6 +54,22 @@ def _cross(a, b):
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    """Each row of *v* ``(..., 3)`` over its norm; a row with no direction (norm 0 or not finite) becomes nan.
+
+    A row whose squares under- or overflow (a vector scaled by 1e-200 or 1e200) is divided by its largest
+    component first; every other row keeps the bits of ``v / norm``.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    ok = np.isfinite(norms) & (norms > 0.0)
+    if not ok.all():
+        scale = np.abs(v).max(axis=-1, keepdims=True)
+        v = v / np.where(ok, 1.0, np.where(np.isfinite(scale) & (scale > 0.0), scale, np.nan))
+        norms = np.where(ok, norms, np.linalg.norm(v, axis=-1, keepdims=True))
+    return v / norms
+
+
 def slab_chord(lo, hi, neg, inv, feet, half):
     """``(enter, leave)``: the part of each chord t in [-half, half] inside its box [lo, hi].
 

@@ -300,22 +300,11 @@ def _unit_normals(surface: ImplicitSurface, points: np.ndarray) -> np.ndarray:
     if not len(points):
         return np.empty((0, 3))
     grads = surface.gradient_at(points)
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(grads, axis=1)
-    # the squares of a gradient of a field scaled by 1e-200 or 1e200 underflow or overflow: such a gradient is
-    # divided by its largest component first, and every other gradient keeps its bits
-    bad = ~(np.isfinite(norms) & (norms > 0.0))
-    if bad.any():
-        scale = np.abs(grads).max(axis=1)
-        odd = np.flatnonzero(bad & np.isfinite(scale) & (scale > 0.0))
-        grads = grads.copy()
-        grads[odd] /= scale[odd, None]
-        norms[odd] = np.linalg.norm(grads[odd], axis=1)
-    ok = np.isfinite(norms) & (norms > 0.0)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise FloatingPointError(f"no unit normal at {points[i].tolist()}: gradient norm {norms[i]}")
-    return grads / norms[:, None]
+    normals = geometry._unit(grads)
+    if np.isnan(normals[:, 0]).any():  # a gradient with no direction gives a row of nan
+        i = int(np.argmax(np.isnan(normals[:, 0])))
+        raise FloatingPointError(f"no unit normal at {points[i].tolist()}: gradient {grads[i].tolist()}")
+    return normals
 
 
 def _kinematic_lines(src: ScalarSource, clip: float, count: int):
@@ -505,7 +494,7 @@ def cloud_triangulated(surface: TriangulatedSurface, src: ScalarSource, n_points
 
 
 def _chart_normals(surface: ParametricSurface, pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
-    """Unit du x dv from the chart's own partials, else central differences; NaN where the cross is 0."""
+    """Unit du x dv from the chart's own partials, else central differences; nan where the cross is 0 or not finite."""
     if surface.partials is not None:
         du, dv = map(np.asarray, surface.partials(pu, pv))
     else:
@@ -513,10 +502,7 @@ def _chart_normals(surface: ParametricSurface, pu: np.ndarray, pv: np.ndarray) -
         hv = 1e-6 * (surface.domain.highs[1] - surface.domain.lows[1])
         du = (np.asarray(surface.chart(pu + hu, pv)) - np.asarray(surface.chart(pu - hu, pv))) / (2 * hu)
         dv = (np.asarray(surface.chart(pu, pv + hv)) - np.asarray(surface.chart(pu, pv - hv))) / (2 * hv)
-    cross = geometry._cross(du, dv)
-    norms = np.linalg.norm(cross, axis=-1, keepdims=True)
-    with np.errstate(invalid="ignore"):
-        return cross / np.where(norms > 0.0, norms, np.nan)
+    return geometry._unit(geometry._cross(du, dv))
 
 
 def cloud_parametric(surface: ParametricSurface, src: ScalarSource, n_points: int) -> PointCloud:

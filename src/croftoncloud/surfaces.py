@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .expr import compile_field
-from .geometry import _cross
+from .geometry import _cross, _unit
 from .rng import BoxDomain
 
 __all__ = [
@@ -69,8 +69,8 @@ class ImplicitSurface:
     bracket still being refined; the field must not write into its
     argument.
     ``gradient``, when supplied, maps ``(..., 3)`` to ``(..., 3)``, as the
-    ``gradient`` of an :func:`expr.compile_field` field does (the catalog's
-    smooth surfaces pass theirs); otherwise gradients are central differences.
+    ``gradient`` of an :func:`expr.compile_field` field does (every catalog
+    surface passes its own); central differences serve only fields without one.
 
     ``bounds``, when supplied, is an axis-aligned box ``(lo, hi)`` of two
     3-vectors, kept as float tuples, that must contain the whole level set
@@ -261,10 +261,7 @@ def triangle_area(tri) -> np.ndarray | float:
 def triangle_normal(tri) -> np.ndarray:
     """Unit normal oriented by vertex order; nan for degenerate triangles."""
     t = np.asarray(tri, dtype=np.float64)
-    cross = _cross(t[..., 1, :] - t[..., 0, :], t[..., 2, :] - t[..., 1, :])
-    norm = np.linalg.norm(cross, axis=-1, keepdims=True)
-    with np.errstate(invalid="ignore"):
-        return cross / np.where(norm > 0.0, norm, np.nan)
+    return _unit(_cross(t[..., 1, :] - t[..., 0, :], t[..., 2, :] - t[..., 1, :]))
 
 
 def triangulate_parametric(surface: ParametricSurface):
@@ -436,17 +433,13 @@ def corner_pyramid_implicit(clip: float = 2.0) -> ImplicitSurface:
     """Boundary of {x, y, z >= 0, x + y + z <= 1} as a max-of-planes level set.
 
     Piecewise smooth; lines through edges form a null set, so scan-based
-    intersection works unchanged.
+    intersection works unchanged.  Its compiled gradient is the normal of the
+    plane attaining the max: central differences serve only fields without one.
     """
-
-    def f(x):
-        return np.maximum.reduce(
-            [-x[..., 0], -x[..., 1], -x[..., 2], x[..., 0] + x[..., 1] + x[..., 2] - 1.0]
-        )
-
+    field = compile_field("max(max(-x,-y),max(-z,x+y+z-1))")
     # the box [0, 1]^3, padded as the centred boxes are
     lo, hi = _centred_box([0.5] * 3)
-    return ImplicitSurface(f, clip, name="pyramid", bounds=(lo + 0.5, hi + 0.5))
+    return ImplicitSurface(field, clip, gradient=field.gradient, name="pyramid", bounds=(lo + 0.5, hi + 0.5))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from croftoncloud.surfaces import ellipsoid_implicit, plane_implicit, sphere_implicit, torus_implicit
+from croftoncloud.rng import Pseudo
+from croftoncloud.samplers import cloud_axis_aligned
+from croftoncloud.surfaces import (
+    CATALOG,
+    FD_STEP,
+    corner_pyramid_implicit,
+    ellipsoid_implicit,
+    plane_implicit,
+    sphere_implicit,
+    torus_implicit,
+)
 
 
 def _sphere(radius=1.0):
@@ -47,6 +57,22 @@ def _plane():
     return (lambda x: x[..., 2]), grad
 
 
+#: the pyramid's four planes, as rows (normal, offset): the value of plane k at x is normal . x + offset
+_PYRAMID_PLANES = np.array([[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 1.0, 1.0]])
+
+
+def _pyramid():
+    def f(x):
+        return np.maximum.reduce([-x[..., 0], -x[..., 1], -x[..., 2], x[..., 0] + x[..., 1] + x[..., 2] - 1.0])
+
+    def grad(x):
+        # the normal of the plane that attains the max, the first of a tie
+        planes = np.stack([-x[..., 0], -x[..., 1], -x[..., 2], x[..., 0] + x[..., 1] + x[..., 2] - 1.0], axis=-1)
+        return _PYRAMID_PLANES[np.argmax(planes, axis=-1)]
+
+    return f, grad
+
+
 #: (builder, reference, parameters, size of the surface): the defaults, tiny, huge and negative radii
 CASES = [
     (builder, reference, params, scale)
@@ -61,7 +87,7 @@ CASES = [
         (tuple(1e5 * v for v in default), 1e5),
         (tuple(-v if k % 2 == 0 else v for k, v in enumerate(default)), 1.0),
     ]
-] + [(plane_implicit, _plane, (), 1.0)]
+] + [(plane_implicit, _plane, (), 1.0), (corner_pyramid_implicit, _pyramid, (), 1.0)]
 
 
 def _points(scale):
@@ -91,3 +117,21 @@ def test_torus_thinner_ring_than_tube_on_its_axis():
     surface = torus_implicit(0.3, 0.5)
     assert surface.field(points).tobytes() == field(points).tobytes()
     assert surface.gradient_at(points).tolist() == gradient(points).tolist()
+
+
+def test_every_catalog_implicit_surface_carries_its_gradient():
+    # so no catalog cloud takes its normals from central differences
+    for name, entry in CATALOG.items():
+        if entry.implicit is not None:
+            assert entry.implicit().gradient is not None, name
+
+
+def test_pyramid_hits_beside_an_edge_get_their_face_normal():
+    # two hits of this cloud lie 5.1e-6 from an edge, inside the central-difference step, which blended two faces
+    cloud = cloud_axis_aligned(corner_pyramid_implicit(), Pseudo(1), 3000)
+    x = cloud.positions
+    planes = np.stack([-x[:, 0], -x[:, 1], -x[:, 2], x.sum(axis=1) - 1.0], axis=-1)
+    top = np.sort(planes, axis=1)
+    assert np.count_nonzero(top[:, -1] - top[:, -2] < FD_STEP) >= 2
+    faces = _PYRAMID_PLANES / np.linalg.norm(_PYRAMID_PLANES, axis=1, keepdims=True)
+    assert (cloud.normals == faces[np.argmax(planes, axis=1)]).all()

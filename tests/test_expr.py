@@ -30,6 +30,8 @@ X, Y, Z = PTS[:, 0], PTS[:, 1], PTS[:, 2]
         ("-(x+y)", -(X + Y)),
         ("3", np.full(3, 3.0)),
         ("x^2^2", X**4),  # right associative: x^(2^2)
+        ("max(x,y)-max(-z,2)", np.maximum(X, Y) - np.maximum(-Z, 2.0)),
+        ("max(max(-x,-y),max(-z,x+y+z-1))", np.maximum(np.maximum(-X, -Y), np.maximum(-Z, X + Y + Z - 1))),
     ],
 )
 def test_evaluation(text, expected):
@@ -60,7 +62,9 @@ def test_vectorized_shapes():
     ["", "1+", "(x", "x)", "q(x)", "sin x", "x ** 2", "1..2", "x $ y", "sin()"]
     # Python syntax outside the language
     + ["x**2", "1e-3", "0x10", "1_0", "+x", "x//2", "x<y", "1j", "sin(x, y)", "x.real", "[x]"]
-    + ["x if y else z", "lambda: 1", "__import__('os')", "1)+(2"],
+    + ["x if y else z", "lambda: 1", "__import__('os')", "1)+(2"]
+    # a function's argument count is its ufunc's
+    + ["max(x)", "max(x,y,z)", "max()", "max(x,y=1)", "max"],
 )
 def test_rejects_malformed(text):
     with pytest.raises(ExpressionError):
@@ -290,8 +294,44 @@ GRADIENTS = [
     ("sin(x)*cos(y)", lambda x, y, z: (np.cos(x) * np.cos(y), -np.sin(x) * np.sin(y), 0 * x)),
     ("exp(z/4)", lambda x, y, z: (0 * x, 0 * x, np.exp(z / 4.0) / 4.0)),
     ("sqrt(x^2+y^2)", lambda x, y, z: (x / np.hypot(x, y), y / np.hypot(x, y), 0 * x)),
+    # both sides of the kink: x > y wherever y < 0, and x < y at some other points
+    ("max(x,y)", lambda x, y, z: (1.0 * (x >= y), 1.0 * (x < y), 0 * x)),
+    ("max(x*y,z)+max(2,z)", lambda x, y, z: (y * (x * y >= z), x * (x * y >= z), 1.0 * (x * y < z) + (2.0 < z))),
     (TORUS_EXPR, lambda x, y, z: _quartic_torus_gradient(np.stack([x, y, z], axis=-1)).T),
 ]
+
+
+def test_max_gradient_on_both_sides_of_a_tie_and_at_it_takes_the_first_argument():
+    points = np.array([[1.0, 1.0, 0.5], [-2.0, -2.0, 3.0], [1.0, 1.0 + 2e-16, 0.0], [1.0 + 2e-16, 1.0, 0.0]])
+    assert compile_field("max(x,y)").gradient(points).tolist() == [[1.0, 0.0, 0.0]] * 2 + [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+    assert compile_field("max(y,x)").gradient(points).tolist() == [[0.0, 1.0, 0.0]] * 2 + [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+    # the pyramid's edge x = y, both above the other two planes: the first plane's normal
+    assert compile_field("max(max(-x,-y),max(-z,x+y+z-1))").gradient([-1.0, -1.0, 2.0]).tolist() == [-1.0, 0.0, 0.0]
+
+
+def test_max_shares_a_subtree_and_runs_on_tiles_and_single_points():
+    # x^2+y^2 inside and outside max is computed once: squares, sum, max, difference
+    _, _, steps, _ = expr._program("max(x^2+y^2,z)-(x^2+y^2)")
+    assert [step[0] for step in steps] == [np.square, np.square, np.add, np.maximum, np.subtract]
+    field = compile_field("max(x^2+y^2,z)-(x^2+y^2)")
+    tile = np.moveaxis(np.random.default_rng(34).normal(size=(3, 7, 9)), 0, -1)  # (rows, nodes, 3), last axis strided
+    want = np.maximum(tile[..., 0] ** 2 + tile[..., 1] ** 2, tile[..., 2]) - (tile[..., 0] ** 2 + tile[..., 1] ** 2)
+    assert field(tile).shape == (7, 9) and field(tile).tobytes() == want.tobytes()
+    grad = field.gradient(tile)
+    assert grad.shape == (7, 9, 3) and grad.tobytes() == field.gradient(np.ascontiguousarray(tile)).tobytes()
+    assert field(tile[2, 3]).shape == () and field(tile[2, 3]) == want[2, 3]
+    assert field.gradient(tile[2, 3]).tobytes() == grad[2, 3].tobytes()
+
+
+def test_exponent_partial_where_the_base_is_not_positive():
+    # a real power of a base <= 0 has an integer exponent, or is 0 at a 0 base: it does not vary with the exponent
+    assert compile_field("(x-5)^(y*0+2)").gradient([[1.0, 2.0, 3.0]]).tolist() == [[-8.0, 0.0, 0.0]]
+    assert compile_field("x^y").gradient([[0.0, 2.0, 3.0]]).tolist() == [[0.0, 0.0, 0.0]]
+    assert compile_field("x^y").gradient([[-2.0, 3.0, 0.0]]).tolist() == [[12.0, 0.0, 0.0]]
+    # where the base is positive the partial is still v log(a), bit for bit
+    points = _gradient_points()
+    x, y = points[:, 0], points[:, 1]
+    assert compile_field("x^y").gradient(points)[:, 1].tobytes() == (np.power(x, y) * np.log(x)).tobytes()
 
 
 def _quartic_torus_gradient(p):

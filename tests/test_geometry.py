@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from croftoncloud.geometry import (
     _cross,
     _reflect_feet,
+    _unit,
     kinematic_mass,
     sample_line_batch,
     unit_sphere_area,
 )
 from croftoncloud.rng import Pseudo, sample_ball
+from croftoncloud.surfaces import sphere_chart, triangle_area, triangle_normal, triangulate_parametric
 
 from conftest import ScriptedSource, binomial_sigma
 
@@ -231,3 +233,37 @@ class TestLineSampling:
         p = 2.0 ** -(n - 1)
         inner = int((radii < r / 2).sum())
         assert abs(inner - count * p) < 3.0 * binomial_sigma(count, p)
+
+
+class TestUnit:
+    """One rule turns a vector into a unit normal: gradients, chart partials' cross products and triangle normals."""
+
+    def test_rows_without_a_direction_are_nan(self):
+        v = np.array([[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0], [np.nan, 1.0, 0.0], [1e-200, 2e-200, 0.0], [3.0, 0.0, -4.0]])
+        got = _unit(v)
+        assert np.isnan(got[:3]).all()
+        assert np.allclose(got[3], [1.0 / math.sqrt(5.0), 2.0 / math.sqrt(5.0), 0.0], rtol=1e-15, atol=0.0)
+        assert got[4].tolist() == [0.6, 0.0, -0.8]
+        assert _unit(v[4]).tolist() == [0.6, 0.0, -0.8] and _unit(np.empty((0, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize("scale", [1e-155, 1e100])
+    def test_tiny_and_huge_triangles_get_their_unit_normal(self, scale):
+        # the squares of the cross product underflow or overflow, so it is divided by its largest component first
+        tri = np.array([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]) * scale
+        assert triangle_normal(tri).tolist() == [0.0, 0.0, 1.0]
+        assert triangle_normal(tri[::-1]).tolist() == [0.0, 0.0, -1.0]
+        if scale < 1.0:
+            # its area is 0 too, so a cloud never picks it
+            assert triangle_area(tri) == 0.0
+
+    def test_degenerate_and_pole_triangles_keep_their_nan_bytes(self):
+        mesh, _ = triangulate_parametric(sphere_chart())
+        tris = np.concatenate([mesh.triangles, [[(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2.0, 2.0, 2.0)]]])
+        # the division it replaced
+        cross = _cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 1])
+        norm = np.linalg.norm(cross, axis=-1, keepdims=True)
+        with np.errstate(invalid="ignore"):
+            want = cross / np.where(norm > 0.0, norm, np.nan)
+        got = triangle_normal(tris)
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got[-1]).all() and np.isnan(got[:-1]).all(axis=1).sum() > 0

@@ -48,6 +48,17 @@ class TestNormalImplicit:
         with pytest.raises(FloatingPointError, match=r"no unit normal at \[0.0, 0.0, 0.0\]"):
             _unit_normals(cone, np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_gradient_that_is_not_finite_raises(self, bad):
+        def gradient(x):
+            grad = 2.0 * x
+            grad[1, 0] = bad
+            return grad
+
+        sphere = ImplicitSurface(sphere_implicit().field, 2.0, gradient=gradient)
+        with pytest.raises(FloatingPointError, match=r"no unit normal at \[0.0, 0.6, 0.8\]"):
+            _unit_normals(sphere, np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]]))
+
     def test_cloud_with_zero_gradient_raises(self):
         sphere = sphere_implicit()
         flat = ImplicitSurface(sphere.field, 2.0, gradient=lambda x: np.zeros_like(x))
