@@ -19,11 +19,16 @@ step may write its result over an input temporary it reads last, never
 over the points.  The field's ``gradient`` attribute, ``(..., 3) -> (..., 3)``,
 is forward-mode differentiation: :func:`_run` runs the same steps on three
 partials per register (:data:`_PARTIALS`), writing no step over an input.
+A polynomial of degree 1 to 8 (:data:`_LINE_DEGREE`) also has a
+``line_polynomial``, its coefficients in t on lines (:class:`_Line`); ``sin``,
+``cos``, ``exp``, ``sqrt``, ``max``, division by a varying term and a
+varying, non-integer or too large exponent leave it off.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
 import re
 import warnings
 
@@ -45,6 +50,8 @@ _PARTIALS = {  # ufunc -> the partial derivative of its value v in each input, g
     np.sqrt: (lambda v, a: np.divide(0.5, v, out=np.zeros(np.shape(v)), where=v != 0.0),),  # 0 at a cone point
 }
 _AXES = ("x", "y", "z")
+#: the highest degree a field may have and still get a ``line_polynomial``
+_LINE_DEGREE = 8
 _DECIMAL = re.compile(r"\d+\.?\d*|\.\d+")
 
 
@@ -126,15 +133,15 @@ def _program(text: str):
     return len(registers), constants, steps, result
 
 
-def _run(program, points: np.ndarray, gradient: bool) -> tuple:
-    """``(value, partials)`` at *points*: the partials in x, y, z, ``(3, ...)``, or None if constant or not *gradient*."""
+def _run(program, axes, gradient: bool) -> tuple:
+    """``(value, partials)`` from the x, y, z *axes* (arrays or :class:`_Line`): partials ``(3, ...)`` or None."""
     size, constants, steps, result = program
     regs, grads = [None] * size, [None] * size
-    regs[: len(_AXES)] = (points[..., k] for k in range(len(_AXES)))
+    regs[: len(_AXES)] = axes
     for reg, value in constants:
         regs[reg] = value
     if gradient:
-        grads[: len(_AXES)] = np.eye(3).reshape((3, 3) + (1,) * (points.ndim - 1))
+        grads[: len(_AXES)] = np.eye(3).reshape((3, 3) + (1,) * np.ndim(axes[0]))
     for ufunc, inputs, out, reuse, dead in steps:
         args = [regs[reg] for reg in inputs]
         buffer = None if reuse is None or gradient else regs[reuse]
@@ -149,13 +156,56 @@ def _run(program, points: np.ndarray, gradient: bool) -> tuple:
     return regs[result], grads[result]
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.zeros((len(a) + len(b) - 1, a.shape[1]))
+    for k, row in enumerate(a):
+        out[k : k + len(b)] += row * b
+    return out
+
+
+class _Line:
+    """Coefficients ``(degree + 1, lines)`` in t on lines: the number type :func:`_run` runs for ``line_polynomial``.
+
+    A step off the polynomials of degree up to _LINE_DEGREE raises TypeError.
+    *rounds* bounds the roundings on any path to the value in the field's
+    evaluation (n for an n-th power).  An *absolute* one runs the majorant:
+    constants by absolute value, a difference as a sum, a negation dropped.
+    """
+
+    def __init__(self, coefficients: np.ndarray, absolute: bool, rounds: int = 0):
+        self.c, self.absolute, self.rounds = coefficients, absolute, rounds
+
+    def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+        rows = [x.c if isinstance(x, _Line) else np.full((1, self.c.shape[1]), abs(x) if self.absolute else x) for x in args]
+        a, b = (rows + [None])[:2]
+        rounds = 1 + max(x.rounds for x in args if isinstance(x, _Line))
+        constant = len(args) == 2 and not isinstance(args[1], _Line)
+        if ufunc in (np.add, np.subtract):
+            c = np.zeros((max(len(a), len(b)), a.shape[1]))
+            c[: len(a)] += a
+            c[: len(b)] += b if ufunc is np.add or self.absolute else -b
+        elif ufunc in (np.multiply, np.square):
+            c = _product(a, a if ufunc is np.square else b)
+        elif ufunc is np.negative:
+            c = a if self.absolute else -a
+        elif ufunc is np.divide and constant:
+            c = a / b
+        elif ufunc is np.power and constant and args[1] in range(_LINE_DEGREE + 1):
+            c, rounds = np.ones((1, a.shape[1])), rounds - 1 + int(args[1])
+            for _ in range(int(args[1])):
+                c = _product(c, a)
+        else:
+            return NotImplemented
+        return _Line(c, self.absolute, rounds) if len(c) <= _LINE_DEGREE + 1 else NotImplemented
+
+
 def compile_field(text: str):
     """Compile an expression in x, y, z to a vectorized field callable with a ``gradient`` attribute."""
     program = _program(text)
 
     def field(points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
-        value, _ = _run(program, points, False)
+        value, _ = _run(program, [points[..., k] for k in range(len(_AXES))], False)
         # a step's array is the caller's own; an axis of the points, a constant or a 0-d result is broadcast
         if program[2] and type(value) is np.ndarray:
             return value
@@ -163,8 +213,18 @@ def compile_field(text: str):
 
     def gradient(points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
-        partials = _run(program, points, True)[1]
+        partials = _run(program, [points[..., k] for k in range(len(_AXES))], True)[1]
         return np.moveaxis(np.broadcast_to(0.0 if partials is None else partials, (3, *points.shape[:-1])), 0, -1).copy()
 
+    def line_polynomial(dirs: np.ndarray, feet: np.ndarray, majorant: bool = False) -> np.ndarray:
+        """The field on the lines ``feet + t dirs`` ``(lines, 3)``: its coefficients in t, or its majorant's."""
+        lines = [_Line(np.abs(part) if majorant else part, majorant) for part in np.stack((feet, dirs)).transpose(2, 0, 1)]
+        return _run(program, lines, False)[0].c
+
     field.gradient = gradient
+    probe = None
+    with np.errstate(all="ignore"), contextlib.suppress(TypeError):  # on no lines; raises off the polynomials
+        probe = _run(program, [_Line(np.zeros((2, 0)), False)] * len(_AXES), False)[0]
+    if isinstance(probe, _Line) and len(probe.c) > 1:
+        field.line_polynomial, line_polynomial.rounds = line_polynomial, probe.rounds
     return field

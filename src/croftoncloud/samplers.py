@@ -6,11 +6,10 @@ Because the expected number of hits a line makes with any region is
 proportional to that region's area, the appended sequence is equidistributed
 on the surface.  The clouds read a surface through ``crofton._resolve``, as
 the estimators do, so a cloud and an estimate are one line statistic.  An
-implicit surface's chord inside the clip ball and its bounding box (no box
-is the infinite box) is scanned into one list of brackets, each refined by
-safeguarded Illinois steps, and a located bracket that turns out to be a
-pole is dropped; a mesh, or a chart through its grid triangulation, is cut
-by exact line-triangle tests.
+implicit surface's chord inside the clip ball is scanned into one list of
+brackets, each refined by safeguarded Illinois steps, and a located bracket
+that turns out to be a pole is dropped; a mesh, or a chart through its grid
+triangulation, is cut by exact line-triangle tests.
 
 Triangle clouds make one area-weighted draw: pick a triangle through the
 cumulative-area table, fold a point into the simplex, and take its
@@ -26,11 +25,11 @@ piecewise-linear proxy (the selection weights still come from the proxy, a
 bias that shrinks like the squared grid step).
 
 The scan has no knobs: :data:`SCAN_STEPS` equal cells per ball chord and
-:data:`ROOT_TOL` on each refined hit.  A bounding box only picks which of
-those cells a line evaluates: a line that misses the box counts 0 and is
-never evaluated, and a chord cut by the box scans the ball cells that meet
-the box plus one on each side.  Every node is a ball scan node, so a box
-changes no output bit.  Lines are scanned widest run first, in tiles of
+:data:`ROOT_TOL` on each refined hit.  The field's polynomial on each line
+(Bernstein bounds, :func:`_polynomial_runs`), else the bounding box, else
+nothing, only picks which of those cells a line evaluates
+(:func:`_scan_runs`); every node is a ball scan node, so neither changes an
+output bit.  Lines are scanned widest run first, in tiles of
 whole rows of at most :data:`SCAN_TILE` nodes each, so the scan's memory
 does not grow with the line count.  A feature thinner than one cell (a
 short chord through an edge or a vertex) can show no sign change and be
@@ -51,6 +50,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -199,26 +199,79 @@ def _refine_bisection(surface, dirs, feet, t_lo, t_hi, g_lo, g_hi):
     return ts
 
 
+def _polynomial_runs(line_polynomial, dirs, feet, half):
+    """Runs ``(lines, first, width)`` of the ball cells that may hold a bracket of a polynomial field.
+
+    De Casteljau halves each chord's Bernstein form on [-half, half] down to
+    the SCAN_STEPS cells and drops a piece once its coefficients all clear
+    the guard with one sign, which the field then has at every scan node in
+    it.  A run is a line's candidate cells plus one on each side, as a box's
+    run is; candidates up to 3 cells apart share one, so a line's runs share
+    no cell.
+
+    The guard, for degree D and R ``rounds``, u = 2^-53, the majorant m (the
+    program on |feet|, |dirs| and |constants|, differences read as sums) and
+    M = 3^D m(half): rounding moves the field at the nodes (their t, points
+    and evaluation) by (3D + R) u M, the Bernstein form by R(D + 1) u M from
+    the coefficients (a step sums up to D + 1 products), by (2D + 7) u M from
+    the scaling, basis change and division by the guard, and by 8D u M in 8
+    halvings.  2u (R + 12)(D + 2) M covers it all, underflow aside.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        power_form = line_polynomial(dirs, feet)
+        n = len(power_form) - 1
+        j = np.arange(n + 1)
+        binomial = np.array([[comb(a, b) for b in j] for a in j], dtype=np.float64)
+        # on [-1, 1]: b = B S e, B[i, j] = C(i, j) / C(n, j), S[j, k] = C(k, j) 2^j (-1)^(k - j); (|B| |S|)[i, k] <= 3^k
+        to_bernstein = (binomial / binomial[-1]) @ (binomial.T * 2.0 ** j[:, None] * (-1.0) ** (j - j[:, None]))
+        powers = half ** j[:, None]
+        majorant = (line_polynomial(dirs, feet, majorant=True) * powers).sum(axis=0)
+        guard = majorant * (2.0**-52 * (line_polynomial.rounds + 12) * (n + 2) * 3.0**n)
+        # in units of the guard; a line whose guard is 0 or whose form is not finite keeps every cell
+        bern = to_bernstein @ (power_form * powers) / guard
+    bern[:, ~np.isfinite(bern).all(axis=0)] = 0.0
+    left = binomial / 2.0 ** j[:, None]  # the exact de Casteljau weights of the left half; the right half's mirror them
+    halves = np.vstack((left, left[::-1, ::-1]))
+    keys = np.arange(len(half)) * SCAN_STEPS  # a piece's line times SCAN_STEPS plus its first cell
+    for level in range(SCAN_STEPS.bit_length()):
+        keep = np.flatnonzero((bern.min(axis=0) <= 1.0) & (bern.max(axis=0) >= -1.0))
+        keys = keys[keep]
+        if 1 << level == SCAN_STEPS:
+            break
+        bern = (halves @ bern.take(keep, axis=1)).reshape(2, n + 1, -1).transpose(1, 0, 2).reshape(n + 1, -1)
+        keys = np.concatenate((keys, keys + (SCAN_STEPS >> level + 1)))
+    lines, cells = np.divmod(np.sort(keys), SCAN_STEPS)
+    start = np.ones(len(lines) + 1, dtype=bool)  # start[i]: candidate i starts a run, and candidate i - 1 ends one
+    start[1:-1] = (lines[1:] != lines[:-1]) | (cells[1:] - cells[:-1] > 3)
+    first = np.maximum(cells[start[:-1]] - 1, 0)
+    return lines[start[:-1]], first, np.minimum(cells[start[1:]] + 2, SCAN_STEPS) - first
+
+
 def _scan_runs(surface: ImplicitSurface, dirs, feet):
-    """The ball scan's nodes each line with a chord evaluates: ``(ids, half, first, width)``, widest run first.
+    """The ball scan's runs of nodes: ``(ids, half, first, width)``, widest run first.
 
     Line ``ids[i]`` scans nodes ``first[i] .. first[i] + width[i]`` of the
     ball grid ``half[i] * linspace(-1, 1, SCAN_STEPS + 1)``, *half* its ball
-    chord's half-length: every cell that meets the box's part of the chord
-    plus one on each side, so the cells left out hold no zero of the field
-    and a box changes no hit.  No box is the infinite box, whose run is
-    every node of the chord.
+    chord's half-length.  A field's ``line_polynomial`` gives the runs
+    (:func:`_polynomial_runs`, some lines several), else the box: every cell
+    that meets the box's part of the chord plus one on each side, so the
+    cells left out hold no bracket.  No box is the infinite box.
     """
     half = _chord_half_lengths(feet, surface.clip_radius)
-    lo, hi = surface.bounds or ((-np.inf,) * 3, (np.inf,) * 3)
-    with np.errstate(divide="ignore"):
-        inv = 1.0 / dirs
-    t0, t1 = geometry.slab_chord(lo, hi, np.signbit(dirs), inv, feet, half)
-    ids = np.nonzero(t0 < t1)[0]
+    if hasattr(surface.field, "line_polynomial"):
+        ids = np.flatnonzero(half > 0.0)
+        lines, first, width = _polynomial_runs(surface.field.line_polynomial, dirs[ids], feet[ids], half[ids])
+        ids = ids[lines]
+    else:
+        lo, hi = surface.bounds or ((-np.inf,) * 3, (np.inf,) * 3)
+        with np.errstate(divide="ignore"):
+            inv = 1.0 / dirs
+        t0, t1 = geometry.slab_chord(lo, hi, np.signbit(dirs), inv, feet, half)
+        ids = np.nonzero(t0 < t1)[0]
+        scale = 0.5 * SCAN_STEPS / half[ids]
+        first = np.maximum(np.floor((t0[ids] + half[ids]) * scale).astype(np.intp) - 1, 0)
+        width = np.minimum(np.floor((t1[ids] + half[ids]) * scale).astype(np.intp) + 2, SCAN_STEPS) - first
     half = half[ids]
-    scale = 0.5 * SCAN_STEPS / half
-    first = np.maximum(np.floor((t0[ids] + half) * scale).astype(np.intp) - 1, 0)
-    width = np.minimum(np.floor((t1[ids] + half) * scale).astype(np.intp) + 2, SCAN_STEPS) - first
     order = np.argsort(-width, kind="stable")
     return ids[order], half[order], first[order], width[order]
 
@@ -238,6 +291,7 @@ def _scan_lines(surface: ImplicitSurface, dirs, feet, want_points: bool):
     """
     counts = np.zeros(len(dirs), dtype=np.int64)
     scan_ids, scan_half, scan_first, scan_width = _scan_runs(surface, dirs, feet)
+    several = hasattr(surface.field, "line_polynomial")  # rows of one line: each counts its own run's brackets only
     nodes = np.linspace(-1.0, 1.0, SCAN_STEPS + 1)
     # one empty entry, so the concatenation below holds when no line is scanned
     brackets = [tuple(np.empty(0, dtype) for dtype in (np.intp, float, float, float, float, np.intp))]
@@ -264,9 +318,12 @@ def _scan_lines(surface: ImplicitSurface, dirs, feet, want_points: bool):
             # a zero node changes no sign, but an interior one between opposite signs brackets the cell to its right
             bracket &= ~(zero[:, :-1] | zero[:, 1:])
             bracket[:, 1:] |= zero[:, 1:-1] & (neg[:, :-2] != neg[:, 2:]) & ~(zero[:, :-2] | zero[:, 2:])
+        if several:
+            own = np.arange(width) - (scan_first[tile] - first)[:, None]
+            bracket &= (own >= 0) & (own < scan_width[tile, None])
         cells = np.flatnonzero(bracket)
         row = cells // width
-        counts[ids] = np.bincount(row, minlength=len(ids))
+        np.add.at(counts, ids, np.bincount(row, minlength=len(ids)))
         if not want_points:
             # a hit in the ball's first cell, or a strict one in its last (not an interior zero's bracket)
             boundary += np.count_nonzero(bracket[:, 0] & (first == 0))

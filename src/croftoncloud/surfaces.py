@@ -76,7 +76,9 @@ class ImplicitSurface:
     3-vectors, kept as float tuples, that must contain the whole level set
     inside the clip ball; None is read as the infinite box.  The chord scan
     evaluates only the scan cells of each line that meet the box, plus one
-    on each side, and finds the same hits, bit for bit, as without it.
+    on each side, or, for a field with a ``line_polynomial`` (the compiled
+    sphere, ellipsoid and plane), those its Bernstein bounds leave, and
+    finds the same hits, bit for bit, as on every cell.
     Nothing checks the contract: a box that is too small drops the hits
     outside it silently.
     """

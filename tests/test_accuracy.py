@@ -6,7 +6,10 @@ closed value.  With 100,000 lines per run the estimate is close to normal,
 so one run fails falsely with probability P(|Z| > 4) = 6.3e-5.  Rows share
 their seeds (the same seed draws the same lines for every surface), so the
 runs are not independent, but the union bound holds regardless: at most
-8 x 6.3e-5 = 5.1e-4 for the whole matrix.
+14 x 6.3e-5 = 8.9e-4 for the whole matrix (five area rows and two rows of
+the integral of z^2, at two seeds each).  The quartic torus, sphere,
+ellipsoid and plane rows run the scan whose cells come from the field's
+polynomial on each line.
 
 The implicit pyramid's row is left out: its scan is biased today (z about
 -3.5 over 400,000 lines), and it joins the table with the certified scan
@@ -19,9 +22,12 @@ import warnings
 import pytest
 from scipy.special import ellipeinc, ellipkinc
 
-from croftoncloud.crofton import estimate_area
+from croftoncloud.crofton import estimate_area, estimate_surface_integral
+from croftoncloud.expr import compile_field
 from croftoncloud.rng import Pseudo
-from croftoncloud.surfaces import ellipsoid_implicit, plane_implicit, sphere_implicit, torus_implicit
+from croftoncloud.surfaces import ImplicitSurface, ellipsoid_implicit, plane_implicit, sphere_implicit, torus_implicit
+
+from conftest import TORUS_EXPR
 
 SEEDS = (1101, 1102)
 LINES = 100_000
@@ -36,10 +42,14 @@ def ellipsoid_area(a: float, b: float, c: float) -> float:
     return 2.0 * math.pi * (c * c + a * b / s * (ellipeinc(phi, m) * s * s + ellipkinc(phi, m) * (1.0 - s * s)))
 
 
+#: the benchmark's torus (R = 2, r = 0.5) as a quartic expression
+TORUS_QUARTIC = ImplicitSurface(compile_field(TORUS_EXPR), 3.0, name="torus quartic")
+
 #: (row name, surface, closed-form area); the plane is the disk it cuts from its clip ball
 ROWS = [
     ("sphere implicit", sphere_implicit(radius=1.0), 4.0 * math.pi),
     ("torus implicit", torus_implicit(ring_radius=2.0, tube_radius=0.5), 4.0 * math.pi**2 * 2.0 * 0.5),
+    ("torus quartic implicit", TORUS_QUARTIC, 4.0 * math.pi**2 * 2.0 * 0.5),
     ("ellipsoid implicit", ellipsoid_implicit(a=1.5, b=1.0, c=0.5), ellipsoid_area(1.5, 1.0, 0.5)),
     ("plane implicit", plane_implicit(clip=2.0), math.pi * 2.0**2),
 ]
@@ -59,3 +69,17 @@ def test_area_within_tolerance(name, surface, area, seed):
             warnings.filterwarnings("ignore", "clip radius may truncate surface", UserWarning)
         est = estimate_area(surface, Pseudo(seed), LINES)
     assert abs(est.value - area) < TOLERANCE_SE * est.standard_error, (name, est.value, est.standard_error)
+
+
+#: (row name, surface, closed-form integral of z^2 over it): 4 pi / 3 on the unit sphere, 2 pi^2 R r^3 on the torus
+Z2_ROWS = [
+    ("sphere implicit", sphere_implicit(radius=1.0), 4.0 * math.pi / 3.0),
+    ("torus quartic implicit", TORUS_QUARTIC, 2.0 * math.pi**2 * 2.0 * 0.5**3),
+]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name,surface,integral", Z2_ROWS, ids=[row[0] for row in Z2_ROWS])
+def test_z2_integral_within_tolerance(name, surface, integral, seed):
+    est = estimate_surface_integral(surface, lambda p: p[:, 2] ** 2, Pseudo(seed), LINES)
+    assert abs(est.value - integral) < TOLERANCE_SE * est.standard_error, (name, est.value, est.standard_error)

@@ -383,3 +383,69 @@ def test_expression_surface_normals_are_the_exact_gradient():
     exact = _quartic_torus_gradient(cloud.positions)
     exact /= np.linalg.norm(exact, axis=-1, keepdims=True)
     assert np.abs(cloud.normals - exact).max() < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the field restricted to lines: coefficients in t of a polynomial field
+
+#: (expression, degree): the benchmark torus, the catalog forms and two higher-degree surfaces
+POLYNOMIALS = [
+    (TORUS_EXPR, 4),
+    ("x^2+y^2+z^2-1", 2),
+    ("(x/1.5)^2+(y/1)^2+(z/0.5)^2-1", 2),
+    ("z", 1),
+    ("x^3+y^3+z^3-x*y*z-0.5", 3),
+    ("(x^2+y^2-1)^3-x^2*y^3+z^2-0.1", 6),
+    ("x^2^2-y/(1+1)", 4),  # a constant exponent and divisor are folded
+    ("x^8-1", 8),
+]
+
+
+def _lines(seed, count):
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(count, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return dirs, rng.uniform(-2.0, 2.0, size=(count, 3))
+
+
+@pytest.mark.parametrize("text,degree", POLYNOMIALS)
+def test_line_polynomial_matches_the_field_on_the_line_within_the_guard(text, degree):
+    field = compile_field(text)
+    dirs, feet = _lines(8, 400)
+    coefficients = field.line_polynomial(dirs, feet)
+    majorant = field.line_polynomial(dirs, feet, majorant=True)
+    assert coefficients.shape == majorant.shape == (degree + 1, 400)
+    assert (majorant >= np.abs(coefficients)).all()
+    t = np.random.default_rng(9).uniform(-3.0, 3.0, size=400)
+    horner = np.zeros(400)
+    for row in coefficients[::-1]:
+        horner = horner * t + row
+    powers = np.abs(t) ** np.arange(degree + 1)[:, None]
+    # the scan's guard (samplers._polynomial_runs) at |t|, without its factor 3^D for the Bernstein basis change
+    guard = 2.0**-52 * (field.line_polynomial.rounds + 12) * (degree + 2) * (majorant * powers).sum(axis=0)
+    assert (np.abs(field(feet + t[:, None] * dirs) - horner) <= guard).all()
+
+
+@pytest.mark.parametrize(
+    "text", ["sin(x)", "cos(x)*y", "exp(z)", "sqrt(x)", "max(x,y)", "1/x", "y/(x+1)", "x^y", "2^x", "x^2.5", "x^9",
+             "(x^3)^3", "x^(0-1)", "3", "x^0", "sin(1)"],
+)
+def test_line_polynomial_refusals(text):
+    assert not hasattr(compile_field(text), "line_polynomial")
+
+
+def test_line_polynomial_expands_a_shared_subtree_once(monkeypatch):
+    # x^2 and y^2 are each read twice in the torus quartic, x^2+y^2 too: each step runs once on coefficients
+    steps = expr._program(TORUS_EXPR)[2]
+    field = compile_field(TORUS_EXPR)
+    calls = []
+    ufunc = expr._Line.__array_ufunc__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0])
+        return ufunc(self, *args, **kwargs)
+
+    monkeypatch.setattr(expr._Line, "__array_ufunc__", counted)
+    field.line_polynomial(*_lines(10, 5))
+    assert calls == [step[0] for step in steps]
+    assert calls.count(np.square) == 4
