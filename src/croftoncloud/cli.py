@@ -21,13 +21,14 @@ every subcommand refuses it for a surface not read through its chart.
 ``generate`` draws from the one stream of --seed, so a file depends on the
 seed and the configuration only.
 
-``audit`` only prints each result, writes its record and sets the exit code:
-each surface's suite and every pass/fail gate live in ``stats.catalog_audit``.
+``audit`` checks that a cloud is not empty, its coordinates finite and any
+normals unit; each surface's suite and its gates live in ``stats.catalog_audit``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -133,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_surface(spec: str, clip: float | None, res: int | None, forms: tuple):
+def _resolve_surface(spec: str, res: int | None, forms: tuple):
     """Build the surface object for *spec* in the first of *forms* it supports.
 
     forms: an ordered subset of ('implicit', 'mesh', 'chart').  Catalog
@@ -146,11 +147,10 @@ def _resolve_surface(spec: str, clip: float | None, res: int | None, forms: tupl
     entry = surfaces.CATALOG.get(spec)
     charted = ()  # the forms built from a chart, which alone take --res
     if entry is not None:
-        clip_kw = {} if clip is None else {"clip": clip}
         res_kw = {} if res is None else {"u_res": res, "v_res": res}
         chart = entry.chart and (lambda: entry.chart(**res_kw))
         builders = {
-            "implicit": entry.implicit and (lambda: entry.implicit(**clip_kw)),
+            "implicit": entry.implicit,
             "mesh": entry.mesh or (chart and (lambda: surfaces.triangulate_parametric(chart())[0])),
             "chart": chart,
         }
@@ -166,8 +166,7 @@ def _resolve_surface(spec: str, clip: float | None, res: int | None, forms: tupl
             raise UsageError(
                 f"surface spec {spec!r} is neither a catalog name, a mesh path, nor a valid expression: {err}"
             )
-        clip = 2.0 if clip is None else clip
-        builders = {"implicit": lambda: surfaces.ImplicitSurface(field, clip, gradient=field.gradient, name=spec)}
+        builders = {"implicit": lambda: surfaces.ImplicitSurface(field, 2.0, gradient=field.gradient, name=spec)}
     for form in forms:
         if builders.get(form):
             if res is not None and form not in charted:
@@ -184,7 +183,7 @@ def _resolve_surface(spec: str, clip: float | None, res: int | None, forms: tupl
 
 def _generate_cloud(args) -> PointCloud:
     sample, forms = _SAMPLERS[args.sampler]
-    surface = _resolve_surface(args.surface, args.r, args.res, forms)
+    surface = _resolve_surface(args.surface, args.res, forms)
     if args.r is not None and not isinstance(surface, surfaces.ImplicitSurface):
         kind = "chart" if isinstance(surface, surfaces.ParametricSurface) else "mesh"
         clippers = " and ".join(f"--sampler {name}" for name, (_, accepted) in _SAMPLERS.items() if "implicit" in accepted)
@@ -192,6 +191,7 @@ def _generate_cloud(args) -> PointCloud:
             f"--r clips only an implicit surface (with {clippers}); "
             f"--sampler {args.sampler} reads {args.surface!r} as a {kind}, so it takes no --r"
         )
+    surface = surface if args.r is None else dataclasses.replace(surface, clip_radius=args.r)
     return sample(surface, Pseudo(args.seed), args.n)
 
 
@@ -229,14 +229,14 @@ def _print_estimate(label: str, estimate: crofton.CroftonEstimate) -> None:
 
 
 def cmd_area(args) -> int:
-    surface = _resolve_surface(args.surface, args.r, args.res, _LINE_FORMS)
+    surface = _resolve_surface(args.surface, args.res, _LINE_FORMS)
     estimate = crofton.estimate_area(surface, Pseudo(args.seed), args.m, clip_radius=args.r)
     _print_estimate("area", estimate)
     return 0
 
 
 def cmd_integrate(args) -> int:
-    surface = _resolve_surface(args.surface, args.r, args.res, _LINE_FORMS)
+    surface = _resolve_surface(args.surface, args.res, _LINE_FORMS)
     try:
         integrand = expr.compile_field(args.f)
     except expr.ExpressionError as err:

@@ -57,9 +57,9 @@ def _write_rows(fh, data: np.ndarray) -> None:
 
 @contextmanager
 def _open_text(path: str):
-    """*path* open as UTF-8 text; text that is not UTF-8 raises a ValueError naming the file."""
+    """*path* open as UTF-8 text past any byte-order mark; text that is not UTF-8 raises a ValueError naming the file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as err:
         raise ValueError(f"{path}: not UTF-8 text ({err.reason})") from None
@@ -185,7 +185,7 @@ def read_ply(path: str):
             header += line.decode("ascii", errors="replace").splitlines()
             if header[0].strip() != "ply":
                 raise ValueError(f"{path}: not a PLY file")
-            if line.endswith(b"end_header\n") and header[-1].strip() == "end_header":
+            if line.endswith((b"end_header\n", b"end_header\r\n")) and header[-1].strip() == "end_header":
                 break
         else:
             raise ValueError(f"{path}: missing end_header")

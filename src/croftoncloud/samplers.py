@@ -78,8 +78,8 @@ __all__ = [
 DEFAULT_LINE_CHUNK = 8192
 #: lines a cloud draws without a single hit before raising SurfaceNotFound
 MAX_EMPTY_LINES = 200_000
-#: equal scan cells per ball chord, a power of two; a bounding box only picks which of them are evaluated, and a
-#: feature thinner than one cell can show no sign change and be missed
+#: equal scan cells per ball chord, a power of two; Bernstein bounds or a bounding box only pick which of them are
+#: evaluated, and a feature thinner than one cell can show no sign change and be missed
 SCAN_STEPS = 256
 #: scan nodes per tile, at most (a tile holds at least one row): lines are scanned a tile of whole rows at a time, so
 #: the grid and its field values stay in cache; seeded output does not depend on it
@@ -205,9 +205,9 @@ def _polynomial_runs(line_polynomial, dirs, feet, half):
     De Casteljau halves each chord's Bernstein form on [-half, half] down to
     the SCAN_STEPS cells and drops a piece once its coefficients all clear
     the guard with one sign, which the field then has at every scan node in
-    it.  A run is a line's candidate cells plus one on each side, as a box's
-    run is; candidates up to 3 cells apart share one, so a line's runs share
-    no cell.
+    it, its end nodes included.  A run is a maximal stretch of a line's
+    adjacent candidate cells, with no margin: a dropped cell holds no
+    bracket, and a zero node leaves both of its cells as candidates.
 
     The guard, for degree D and R ``rounds``, u = 2^-53, the majorant m (the
     program on |feet|, |dirs| and |constants|, differences read as sums) and
@@ -242,9 +242,9 @@ def _polynomial_runs(line_polynomial, dirs, feet, half):
         keys = np.concatenate((keys, keys + (SCAN_STEPS >> level + 1)))
     lines, cells = np.divmod(np.sort(keys), SCAN_STEPS)
     start = np.ones(len(lines) + 1, dtype=bool)  # start[i]: candidate i starts a run, and candidate i - 1 ends one
-    start[1:-1] = (lines[1:] != lines[:-1]) | (cells[1:] - cells[:-1] > 3)
-    first = np.maximum(cells[start[:-1]] - 1, 0)
-    return lines[start[:-1]], first, np.minimum(cells[start[1:]] + 2, SCAN_STEPS) - first
+    start[1:-1] = (lines[1:] != lines[:-1]) | (cells[1:] - cells[:-1] > 1)
+    first = cells[start[:-1]]
+    return lines[start[:-1]], first, cells[start[1:]] + 1 - first
 
 
 def _scan_runs(surface: ImplicitSurface, dirs, feet):
@@ -253,9 +253,9 @@ def _scan_runs(surface: ImplicitSurface, dirs, feet):
     Line ``ids[i]`` scans nodes ``first[i] .. first[i] + width[i]`` of the
     ball grid ``half[i] * linspace(-1, 1, SCAN_STEPS + 1)``, *half* its ball
     chord's half-length.  A field's ``line_polynomial`` gives the runs
-    (:func:`_polynomial_runs`, some lines several), else the box: every cell
-    that meets the box's part of the chord plus one on each side, so the
-    cells left out hold no bracket.  No box is the infinite box.
+    (:func:`_polynomial_runs`, some lines several), else the box (the catalog
+    torus's or pyramid's; None is the infinite box): every cell meeting its
+    part of the chord plus one on each side, so the others hold no bracket.
     """
     half = _chord_half_lengths(feet, surface.clip_radius)
     if hasattr(surface.field, "line_polynomial"):

@@ -76,9 +76,9 @@ class ImplicitSurface:
     3-vectors, kept as float tuples, that must contain the whole level set
     inside the clip ball; None is read as the infinite box.  The chord scan
     evaluates only the scan cells of each line that meet the box, plus one
-    on each side, or, for a field with a ``line_polynomial`` (the compiled
-    sphere, ellipsoid and plane), those its Bernstein bounds leave, and
-    finds the same hits, bit for bit, as on every cell.
+    on each side, or, for a field with a ``line_polynomial``, those its
+    Bernstein bounds leave, with no box read (only the catalog torus and
+    pyramid carry one), and finds the same hits, bit for bit, as on every cell.
     Nothing checks the contract: a box that is too small drops the hits
     outside it silently.
     """
@@ -317,7 +317,7 @@ def _centred_box(half_widths) -> tuple:
 
 def sphere_implicit(radius: float = 1.0, clip: float = 2.0) -> ImplicitSurface:
     field = compile_field(f"x^2+y^2+z^2-{_num(radius * radius)}")
-    return ImplicitSurface(field, clip, gradient=field.gradient, name="sphere", bounds=_centred_box([radius] * 3))
+    return ImplicitSurface(field, clip, gradient=field.gradient, name="sphere")
 
 
 def sphere_chart(radius: float = 1.0, u_res: int = 128, v_res: int = 256) -> ParametricSurface:
@@ -368,7 +368,7 @@ def torus_chart(
 
 def ellipsoid_implicit(a: float = 1.5, b: float = 1.0, c: float = 0.5, clip: float = 2.0) -> ImplicitSurface:
     field = compile_field(f"(x/{_num(a)})^2+(y/{_num(b)})^2+(z/{_num(c)})^2-1")
-    return ImplicitSurface(field, clip, gradient=field.gradient, name="ellipsoid", bounds=_centred_box([a, b, c]))
+    return ImplicitSurface(field, clip, gradient=field.gradient, name="ellipsoid")
 
 
 def ellipsoid_chart(

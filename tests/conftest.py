@@ -3,7 +3,7 @@ import pytest
 
 from croftoncloud.rng import ScalarSource
 
-#: the benchmark's expression torus; an expression surface has no bounding box, so it runs the whole-ball scan
+#: the benchmark's expression torus; a polynomial, so the scan takes its cells from Bernstein bounds on each line
 TORUS_EXPR = "(x^2+y^2+z^2+3.75)^2-16*(x^2+y^2)"
 
 

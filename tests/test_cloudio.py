@@ -90,6 +90,16 @@ class TestXYZ:
         with pytest.raises(ValueError, match="bad.xyz:6: malformed row '7 8'"):
             read_xyz(str(path))
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # the mark does not join the first line, and rejected rows keep their line numbers
+        path = tmp_path / "bom.xyz"
+        path.write_bytes("\ufeff# a=b\n1 2 3\n".encode("utf-8"))
+        got_p, got_n, meta = read_xyz(str(path))
+        assert got_p.tolist() == [[1, 2, 3]] and got_n is None and meta == {"a": "b"}
+        path.write_bytes("\ufeff# a=b\n1 2 3\n4 5\n".encode("utf-8"))
+        with pytest.raises(ValueError, match="bom.xyz:3: malformed row '4 5'"):
+            read_xyz(str(path))
+
     def test_wrong_width_is_rejected(self, tmp_path):
         path = tmp_path / "four.xyz"
         path.write_text("# a=1\n1 2 3 4\n5 6 7 8\n")
@@ -204,6 +214,18 @@ class TestPLY:
         offset = len(header) + len("end_header\n") + len("".join(lines[:5]))
         with pytest.raises(ValueError, match=f"bad\\.ply: .*byte offset {offset}"):
             read_ply(str(path))
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_crlf_line_ends(self, tmp_path, binary):
+        # every header line, end_header's included, and every ASCII row ends in CRLF
+        rows = np.array([[0.1, -2.5, 1e300]]) if binary else np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        header = ["ply", f"format {'binary_little_endian' if binary else 'ascii'} 1.0", "comment seed=7"]
+        header += [f"element vertex {len(rows)}", "property double x", "property double y", "property double z"]
+        body = rows.astype("<f8").tobytes() if binary else b"1 2 3\r\n4 5 6\r\n"
+        path = tmp_path / "crlf.ply"
+        path.write_bytes("".join(f"{line}\r\n" for line in header + ["end_header"]).encode("ascii") + body)
+        got_p, got_n, meta = read_ply(str(path))
+        assert got_p.tobytes() == rows.tobytes() and got_n is None and meta == {"seed": "7"}
 
     def test_rejects_non_ply(self, tmp_path):
         path = tmp_path / "junk.ply"
@@ -329,14 +351,14 @@ def _xyz_per_line(path):
 
 
 def _ply_per_line(path):
-    """Reference ASCII PLY parse: header lines up to 'end_header', then one ``float`` per value."""
+    """Reference ASCII PLY parse: header lines up to 'end_header' (ending in LF or CRLF), then one ``float`` per value."""
     with open(path, "rb") as fh:
         lines = iter(fh)
         if next(lines, b"").decode("ascii", "replace").strip() != "ply":
             raise ValueError("not a PLY file")
         fmt, count, props, meta = None, None, [], {}
         for line in lines:
-            if line.lstrip() == b"end_header\n":
+            if line.lstrip() in (b"end_header\n", b"end_header\r\n"):
                 break
             words = line.decode("ascii", "replace").split()
             if words[:1] == ["comment"]:

@@ -373,11 +373,13 @@ def test_gradient_reads_read_only_points_without_writing_them():
 
 def test_expression_surface_normals_are_the_exact_gradient():
     # the CLI's expression surface carries the compiled gradient, so normals need no central differences
+    from dataclasses import replace
+
     from croftoncloud import cli
     from croftoncloud.rng import Pseudo
     from croftoncloud.samplers import cloud_implicit
 
-    surface = cli._resolve_surface(TORUS_EXPR, 3.0, None, ("implicit",))
+    surface = replace(cli._resolve_surface(TORUS_EXPR, None, ("implicit",)), clip_radius=3.0)
     assert surface.gradient is not None
     cloud = cloud_implicit(surface, Pseudo(33), 20_000)
     exact = _quartic_torus_gradient(cloud.positions)

@@ -84,6 +84,11 @@ class TestReadOFF:
         mesh = read_off(_off(tmp_path, text))
         assert mesh.triangles.tolist() == [[[0, 0, 0], [1, 0, 0], [0, 1, 0]]]
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.off"
+        path.write_bytes(f"\ufeffOFF\n5 1 0\n{_vertex_lines(VERTS)}3 0 1 2\n".encode("utf-8"))
+        assert read_off(str(path)).triangles.tobytes() == VERTS[[[0, 1, 2]]].tobytes()
+
     @pytest.mark.parametrize(
         "text, match",
         [
@@ -173,6 +178,16 @@ class TestReadSTL:
         )
         assert mesh.triangles.tobytes() == expected.tobytes()
         assert mesh.name == str(path)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # the mark is not part of the 'solid' header, and errors keep their line numbers
+        plain, path = tmp_path / "plain.stl", tmp_path / "bom.stl"
+        plain.write_text(STL_TWO_FACETS)
+        path.write_bytes(("\ufeff" + STL_TWO_FACETS).encode("utf-8"))
+        assert read_stl(str(path)).triangles.tobytes() == read_stl(str(plain)).triangles.tobytes()
+        path.write_bytes(("\ufeff" + STL_TWO_FACETS.replace("vertex 1 0 0", "vertex 1 0")).encode("utf-8"))
+        with pytest.raises(ValueError, match=r"bom\.stl:5: malformed vertex line"):
+            read_stl(str(path))
 
     @pytest.mark.parametrize(
         "text, match",

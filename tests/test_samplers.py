@@ -128,6 +128,20 @@ def _scan_in_chunks(surface, dirs, feet, chunk=4096):
     return counts, ids, np.concatenate([p[2] for p in parts]), sum(p[3] for p in parts)
 
 
+#: boxes holding the catalog sphere and ellipsoid, padded by 1e-8: their compiled fields pick their cells from their
+#: polynomials and carry no box, so the box tests scan them behind a plain callable and one of these boxes
+BOXES = {"sphere": np.ones(3), "ellipsoid": np.array([1.5, 1.0, 0.5])}
+
+
+def _boxed(name, **kwargs):
+    """The catalog surface *name*, built with *kwargs*, as the box path scans it."""
+    surface = CATALOG[name].implicit(**kwargs)
+    if name not in BOXES:
+        return surface
+    field = surface.field
+    return replace(surface, field=lambda p: field(p), bounds=(-BOXES[name] - 1e-8, BOXES[name] + 1e-8))
+
+
 def _assert_same_as_the_ball_scan(surface, dirs, feet):
     boxed = samplers._scan_lines(surface, dirs, feet, want_points=True)
     ball = samplers._scan_lines(replace(surface, bounds=None), dirs, feet, want_points=True)
@@ -141,7 +155,7 @@ class TestBoxedScan:
 
     @pytest.mark.parametrize("name", ["sphere", "torus", "ellipsoid"])
     def test_box_changes_no_hit_count(self, name):
-        surface = CATALOG[name].implicit()
+        surface = _boxed(name)
         dirs, feet = sample_line_batch(Pseudo(9), 3, surface.clip_radius, 20_000)
         counts, ids, ts, _ = _scan_in_chunks(surface, dirs, feet)
         ball_counts, _, ball_ts, _ = _scan_in_chunks(replace(surface, bounds=None), dirs, feet)
@@ -168,8 +182,7 @@ class TestBoxedScan:
     def test_same_bits_as_the_ball_scan(self, name, clip):
         # each smaller clip cuts the box; it cuts the surface too, with hits in the ball scan's end cells, except on
         # the sphere, which a ball about its centre cannot cut
-        build = CATALOG[name].implicit
-        surface = build() if clip is None else build(clip=clip)
+        surface = _boxed(name) if clip is None else _boxed(name, clip=clip)
         assert surface.bounds is not None
         dirs, feet = sample_line_batch(Pseudo(22), 3, surface.clip_radius, 8192)
         counts, _, _, boundary = _assert_same_as_the_ball_scan(surface, dirs, feet)
@@ -185,7 +198,7 @@ class TestBoxedScan:
 
     def test_hits_on_grid_nodes(self):
         # the z axis meets the unit sphere at t = -1 and 1, ball grid nodes 64 and 192 of the clip-2 chord
-        surface = sphere_implicit()
+        surface = _boxed("sphere")
         dirs, feet = np.array([[0.0, 0.0, 1.0]]), np.zeros((1, 3))
         counts, _, ts, _ = _assert_same_as_the_ball_scan(surface, dirs, feet)
         assert counts.tolist() == [2] and ts.tolist() == [-1.0, 1.0]
@@ -205,6 +218,23 @@ class TestBoxedScan:
         assert counts.tolist() == [0, 2] and ids.tolist() == [1, 1] and boundary == 0
         np.testing.assert_allclose(ts, [-math.sqrt(0.75), math.sqrt(0.75)], rtol=0.0, atol=1e-9)
         assert (np.concatenate(evaluated)[:, 0] == 0.5).all()
+
+
+def test_polynomial_runs_cost_few_field_points_per_hit(monkeypatch):
+    # a polynomial run is its candidate cells alone, so the count-only scan of the expression torus evaluates under 4
+    # field points per hit; a one-cell margin on each side of every run took 5.2
+    points = []
+    field_on_grid = samplers._field_on_grid
+
+    def recorded(surface, dirs, feet, t_grid):
+        points.append(t_grid.size)
+        return field_on_grid(surface, dirs, feet, t_grid)
+
+    monkeypatch.setattr(samplers, "_field_on_grid", recorded)
+    surface = ImplicitSurface(compile_field(TORUS_EXPR), 3.0)
+    dirs, feet = sample_line_batch(Pseudo(2901), 3, surface.clip_radius, 8192)
+    counts = samplers._scan_lines(surface, dirs, feet, want_points=False)[0]
+    assert counts.sum() > 5000 and sum(points) < 4 * counts.sum()
 
 
 class TestTruncationWarning:
@@ -251,7 +281,9 @@ class TestPoles:
             surface = ImplicitSurface(compile_field(TORUS_EXPR), 3.0)
         else:
             surface = CATALOG[name.removesuffix("-unboxed")].implicit()
-            surface = replace(surface, bounds=None) if name.endswith("-unboxed") else surface
+            if name.endswith("-unboxed"):  # every ball cell: no box, and no polynomial behind a plain callable
+                field = surface.field
+                surface = replace(surface, field=lambda p: field(p), bounds=None)
         dirs, feet = sample_line_batch(Pseudo(23), 3, surface.clip_radius, 8192)
         # then one tile per row, on fewer lines
         for tile, lines in ((samplers.SCAN_TILE, 8192), (1, 2048)):

@@ -213,9 +213,9 @@ class TestTileIndependence:
 
         monkeypatch.setattr(samplers, "_field_on_grid", recorded)
         surface = TILED_SURFACES[name]()
-        if name == "sphere":  # the compiled sphere's polynomial picks its cells; behind a plain callable its box does
+        if name == "sphere":  # the compiled sphere's polynomial picks its cells; behind a plain callable a box does
             field = surface.field
-            surface = replace(surface, field=lambda p: field(p))
+            surface = replace(surface, field=lambda p: field(p), bounds=([-1.0 - 1e-8] * 3, [1.0 + 1e-8] * 3))
         assert surface.bounds is not None
         dirs, feet = sample_line_batch(Pseudo(23), 3, surface.clip_radius, 1500)
         samplers._scan_lines(surface, dirs, feet, want_points=False)

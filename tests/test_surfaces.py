@@ -213,9 +213,7 @@ class TestImplicitBounds:
     def test_a_flat_box_is_allowed(self):
         assert ImplicitSurface(_sphere_field, 2.0, bounds=([0.0] * 3, [0.0] * 3)).bounds is not None
 
-    @pytest.mark.parametrize(
-        "name, half_widths", [("sphere", [1.0, 1.0, 1.0]), ("torus", [2.5, 2.5, 0.5]), ("ellipsoid", [1.5, 1.0, 0.5])]
-    )
+    @pytest.mark.parametrize("name, half_widths", [("torus", [2.5, 2.5, 0.5])])
     def test_catalog_boxes_are_exact_and_padded(self, name, half_widths):
         lo, hi = map(np.array, surfaces.CATALOG[name].implicit().bounds)
         pad = hi - np.array(half_widths)
@@ -225,6 +223,12 @@ class TestImplicitBounds:
     def test_pyramid_box_is_the_padded_unit_cube(self):
         lo, hi = map(np.array, surfaces.CATALOG["pyramid"].implicit().bounds)
         assert (lo < 0.0).all() and (lo > -1e-8).all() and (hi > 1.0).all() and (hi < 1.0 + 1e-8).all()
+
+    @pytest.mark.parametrize("name", ["sphere", "ellipsoid"])
+    def test_polynomial_catalog_fields_have_no_box(self, name):
+        # the scan takes a polynomial field's cells from its Bernstein bounds and never reads a box
+        surface = surfaces.CATALOG[name].implicit()
+        assert surface.bounds is None and hasattr(surface.field, "line_polynomial")
 
     def test_plane_has_no_box(self):
         # a box for the plane would depend on the clip, which crofton._resolve swaps with dataclasses.replace
