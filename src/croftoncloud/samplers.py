@@ -25,11 +25,13 @@ piecewise-linear proxy (the selection weights still come from the proxy, a
 bias that shrinks like the squared grid step).
 
 The scan has no knobs: :data:`SCAN_STEPS` equal cells per ball chord and
-:data:`ROOT_TOL` on each refined hit.  The field's polynomial on each line
-(Bernstein bounds, :func:`_polynomial_runs`), else the bounding box, else
-nothing, only picks which of those cells a line evaluates
-(:func:`_scan_runs`); every node is a ball scan node, so neither changes an
-output bit.  Lines are scanned widest run first, in tiles of
+:data:`ROOT_TOL` on each refined hit.  A polynomial that vanishes wherever
+the field does, on each line (the field's ``line_polynomial``: a compiled
+polynomial's own, or the catalog torus's quartic multiple; Bernstein
+bounds, :func:`_polynomial_runs`), else the bounding box, else nothing,
+only picks which of those cells a line evaluates (:func:`_scan_runs`);
+every node is a ball scan node and every value the field's, so neither
+changes an output bit.  Lines are scanned widest run first, in tiles of
 whole rows of at most :data:`SCAN_TILE` nodes each, so the scan's memory
 does not grow with the line count.  A feature thinner than one cell (a
 short chord through an edge or a vertex) can show no sign change and be
@@ -141,6 +143,32 @@ def _field_on_grid(surface: ImplicitSurface, dirs, feet, t_grid):
     return values
 
 
+def _illinois_step(surface, state, width, dirs, feet):
+    """One round of :func:`_refine_bisection` on the brackets of *state*, in place.
+
+    *dirs* and *feet* are the brackets' own lines; *dirs* is overwritten.
+    """
+    lo, hi, f_lo, f_hi, _, _, width_3, moved, lo_negative = state
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = lo + width * (f_lo / (f_lo - f_hi))
+    secant = (lo <= t) & (t <= hi) & (width <= 0.5 * width_3)
+    t = np.clip(np.where(secant, t, 0.5 * (lo + hi)), lo + ROOT_TOL, hi - ROOT_TOL)
+    points = dirs
+    points *= t[:, None]
+    points += feet
+    g = np.asarray(surface.field(points), dtype=np.float64)
+    low_side, zero = (g < 0.0) == lo_negative, g == 0.0
+    side = np.where(low_side, -1.0, 1.0)
+    again = side == moved
+    # an exact zero closes its bracket on itself
+    state[0] = np.where(low_side | zero, t, lo)
+    state[1] = np.where(low_side & ~zero, hi, t)
+    state[2] = np.where(low_side, g, np.where(again, 0.5 * f_lo, f_lo))
+    state[3] = np.where(low_side, np.where(again, 0.5 * f_hi, f_hi), g)
+    state[5:7] = state[4:6]
+    state[4], state[7] = width, side
+
+
 # named for the bisection it replaced: perfbench/layertrace.py traces the refinement layer under this name
 def _refine_bisection(surface, dirs, feet, t_lo, t_hi, g_lo, g_hi):
     """The sign change in each bracket ``[t_lo, t_hi]`` (field values *g_lo*, *g_hi* of opposite signs), to ROOT_TOL.
@@ -156,66 +184,70 @@ def _refine_bisection(surface, dirs, feet, t_lo, t_hi, g_lo, g_hi):
     which can underflow.  A bracket stops once it is at most 2 ROOT_TOL
     wide and returns its midpoint (an exact zero, when it met one), so its
     rounds never depend on the other brackets of its batch, and each round
-    evaluates the field only at the brackets still live.  The arguments
-    are not written to.
+    evaluates the field only at the brackets still live.  The float state
+    of the live brackets is one block, compacted by one ``take`` when some
+    stop, and each step (:func:`_illinois_step`) updates it in place, so no
+    two copies of it outlive a round.  The arguments are not written to.
     """
     ts = np.empty_like(t_lo)
     live = np.arange(len(t_lo))
-    lo, hi, f_lo, f_hi = t_lo, t_hi, g_lo, g_hi
-    lo_negative = g_lo < 0.0
-    # the end the last step moved (-1 low, 1 high, 0 none yet), and the widths one, two and three rounds back: a
-    # one-sided secant step, a second one and the Illinois step halve a bracket in three rounds, so a check after
-    # two would put a midpoint before every Illinois step (6.2 field points per torus bracket, against 5.0)
-    moved = np.zeros(len(live), dtype=np.intp)
-    width_1 = width_2 = width_3 = np.full(len(live), np.inf)
+    # one row each: the ends, their field values, the widths one, two and three rounds back, the end the last step
+    # moved (-1 low, 1 high, 0 none yet) and the low end's sign (1 negative); a one-sided secant step, a second one
+    # and the Illinois step halve a bracket in three rounds, so a check after two would put a midpoint before every
+    # Illinois step (6.2 field points per torus bracket, against 5.0)
+    state = np.vstack((t_lo, t_hi, g_lo, g_hi, *np.full((3, len(live)), np.inf), np.zeros(len(live)), g_lo < 0.0))
     for _ in range(MAX_REFINE):
-        width = hi - lo
+        width = state[1] - state[0]
         done = width <= 2.0 * ROOT_TOL
         if done.any():
-            ts[live[done]] = 0.5 * (lo[done] + hi[done])
-            keep = ~done
-            live, lo, hi, f_lo, f_hi, lo_negative, moved, width, width_1, width_2, width_3, dirs, feet = (
-                part[keep]
-                for part in (live, lo, hi, f_lo, f_hi, lo_negative, moved, width, width_1, width_2, width_3, dirs, feet)
-            )
+            ts[live[done]] = 0.5 * (state[0, done] + state[1, done])
+            keep = np.flatnonzero(~done)
+            live, width, state = live[keep], width[keep], state.take(keep, axis=1)
         if not len(live):
             break
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t = lo + width * (f_lo / (f_lo - f_hi))
-        secant = (lo <= t) & (t <= hi) & (width <= 0.5 * width_3)
-        t = np.clip(np.where(secant, t, 0.5 * (lo + hi)), lo + ROOT_TOL, hi - ROOT_TOL)
-        points = t[:, None] * dirs
-        points += feet
-        g = np.asarray(surface.field(points), dtype=np.float64)
-        low_side, zero = (g < 0.0) == lo_negative, g == 0.0
-        side = np.where(low_side, -1, 1)
-        again = side == moved
-        # an exact zero closes its bracket on itself
-        lo, f_lo = np.where(low_side | zero, t, lo), np.where(low_side, g, np.where(again, 0.5 * f_lo, f_lo))
-        hi, f_hi = np.where(low_side & ~zero, hi, t), np.where(low_side, np.where(again, 0.5 * f_hi, f_hi), g)
-        moved, width_1, width_2, width_3 = side, width, width_1, width_2
+        _illinois_step(surface, state, width, dirs.take(live, axis=0), feet.take(live, axis=0))
     # brackets still live after MAX_REFINE rounds (ROOT_TOL below the rounding of t) take their midpoints
-    ts[live] = 0.5 * (lo + hi)
+    ts[live] = 0.5 * (state[0] + state[1])
     return ts
 
 
 def _polynomial_runs(line_polynomial, dirs, feet, half):
-    """Runs ``(lines, first, width)`` of the ball cells that may hold a bracket of a polynomial field.
+    """Runs ``(lines, first, width)`` of the ball cells that may hold a bracket of a field, from a polynomial q.
 
-    De Casteljau halves each chord's Bernstein form on [-half, half] down to
-    the SCAN_STEPS cells and drops a piece once its coefficients all clear
-    the guard with one sign, which the field then has at every scan node in
-    it, its end nodes included.  A run is a maximal stretch of a line's
-    adjacent candidate cells, with no margin: a dropped cell holds no
-    bracket, and a zero node leaves both of its cells as candidates.
+    q, the field's ``line_polynomial``, vanishes wherever the field does: it
+    is the field itself when that is a polynomial, or a multiple q = f g of
+    the field f, with g continuous.  De Casteljau halves each chord's
+    Bernstein form of q on [-half, half] down to the SCAN_STEPS cells and
+    drops a piece once its coefficients all clear the guard with one sign,
+    which the field then has at every scan node in it, its end nodes
+    included.  A run is a maximal stretch of a line's adjacent candidate
+    cells, with no margin: a dropped cell holds no bracket, and a zero node
+    leaves both of its cells as candidates.
 
-    The guard, for degree D and R ``rounds``, u = 2^-53, the majorant m (the
-    program on |feet|, |dirs| and |constants|, differences read as sums) and
-    M = 3^D m(half): rounding moves the field at the nodes (their t, points
-    and evaluation) by (3D + R) u M, the Bernstein form by R(D + 1) u M from
+    The guard, for q's degree D and K ``rounds``, u = 2^-53, the majorant m
+    (q's program on |feet|, |dirs| and |constants|, differences read as
+    sums) and M = 3^D m(half): rounding moves q at the nodes (their t, points
+    and evaluation) by (3D + K) u M, the Bernstein form by K(D + 1) u M from
     the coefficients (a step sums up to D + 1 products), by (2D + 7) u M from
     the scaling, basis change and division by the guard, and by 8D u M in 8
-    halvings.  2u (R + 12)(D + 2) M covers it all, underflow aside.
+    halvings.  2u (K + 12)(D + 2) M covers it all, underflow aside, and
+    leaves (K(D + 2) + 11D + 41) u M unspent: (6K + 85) u M at D = 4.
+
+    On a multiple, a dropped piece has q of one sign, with that margin, on
+    its chord and on the rounded nodes near it, so neither f nor g has a
+    zero there: f has one sign at every node, and |f| >= |q| / |g|.  The
+    computed f keeps that sign where f's own rounding e_f times |g| stays
+    below q's margin; q's evaluation at the nodes, K u M above, is never
+    run.  On the catalog torus (ring R, tube r), with rho = sqrt(x^2 + y^2),
+    f's majorant F = (rho + |R|)^2 + z^2 + r^2 bounds |g| too, and
+    e_f <= 9u F to first order: the rounded rho is off by 2u rho, its
+    difference with R by 3u (rho + |R|), its square by 7u (rho + |R|)^2,
+    and z^2, the sum and the difference add u z^2 + 2u F.  Also
+    F^2 <= 2 ((|p|^2 + R^2 + r^2)^2 + 4R^2 rho^2), which m bounds on the
+    chord because r^2 is subtracted from a line term, not folded into a
+    constant.  So e_f |g| <= 18u m, and the rounding of the printed R^2
+    moves q by at most 2u m more (4R^2 is exactly four times it): 20u m,
+    below u M / 4 at D = 4, well inside the unspent K u M (K = 7).
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         power_form = line_polynomial(dirs, feet)
@@ -252,10 +284,12 @@ def _scan_runs(surface: ImplicitSurface, dirs, feet):
 
     Line ``ids[i]`` scans nodes ``first[i] .. first[i] + width[i]`` of the
     ball grid ``half[i] * linspace(-1, 1, SCAN_STEPS + 1)``, *half* its ball
-    chord's half-length.  A field's ``line_polynomial`` gives the runs
-    (:func:`_polynomial_runs`, some lines several), else the box (the catalog
-    torus's or pyramid's; None is the infinite box): every cell meeting its
-    part of the chord plus one on each side, so the others hold no bracket.
+    chord's half-length.  A field's ``line_polynomial``, a polynomial that
+    vanishes wherever the field does (its own, or the catalog torus's quartic
+    multiple), gives the runs (:func:`_polynomial_runs`, some lines several),
+    else the box (the pyramid's, or any plain callable's; None is the
+    infinite box): every cell meeting its part of the chord plus one on each
+    side, so the others hold no bracket.
     """
     half = _chord_half_lengths(feet, surface.clip_radius)
     if hasattr(surface.field, "line_polynomial"):

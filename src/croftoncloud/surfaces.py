@@ -76,11 +76,14 @@ class ImplicitSurface:
     3-vectors, kept as float tuples, that must contain the whole level set
     inside the clip ball; None is read as the infinite box.  The chord scan
     evaluates only the scan cells of each line that meet the box, plus one
-    on each side, or, for a field with a ``line_polynomial``, those its
-    Bernstein bounds leave, with no box read (only the catalog torus and
-    pyramid carry one), and finds the same hits, bit for bit, as on every cell.
-    Nothing checks the contract: a box that is too small drops the hits
-    outside it silently.
+    on each side, or, for a field with a ``line_polynomial`` (a polynomial
+    that vanishes wherever the field does: a compiled polynomial's own, or
+    the catalog torus's quartic multiple), those its Bernstein bounds leave,
+    with no box read, and finds the same hits, bit for bit, as on every
+    cell.  So the catalog torus's box is read only behind a plain-callable
+    wrapper of its field, such as the tracer of ``perfbench/layertrace.py``;
+    the pyramid's box is read as it stands.  Nothing checks the contract: a
+    box that is too small drops the hits outside it silently.
     """
 
     field: Callable[[np.ndarray], np.ndarray]
@@ -340,8 +343,22 @@ def sphere_chart(radius: float = 1.0, u_res: int = 128, v_res: int = 256) -> Par
 
 
 def torus_implicit(ring_radius: float = 2.0, tube_radius: float = 0.5, clip: float = 3.0) -> ImplicitSurface:
-    """The square-root form, not the quartic: a ring thinner than its tube then has no inner sheet."""
-    field = compile_field(f"(sqrt(x^2+y^2)-{_num(ring_radius)})^2+z^2-{_num(tube_radius**2)}")
+    """The square-root form f decides every value; its quartic multiple q only picks the scan cells.
+
+    q = (x^2 + y^2 + z^2 + R^2 - r^2)^2 - 4 R^2 (x^2 + y^2) is f times
+    g = (sqrt(x^2 + y^2) + R)^2 + z^2 - r^2, for every R and r, so q
+    vanishes wherever f does.  The field carries q's ``line_polynomial``,
+    which the scan reads only to drop cells where q, and so f, keeps one
+    sign (``samplers._polynomial_runs``); every node value, bracket, refined
+    hit and normal is f's.  So no output bit depends on q.  g vanishes off
+    f's zeros only when R <= |r|: on the quartic's inner sheet, or, for
+    R < 0, on the whole torus of ring |R|; those zeros only add candidates.
+    """
+    ring2, tube2 = ring_radius**2, tube_radius**2
+    field = compile_field(f"(sqrt(x^2+y^2)-{_num(ring_radius)})^2+z^2-{_num(tube2)}")
+    # r^2 is subtracted from a line term, not folded into a constant, so q's majorant covers f's rounding times |g|
+    quartic = f"(x^2+y^2+z^2+{_num(ring2)}-{_num(tube2)})^2-{_num(4.0 * ring2)}*(x^2+y^2)"
+    field.line_polynomial = compile_field(quartic).line_polynomial
     outer = abs(ring_radius) + abs(tube_radius)
     return ImplicitSurface(field, clip, gradient=field.gradient, name="torus", bounds=_centred_box([outer, outer, tube_radius]))
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,12 @@ from croftoncloud.rng import ScalarSource
 
 #: the benchmark's expression torus; a polynomial, so the scan takes its cells from Bernstein bounds on each line
 TORUS_EXPR = "(x^2+y^2+z^2+3.75)^2-16*(x^2+y^2)"
+
+
+def plain(surface, **changes):
+    """*surface* with its field behind a plain callable, which has no ``line_polynomial`` to pick the scan cells."""
+    field = surface.field
+    return replace(surface, field=lambda p: field(p), **changes)
 
 
 class ScriptedSource(ScalarSource):

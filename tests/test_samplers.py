@@ -35,7 +35,7 @@ from croftoncloud.surfaces import (
     triangulate_parametric,
 )
 
-from conftest import TORUS_EXPR, ScriptedSource, binomial_sigma
+from conftest import TORUS_EXPR, ScriptedSource, binomial_sigma, plain
 
 
 IMPLICIT = [name for name, entry in CATALOG.items() if entry.implicit]
@@ -134,12 +134,17 @@ BOXES = {"sphere": np.ones(3), "ellipsoid": np.array([1.5, 1.0, 0.5])}
 
 
 def _boxed(name, **kwargs):
-    """The catalog surface *name*, built with *kwargs*, as the box path scans it."""
+    """The catalog surface *name*, built with *kwargs*, as the box path scans it.
+
+    A field with a ``line_polynomial`` (the sphere's and ellipsoid's own, the
+    torus's quartic multiple) picks its cells from it, so it goes behind a
+    plain callable, with one of BOXES or the surface's own box.
+    """
     surface = CATALOG[name].implicit(**kwargs)
-    if name not in BOXES:
+    if not hasattr(surface.field, "line_polynomial"):
         return surface
-    field = surface.field
-    return replace(surface, field=lambda p: field(p), bounds=(-BOXES[name] - 1e-8, BOXES[name] + 1e-8))
+    bounds = (-BOXES[name] - 1e-8, BOXES[name] + 1e-8) if name in BOXES else surface.bounds
+    return plain(surface, bounds=bounds)
 
 
 def _assert_same_as_the_ball_scan(surface, dirs, feet):
@@ -190,7 +195,7 @@ class TestBoxedScan:
 
     def test_close_crossings_the_ball_grid_splits(self):
         # line 8137 crosses at t = -1.55097 and -1.54338, with a ball grid node between them
-        surface = torus_implicit(clip=2.2)
+        surface = _boxed("torus", clip=2.2)
         dirs, feet = sample_line_batch(Pseudo(2), 3, surface.clip_radius, 8192)
         counts, ids, ts, _ = _assert_same_as_the_ball_scan(surface, dirs, feet)
         assert counts[8137] == 2
@@ -243,7 +248,7 @@ class TestTruncationWarning:
     def test_bounded_torus_at_its_default_clip_is_quiet(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cloud_implicit(torus_implicit(), Pseudo(11), 10_000)
+            cloud_implicit(_boxed("torus"), Pseudo(11), 10_000)
 
     def test_clip_cutting_the_ring_warns_once(self):
         with warnings.catch_warnings(record=True) as caught:
@@ -253,7 +258,7 @@ class TestTruncationWarning:
 
     @pytest.mark.parametrize("want_points", [False, True])
     def test_same_boundary_hits_as_the_ball_scan(self, want_points):
-        surface = torus_implicit(clip=2.2)
+        surface = _boxed("torus", clip=2.2)
         dirs, feet = sample_line_batch(Pseudo(13), 3, surface.clip_radius, 8192)
         boxed = samplers._scan_lines(surface, dirs, feet, want_points)[3]
         ball = samplers._scan_lines(replace(surface, bounds=None), dirs, feet, want_points)[3]
@@ -282,8 +287,7 @@ class TestPoles:
         else:
             surface = CATALOG[name.removesuffix("-unboxed")].implicit()
             if name.endswith("-unboxed"):  # every ball cell: no box, and no polynomial behind a plain callable
-                field = surface.field
-                surface = replace(surface, field=lambda p: field(p), bounds=None)
+                surface = plain(surface, bounds=None)
         dirs, feet = sample_line_batch(Pseudo(23), 3, surface.clip_radius, 8192)
         # then one tile per row, on fewer lines
         for tile, lines in ((samplers.SCAN_TILE, 8192), (1, 2048)):

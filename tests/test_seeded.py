@@ -6,8 +6,6 @@ updated on purpose.  Integers are pinned exactly.  Floats are pinned to
 one CPU to another.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -27,7 +25,7 @@ from croftoncloud.surfaces import (
     triangulate_parametric,
 )
 
-from conftest import TORUS_EXPR
+from conftest import TORUS_EXPR, plain
 
 
 @pytest.fixture(scope="module")
@@ -73,10 +71,11 @@ class TestPinnedFloats:
         np.testing.assert_allclose(normals, expected, rtol=0.0, atol=1e-12)
 
     def test_unbounded_torus_line_t(self):
-        # the torus without a bounding box: every chord is scanned over the whole clip ball; Illinois refinement
-        # moved these by at most 1.3e-10 from bisection's, within 2 ROOT_TOL
+        # the torus without a bounding box, behind a plain callable (no quartic to pick cells): every chord is scanned
+        # over the whole clip ball; Illinois refinement moved these by at most 1.3e-10 from bisection's, within
+        # 2 ROOT_TOL
         t = torus_implicit()
-        cloud = cloud_implicit(ImplicitSurface(t.field, 3.0, gradient=t.gradient), Pseudo(3), 2000)
+        cloud = cloud_implicit(ImplicitSurface(lambda p: t.field(p), 3.0, gradient=t.gradient), Pseudo(3), 2000)
         expected = [1.3582358325107207, 2.2407177345062435, 0.16914580593660086, 1.0260849660583462, -1.3774907501202986]
         np.testing.assert_allclose(cloud.line_t[:5], expected, rtol=0.0, atol=1e-12)
 
@@ -116,7 +115,7 @@ def _sum_of_squares(p):
 TILED_SURFACES = {
     "sphere": sphere_implicit,
     "torus": torus_implicit,
-    "torus-unboxed": lambda: replace(torus_implicit(), bounds=None),
+    "torus-unboxed": lambda: plain(torus_implicit(), bounds=None),
     "torus-expr": lambda: ImplicitSurface(compile_field(TORUS_EXPR), 3.0),
     "pyramid": corner_pyramid_implicit,
     "sum-of-squares": lambda: ImplicitSurface(_sum_of_squares, 2.0),
@@ -214,8 +213,9 @@ class TestTileIndependence:
         monkeypatch.setattr(samplers, "_field_on_grid", recorded)
         surface = TILED_SURFACES[name]()
         if name == "sphere":  # the compiled sphere's polynomial picks its cells; behind a plain callable a box does
-            field = surface.field
-            surface = replace(surface, field=lambda p: field(p), bounds=([-1.0 - 1e-8] * 3, [1.0 + 1e-8] * 3))
+            surface = plain(surface, bounds=([-1.0 - 1e-8] * 3, [1.0 + 1e-8] * 3))
+        elif name == "torus":  # the torus's quartic multiple picks its cells; behind a plain callable its box does
+            surface = plain(surface)
         assert surface.bounds is not None
         dirs, feet = sample_line_batch(Pseudo(23), 3, surface.clip_radius, 1500)
         samplers._scan_lines(surface, dirs, feet, want_points=False)
