@@ -3,13 +3,13 @@
 For a cloud with no known surface, the normal at a point is recovered by
 averaging sign-aligned cross products ``(q - p) x (r - p)`` over
 pseudo-randomly chosen pairs of near neighbors; neighbor lookup goes
-through a k-d tree.
+through a k-d tree.  ``scipy.spatial`` is imported by the first
+``NeighborIndex``, so importing the package does not load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import _cross
 from .rng import Pseudo
@@ -29,6 +29,8 @@ class NeighborIndex:
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"expected (n, 3) points, got {pts.shape}")
+        from scipy.spatial import cKDTree
+
         self.points = pts
         self._tree = cKDTree(pts)
 

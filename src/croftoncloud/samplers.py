@@ -32,9 +32,9 @@ bounds, :func:`_polynomial_runs`), else the bounding box, else nothing,
 only picks which of those cells a line evaluates (:func:`_scan_runs`);
 every node is a ball scan node and every value the field's, so neither
 changes an output bit.  Lines are scanned widest run first, in tiles of
-whole rows of at most :data:`SCAN_TILE` nodes each, so the scan's memory
-does not grow with the line count.  A feature thinner than one cell (a
-short chord through an edge or a vertex) can show no sign change and be
+whole rows of one width and at most :data:`SCAN_TILE` nodes, so the scan's
+memory does not grow with the line count.  A feature thinner than one cell
+(a short chord through an edge or a vertex) can show no sign change and be
 missed; a certified scan that finds such chords is the fix the roadmap
 holds (item 1), not a finer user-set step count.  A bracket is read from
 the signs of the field at the nodes, never from products of its values,
@@ -76,8 +76,11 @@ __all__ = [
 ]
 
 #: lines per chunk of the line clouds and estimators (a mesh's chunk may be smaller); seeded output does not depend
-#: on it, and the scan's memory is bounded by SCAN_TILE, not by the chunk
+#: on it.  A scan tile holds at most SCAN_TILE nodes, and the polynomial runs hold the chunk's coefficients plus the
+#: pieces of at most _HALVING_BLOCK lines
 DEFAULT_LINE_CHUNK = 8192
+#: lines whose Bernstein pieces _polynomial_runs halves together; seeded output does not depend on it
+_HALVING_BLOCK = DEFAULT_LINE_CHUNK // 4
 #: lines a cloud draws without a single hit before raising SurfaceNotFound
 MAX_EMPTY_LINES = 200_000
 #: equal scan cells per ball chord, a power of two; Bernstein bounds or a bounding box only pick which of them are
@@ -222,7 +225,9 @@ def _polynomial_runs(line_polynomial, dirs, feet, half):
     which the field then has at every scan node in it, its end nodes
     included.  A run is a maximal stretch of a line's adjacent candidate
     cells, with no margin: a dropped cell holds no bracket, and a zero node
-    leaves both of its cells as candidates.
+    leaves both of its cells as candidates.  One ``line_polynomial`` pass
+    gives every line's coefficients; the halving runs over blocks of at most
+    _HALVING_BLOCK lines, in line order, so its pieces do not grow with it.
 
     The guard, for q's degree D and K ``rounds``, u = 2^-53, the majorant m
     (q's program on |feet|, |dirs| and |constants|, differences read as
@@ -264,15 +269,19 @@ def _polynomial_runs(line_polynomial, dirs, feet, half):
     bern[:, ~np.isfinite(bern).all(axis=0)] = 0.0
     left = binomial / 2.0 ** j[:, None]  # the exact de Casteljau weights of the left half; the right half's mirror them
     halves = np.vstack((left, left[::-1, ::-1]))
-    keys = np.arange(len(half)) * SCAN_STEPS  # a piece's line times SCAN_STEPS plus its first cell
-    for level in range(SCAN_STEPS.bit_length()):
-        keep = np.flatnonzero((bern.min(axis=0) <= 1.0) & (bern.max(axis=0) >= -1.0))
-        keys = keys[keep]
-        if 1 << level == SCAN_STEPS:
-            break
-        bern = (halves @ bern.take(keep, axis=1)).reshape(2, n + 1, -1).transpose(1, 0, 2).reshape(n + 1, -1)
-        keys = np.concatenate((keys, keys + (SCAN_STEPS >> level + 1)))
-    lines, cells = np.divmod(np.sort(keys), SCAN_STEPS)
+    blocks = [np.empty(0, dtype=np.intp)]  # one empty entry, so the concatenation below holds on no lines
+    for start in range(0, len(half), _HALVING_BLOCK):
+        pieces = bern[:, start : start + _HALVING_BLOCK]
+        keys = np.arange(start, start + pieces.shape[1]) * SCAN_STEPS  # a piece's line * SCAN_STEPS + first cell
+        for level in range(SCAN_STEPS.bit_length()):
+            keep = np.flatnonzero((pieces.min(axis=0) <= 1.0) & (pieces.max(axis=0) >= -1.0))
+            keys = keys[keep]
+            if 1 << level == SCAN_STEPS:
+                break
+            pieces = (halves @ pieces.take(keep, axis=1)).reshape(2, n + 1, -1).transpose(1, 0, 2).reshape(n + 1, -1)
+            keys = np.concatenate((keys, keys + (SCAN_STEPS >> level + 1)))
+        blocks.append(np.sort(keys))
+    lines, cells = np.divmod(np.concatenate(blocks), SCAN_STEPS)
     start = np.ones(len(lines) + 1, dtype=bool)  # start[i]: candidate i starts a run, and candidate i - 1 ends one
     start[1:-1] = (lines[1:] != lines[:-1]) | (cells[1:] - cells[:-1] > 1)
     first = cells[start[:-1]]
@@ -289,7 +298,7 @@ def _scan_runs(surface: ImplicitSurface, dirs, feet):
     multiple), gives the runs (:func:`_polynomial_runs`, some lines several),
     else the box (the pyramid's, or any plain callable's; None is the
     infinite box): every cell meeting its part of the chord plus one on each
-    side, so the others hold no bracket.
+    side (the others hold no bracket), in whole 16-cell steps: few tile widths.
     """
     half = _chord_half_lengths(feet, surface.clip_radius)
     if hasattr(surface.field, "line_polynomial"):
@@ -304,7 +313,9 @@ def _scan_runs(surface: ImplicitSurface, dirs, feet):
         ids = np.nonzero(t0 < t1)[0]
         scale = 0.5 * SCAN_STEPS / half[ids]
         first = np.maximum(np.floor((t0[ids] + half[ids]) * scale).astype(np.intp) - 1, 0)
-        width = np.minimum(np.floor((t1[ids] + half[ids]) * scale).astype(np.intp) + 2, SCAN_STEPS) - first
+        last = np.floor((t1[ids] + half[ids]) * scale).astype(np.intp) + 2
+        width = np.minimum((last - first + 15) & -16, SCAN_STEPS)
+        first = np.minimum(first, SCAN_STEPS - width)
     half = half[ids]
     order = np.argsort(-width, kind="stable")
     return ids[order], half[order], first[order], width[order]
@@ -322,24 +333,22 @@ def _scan_lines(surface: ImplicitSurface, dirs, feet, want_points: bool):
     touches are dropped.  Locating hits drops poles from every output: the
     brackets with |field| at the refined point above |field| at both ends.
     Every node is a ball scan node, so a bounding box changes no output bit.
+    A tile holds rows of one run width, so a row evaluates its run's nodes only.
     """
     counts = np.zeros(len(dirs), dtype=np.int64)
     scan_ids, scan_half, scan_first, scan_width = _scan_runs(surface, dirs, feet)
-    several = hasattr(surface.field, "line_polynomial")  # rows of one line: each counts its own run's brackets only
     nodes = np.linspace(-1.0, 1.0, SCAN_STEPS + 1)
     # one empty entry, so the concatenation below holds when no line is scanned
     brackets = [tuple(np.empty(0, dtype) for dtype in (np.intp, float, float, float, float, np.intp))]
+    width_stop = np.searchsorted(-scan_width, -scan_width, side="right")  # rows widest first: where each width ends
     start, width, boundary = 0, -1, 0
-    # a tile's first row, its widest, sets its width
     while start < len(scan_ids):
         if scan_width[start] != width:
             width = int(scan_width[start])
             runs = np.lib.stride_tricks.sliding_window_view(nodes, width + 1)
-        tile = slice(start, start + max(1, SCAN_TILE // (width + 1)))
+        tile = slice(start, min(start + max(1, SCAN_TILE // (width + 1)), width_stop[start]))
         start = tile.stop
-        ids = scan_ids[tile]
-        # a narrower run is widened to the tile's width, to the right unless that passes the ball's last node
-        first = np.minimum(scan_first[tile], SCAN_STEPS - width)
+        ids, first = scan_ids[tile], scan_first[tile]
         # scaled in place, so a tile allocates one grid-sized array here, not two
         t_grid = runs[first]
         t_grid *= scan_half[tile, None]
@@ -352,9 +361,6 @@ def _scan_lines(surface: ImplicitSurface, dirs, feet, want_points: bool):
             # a zero node changes no sign, but an interior one between opposite signs brackets the cell to its right
             bracket &= ~(zero[:, :-1] | zero[:, 1:])
             bracket[:, 1:] |= zero[:, 1:-1] & (neg[:, :-2] != neg[:, 2:]) & ~(zero[:, :-2] | zero[:, 2:])
-        if several:
-            own = np.arange(width) - (scan_first[tile] - first)[:, None]
-            bracket &= (own >= 0) & (own < scan_width[tile, None])
         cells = np.flatnonzero(bracket)
         row = cells // width
         np.add.at(counts, ids, np.bincount(row, minlength=len(ids)))

@@ -4,7 +4,8 @@ The counting tests quantify how closely an empirical sequence tracks a
 target measure: region tests compare hit frequencies of fixed regions
 against their analytic measure fractions (z-scores under the binomial
 null), and k-tuple tests bin overlapping windows ``(x_n, ..., x_(n+k-1))``
-into a grid of product boxes and apply a chi-square gate.
+into a grid of product boxes and apply a chi-square gate (``scipy.special``,
+imported only there, gives its percentile; the package imports no scipy).
 
 ``density_variation`` audits a surface cloud for orientation-dependent
 density (the defect of axis-aligned line sampling), and ``curse_benchmark``
@@ -23,7 +24,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.stats import chi2 as _chi2
 
 from .rng import BoxDomain, Pseudo, ScalarSource, sample_box
 from .surfaces import CATALOG
@@ -160,7 +160,9 @@ def ktuple_test(values: np.ndarray, k: int, grid: int) -> KTupleResult:
     expected = len(codes) / cells
     statistic = float(((counts - expected) ** 2 / expected).sum())
     dof = cells - 1
-    threshold = float(_chi2.ppf(KTUPLE_PERCENTILE, dof))
+    from scipy.special import chdtri  # chi2.ppf(KTUPLE_PERCENTILE, dof) bit for bit, without scipy.stats
+
+    threshold = float(chdtri(dof, 1.0 - KTUPLE_PERCENTILE))
     return KTupleResult(k, grid, len(codes), statistic, dof, threshold)
 
 

@@ -6,9 +6,13 @@ removing a public name takes a deliberate edit of ``PUBLIC``, as a knob
 takes one in ``tests/test_knobs.py``.
 """
 
+import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -55,6 +59,27 @@ def test_package_exports_its_modules_names():
 
 def test_public_api_is_pinned():
     assert sorted(croftoncloud.__all__) == PUBLIC
+
+
+def _scipy_modules_after(code):
+    """The scipy modules a fresh interpreter holds after running *code*, which imports the package under test."""
+    src = str(Path(croftoncloud.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    script = f"import sys\n{code}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return set(ast.literal_eval(done.stdout.strip().splitlines()[-1]))
+
+
+def test_importing_the_package_loads_no_scipy():
+    # the line paths need only numpy; scipy is imported where a run uses it
+    assert _scipy_modules_after(f"import {', '.join(['croftoncloud'] + MODULES)}") == set()
+
+
+def test_scipy_is_imported_where_it_is_used():
+    loaded = _scipy_modules_after("from croftoncloud import stats\nstats.ktuple_test([0.1, 0.6, 0.3], 1, 4)")
+    assert "scipy.special" in loaded and "scipy.stats" not in loaded and "scipy.spatial" not in loaded
+    loaded = _scipy_modules_after("import numpy as np, croftoncloud\ncroftoncloud.NeighborIndex(np.eye(3))")
+    assert "scipy.spatial" in loaded and "scipy.stats" not in loaded
 
 
 def test_benchmark_trace_targets_resolve():

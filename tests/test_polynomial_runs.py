@@ -211,9 +211,8 @@ def test_catalog_torus_keeps_its_bits_on_tangent_lines(name):
     assert (_assert_same_bits(surface, dirs, feet).sum() > 100) == (name != "negative-ring")
 
 
-def test_catalog_torus_costs_few_field_points_per_hit(monkeypatch):
-    # its quartic multiple picks the cells, so the count-only scan evaluates under 4 field points per hit (2.97 at
-    # this seed); its box alone took 73.2
+def _scan_points_and_hits(monkeypatch, surface, seed):
+    """Field points and hits of the count-only scan of 8,192 lines of *surface* drawn from ``Pseudo(seed)``."""
     points = []
     field_on_grid = samplers._field_on_grid
 
@@ -222,7 +221,36 @@ def test_catalog_torus_costs_few_field_points_per_hit(monkeypatch):
         return field_on_grid(surface, dirs, feet, t_grid)
 
     monkeypatch.setattr(samplers, "_field_on_grid", recorded)
-    surface = torus_implicit()
-    dirs, feet = sample_line_batch(Pseudo(2901), 3, surface.clip_radius, 8192)
-    counts = samplers._scan_lines(surface, dirs, feet, want_points=False)[0]
-    assert counts.sum() > 5000 and sum(points) < 4 * counts.sum()
+    dirs, feet = sample_line_batch(Pseudo(seed), 3, surface.clip_radius, 8192)
+    return sum(points), samplers._scan_lines(surface, dirs, feet, want_points=False)[0].sum()
+
+
+def test_catalog_torus_costs_few_field_points_per_hit(monkeypatch):
+    # its quartic multiple picks the cells, so the count-only scan evaluates under 4 field points per hit (2.00 at
+    # this seed, 2.97 while a tile widened every row to its widest run); its box alone took 73.2
+    points, hits = _scan_points_and_hits(monkeypatch, torus_implicit(), 2901)
+    assert hits > 5000 and points < 4 * hits
+
+
+def test_each_row_scans_its_own_run_only(monkeypatch):
+    # a tile holds rows of one run width: a one-cell run costs 2 nodes, not the 3 of a neighbouring two-cell run
+    # (2.00 field points per hit at this seed; 2.97 while a tile widened every row to its first, widest run)
+    points, hits = _scan_points_and_hits(monkeypatch, ImplicitSurface(compile_field(TORUS_EXPR), 3.0), 2901)
+    assert hits > 5000 and points < 2.2 * hits
+
+
+@pytest.mark.parametrize("name", ["catalog-torus", "torus-expr", "sphere"])
+@pytest.mark.parametrize("lines", sorted({0, 1, 4095, 4096, 4097, 8192} | {samplers._HALVING_BLOCK + k for k in (-1, 0, 1)}))
+def test_blocked_halving_gives_the_runs_of_one_block(monkeypatch, name, lines):
+    # the halving levels run over blocks of lines; runs come out in line order, exactly as from one block of all lines
+    surface = _catalog_torus("default") if name == "catalog-torus" else POLYNOMIAL_SURFACES[name][0]()
+    dirs, feet = sample_line_batch(Pseudo(3201), 3, surface.clip_radius, 9000)
+    half = samplers._chord_half_lengths(feet, surface.clip_radius)
+    inside = np.flatnonzero(half > 0.0)[:lines]
+    assert len(inside) == lines
+    args = (surface.field.line_polynomial, dirs[inside], feet[inside], half[inside])
+    blocked = samplers._polynomial_runs(*args)
+    monkeypatch.setattr(samplers, "_HALVING_BLOCK", 10**9)
+    whole = samplers._polynomial_runs(*args)
+    assert [part.tobytes() for part in blocked] == [part.tobytes() for part in whole]
+    assert lines < 100 or len(blocked[0]) > lines // 4  # runs to compare: most lines meet each surface

@@ -3,11 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from croftoncloud.rng import Pseudo, VanDerCorput, VanDerCorputRearranged
 from croftoncloud.samplers import cloud_implicit, cloud_triangulated
 from croftoncloud.stats import (
     DENSITY_RATIO_GATE,
+    KTUPLE_PERCENTILE,
+    MAX_KTUPLE_CELLS,
     DensityResult,
     RegionTest,
     catalog_audit,
@@ -106,6 +109,18 @@ class TestKTupleTest:
     def test_range_validated(self):
         with pytest.raises(ValueError):
             ktuple_test(np.array([0.5, 1.0]), k=1, grid=4)
+
+    @pytest.mark.parametrize("grid, k", [(8, 2), (16, 1), (4, 1), (10, 3), (2, 19), (MAX_KTUPLE_CELLS, 1)])
+    def test_threshold_is_the_chi2_percentile_bit_for_bit(self, grid, k):
+        # (8, 2) is every catalog audit's; the gate reads scipy.special, and must not move from scipy.stats' value
+        result = ktuple_test(Pseudo(5).take(1000), k=k, grid=grid)
+        assert result.threshold == float(chi2.ppf(KTUPLE_PERCENTILE, grid**k - 1))
+
+    def test_threshold_matches_chi2_over_a_sweep_of_dofs(self):
+        values = Pseudo(6).take(100)
+        dofs = np.unique(np.geomspace(1, MAX_KTUPLE_CELLS - 1, 300).astype(np.int64))
+        got = [ktuple_test(values, k=1, grid=int(dof) + 1).threshold for dof in dofs]
+        assert got == chi2.ppf(KTUPLE_PERCENTILE, dofs).tolist()
 
     def test_nonfinite_values_refused(self):
         # nan passes a min/max range test; it must be refused before the cast to grid digits, with no warning
